@@ -1,39 +1,19 @@
-"""Hot inner loops: word rewriting and cycle search.
+"""Hot inner loops: word rewriting, cycle search and hyperplane union-find.
 
-Words are sequences of letter codes.  A letter is ``2*g + s + 1`` where ``g``
-is the generator index and ``s`` is 0 for the generator, 1 for its inverse.
+Words are lists of letter codes.  A letter is ``2*g + s + 1`` where ``g`` is
+the generator index and ``s`` is 0 for the generator, 1 for its inverse.
 Code order is exactly the shortlex letter order (a < a^-1 < b < b^-1 < ...).
 
-Commutation data is a bitmask array: ``comm[g]`` has bit ``h`` set iff
-generators ``g`` and ``h`` are adjacent in the defining graph.  Two letters
-may swap iff their generators are equal or adjacent.
+Commutation and adjacency data are lists of int bitmasks: ``comm[g]`` has bit
+``h`` set iff generators ``g`` and ``h`` are adjacent in the defining graph.
+Two letters may swap iff their generators are equal or adjacent.  Masks are
+Python ints, so there is no limit on the number of generators.
 
-Each kernel has a numba ``@njit`` build and a pure-Python build.  The JIT
-build is used when numba imports cleanly and the environment variable
-``RAAGQI_NO_NUMBA`` is unset/empty; the JIT path handles up to 63 generators
-(bitmasks live in int64), the Python path has no limit.
+Each kernel has one plain-Python implementation; union-find alone works on
+numpy arrays, since its inputs are the edge arrays of a flat-space ball.
 """
 
-import os
-
 import numpy as np
-
-try:
-    if os.environ.get("RAAGQI_NO_NUMBA"):
-        raise ImportError("numba disabled by RAAGQI_NO_NUMBA")
-    from numba import njit
-
-    HAVE_JIT = True
-except ImportError:
-    HAVE_JIT = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def letter(gen_index, sign):
@@ -57,329 +37,191 @@ def letter_inv(code):
 # normal form
 # ---------------------------------------------------------------------------
 
-def _nf_core(w, n, comm):
+def normal_form_codes(w, comm):
+    """Shortlex normal form of the letter-code list ``w``, computed in place;
+    returns ``w``."""
     # Phase 1: cancel x ... x^-1 pairs whenever everything between commutes
     # with x.  Same-generator letters always commute, so the scan only stops
     # at a genuinely blocking letter.
     changed = True
     while changed:
         changed = False
-        i = 0
-        while i < n:
+        n = len(w)
+        for i in range(n):
             x = w[i]
             gx = (x - 1) >> 1
+            cx = comm[gx]
             xinv = ((x - 1) ^ 1) + 1
-            j = i + 1
-            while j < n:
+            for j in range(i + 1, n):
                 y = w[j]
                 gy = (y - 1) >> 1
-                if gx != gy and not (comm[gx] >> gy) & 1:
+                if gx != gy and not (cx >> gy) & 1:
                     break
                 if y == xinv:
-                    for k in range(j, n - 1):
-                        w[k] = w[k + 1]
-                    for k in range(i, n - 2):
-                        w[k] = w[k + 1]
-                    n -= 2
+                    del w[j]
+                    del w[i]
                     changed = True
                     break
-                j += 1
             if changed:
                 break
-            i += 1
     # Phase 2: greedy shortlex.  Repeatedly move the smallest front-movable
     # letter to the front.  Reducedness is preserved: commutation moves never
     # create a cancellable pair that phase 1 missed.
+    n = len(w)
     for pos in range(n):
         best = pos
-        bg = (w[pos] - 1) >> 1
+        x = w[pos]
+        bg = (x - 1) >> 1
         blocked = ~comm[bg] & ~(1 << bg)
         for i in range(pos + 1, n):
-            g = (w[i] - 1) >> 1
-            if not (blocked >> g) & 1:
-                if w[i] < w[best]:
-                    best = i
+            y = w[i]
+            g = (y - 1) >> 1
+            if not (blocked >> g) & 1 and y < x:
+                best = i
+                x = y
             blocked |= ~comm[g] & ~(1 << g)
-        x = w[best]
-        for k in range(best, pos, -1):
-            w[k] = w[k - 1]
-        w[pos] = x
-    return n
+        if best != pos:
+            del w[best]
+            w.insert(pos, x)
+    return w
 
 
-_nf_py = _nf_core
-if HAVE_JIT:
-    _nf_jit = njit(cache=True)(_nf_core)
-
-
-def _strip_once_core(w, n, comm, mask):
-    # Remove one letter whose generator is in `mask` and which can commute to
-    # the right end of the word; return the new length, or -1 if none.
-    # Removing such a letter is a right multiplication by a generator's
-    # inverse, so the word stays in the same left coset of <mask>.
-    i = n - 1
-    while i >= 0:
-        g = (w[i] - 1) >> 1
-        if (mask >> g) & 1:
-            ok = True
-            for j in range(i + 1, n):
-                h = (w[j] - 1) >> 1
-                if g != h and not (comm[g] >> h) & 1:
-                    ok = False
-                    break
-            if ok:
-                for k in range(i, n - 1):
-                    w[k] = w[k + 1]
-                return n - 1
-        i -= 1
-    return -1
-
-
-_strip_once_py = _strip_once_core
-if HAVE_JIT:
-    _strip_once_jit = njit(cache=True)(_strip_once_core)
-
-
-def normal_form_codes(codes, comm_masks):
-    """Normal form of a letter-code sequence; returns a new list."""
-    n = len(codes)
-    if n == 0:
-        return []
-    if HAVE_JIT and len(comm_masks) <= 63:
-        buf = np.empty(n, dtype=np.int64)
-        buf[:n] = codes
-        masks = np.asarray(comm_masks, dtype=np.int64)
-        m = _nf_jit(buf, n, masks)
-    else:
-        buf = np.empty(n, dtype=object)
-        buf[:n] = codes
-        masks = np.empty(len(comm_masks), dtype=object)
-        masks[:] = comm_masks
-        m = _nf_py(buf, n, masks)
-    return [int(c) for c in buf[:m]]
-
-
-def strip_coset_codes(codes, comm_masks, strip_mask):
-    """Canonical coset representative: normal form with every right-movable
-    letter over ``strip_mask`` generators stripped (iterated to fixpoint)."""
-    cur = normal_form_codes(codes, comm_masks)
-    use_jit = HAVE_JIT and len(comm_masks) <= 63
-    if use_jit:
-        masks = np.asarray(comm_masks, dtype=np.int64)
-    else:
-        masks = np.empty(len(comm_masks), dtype=object)
-        masks[:] = comm_masks
+def strip_coset_codes(w, comm, strip_mask):
+    """Canonical coset representative of the letter-code list ``w`` (which
+    it may change): normal form with every right-movable letter over
+    ``strip_mask`` generators stripped, iterated to a fixpoint."""
+    normal_form_codes(w, comm)
     while True:
-        n = len(cur)
-        if n == 0:
-            return cur
-        if use_jit:
-            buf = np.empty(n, dtype=np.int64)
-            buf[:n] = cur
-            m = _strip_once_jit(buf, n, masks, strip_mask)
+        # Remove one letter whose generator is in the mask and which can
+        # commute to the right end of the word.  That is a right
+        # multiplication by a generator's inverse, so the word stays in the
+        # same left coset of <mask>.
+        n = len(w)
+        for i in range(n - 1, -1, -1):
+            g = (w[i] - 1) >> 1
+            if (strip_mask >> g) & 1:
+                cg = comm[g]
+                for j in range(i + 1, n):
+                    h = (w[j] - 1) >> 1
+                    if g != h and not (cg >> h) & 1:
+                        break
+                else:
+                    del w[i]
+                    break
         else:
-            buf = np.empty(n, dtype=object)
-            buf[:n] = cur
-            m = _strip_once_py(buf, n, masks, strip_mask)
-        if m < 0:
-            return cur
+            return w
         # stripping can expose a new cancellation, so renormalize each round
-        cur = normal_form_codes([int(c) for c in buf[:m]], comm_masks)
+        normal_form_codes(w, comm)
 
 
 # ---------------------------------------------------------------------------
-# embedded / tight cycle DFS
+# embedded / tight cycle search
 # ---------------------------------------------------------------------------
 
-def _tight_check_core(cyc, L, adj):
-    # chord = 1-shortcut; common neighbor at cycle distance > 2 = 2-shortcut
+def tight_check_ints(cyc, adj):
+    """Exact tightness test for one cycle of vertex indices: no chord
+    (1-shortcut) and no common neighbor of two vertices at cycle distance
+    > 2 (2-shortcut)."""
+    L = len(cyc)
     for i in range(L):
+        ai = adj[cyc[i]]
         for j in range(i + 1, L):
             d = j - i
             if L - d < d:
                 d = L - d
-            if d > 1 and (adj[cyc[i]] >> cyc[j]) & 1:
+            if d > 1 and (ai >> cyc[j]) & 1:
                 return False
-            if d > 2 and adj[cyc[i]] & adj[cyc[j]] != 0:
+            if d > 2 and ai & adj[cyc[j]]:
                 return False
     return True
 
 
-_tight_check_py = _tight_check_core
-if HAVE_JIT:
-    _tight_check_jit = njit(cache=True)(_tight_check_core)
+def enumerate_cycle_lists(adj, max_len, tight_only=False):
+    """Embedded cycles (vertex-index tuples in canonical position: start =
+    least vertex, second < last) of length <= max_len; only tight ones when
+    ``tight_only`` is set.
 
-
-def _make_cycle_dfs(tight_check):
-    def _cycle_dfs(adj, n, max_len, tight_only, out, one):
-        """Enumerate embedded cycles in canonical position (start = minimal
-        vertex, second < last).  Emits length-prefixed vertex lists into
-        ``out``; returns slots used, or -1 on overflow.
-
-        ``one`` is 1; it fixes the integer width of the visited bitmask.
-        """
-        path = np.empty(max_len + 1, dtype=np.int64)
-        cap = max_len * (n + 2) + 2
-        stack_v = np.empty(cap, dtype=np.int64)
-        stack_d = np.empty(cap, dtype=np.int64)
-        used = 0
-        for s in range(n):
-            top = 0
-            stack_v[top] = s
-            stack_d[top] = 0
-            top += 1
-            visited = one * 0
-            while top > 0:
-                top -= 1
-                v = stack_v[top]
-                depth = stack_d[top]
-                if depth == -1:
-                    visited &= ~(one << v)
-                    continue
-                path[depth] = v
-                visited |= one << v
-                # sentinel clears v once the subtree is done
-                stack_v[top] = v
-                stack_d[top] = -1
-                top += 1
-                if depth >= 2 and (adj[v] >> s) & 1 and path[1] < v:
-                    L = depth + 1
-                    if (not tight_only) or tight_check(path, L, adj):
-                        if used + L + 1 > out.shape[0]:
-                            return -1
-                        out[used] = L
-                        for k in range(L):
-                            out[used + 1 + k] = path[k]
-                        used += L + 1
-                if depth + 1 >= max_len:
-                    continue
-                nbrs = adj[v] & ~visited
-                while nbrs != 0:
-                    w = 0
-                    t = nbrs
-                    while t & 1 == 0:
-                        t >>= 1
-                        w += 1
-                    nbrs &= nbrs - 1
-                    if w <= s:
-                        continue
-                    if tight_only and depth >= 1:
-                        # an edge from w back into the path interior is a
-                        # chord of every completion, hence a 1-shortcut
-                        back = adj[w] & visited & ~(one << v) & ~(one << s)
-                        if back != 0:
-                            continue
-                        bad = False
-                        # common neighbor with path[i], i >= 2, at index
-                        # distance >= 3: a 2-shortcut of every completion
-                        for i in range(2, depth - 1):
-                            if adj[w] & adj[path[i]] != 0:
-                                bad = True
-                                break
-                        if bad:
-                            continue
-                    stack_v[top] = w
-                    stack_d[top] = depth + 1
-                    top += 1
-        return used
-
-    return _cycle_dfs
-
-
-_cycle_dfs_py = _make_cycle_dfs(_tight_check_py)
-if HAVE_JIT:
-    _cycle_dfs_jit = njit(cache=True)(_make_cycle_dfs(_tight_check_jit))
-
-
-def enumerate_cycle_lists(adj_masks, max_len, tight_only=False):
-    """Embedded cycles (vertex-index tuples, canonical rotation/orientation)
-    of length <= max_len; only tight ones when ``tight_only`` is set.
-
-    The tight DFS prunes chords and long-range common neighbors early; both
-    prunes are sound (they kill every completion) and the final per-cycle
-    check is exact.
+    The tight search prunes chords and long-range common neighbors early;
+    both prunes are sound (they kill every completion) and the final
+    per-cycle check is exact.
     """
-    n = len(adj_masks)
+    out = []
     if max_len < 3:
-        return []
-    cap = 1 << 14
-    while True:
-        out = np.empty(cap, dtype=np.int64)
-        if HAVE_JIT and n <= 63:
-            adj = np.asarray(adj_masks, dtype=np.int64)
-            used = _cycle_dfs_jit(adj, n, max_len, tight_only, out, np.int64(1))
-        else:
-            adj = np.empty(n, dtype=object)
-            adj[:] = adj_masks
-            used = _cycle_dfs_py(adj, n, max_len, tight_only, out, 1)
-        if used >= 0:
-            break
-        cap *= 4
-    res = []
-    i = 0
-    while i < used:
-        L = int(out[i])
-        res.append(tuple(int(x) for x in out[i + 1 : i + 1 + L]))
-        i += L + 1
-    return res
+        return out
+    path = [0] * (max_len + 1)
+    for s in range(len(adj)):
+        # a stack entry (v, depth) enters v; (v, -1) leaves it once the
+        # subtree below v is done
+        stack = [(s, 0)]
+        visited = 0
+        while stack:
+            v, depth = stack.pop()
+            if depth == -1:
+                visited &= ~(1 << v)
+                continue
+            path[depth] = v
+            visited |= 1 << v
+            stack.append((v, -1))
+            av = adj[v]
+            if depth >= 2 and (av >> s) & 1 and path[1] < v:
+                cyc = path[: depth + 1]
+                if not tight_only or tight_check_ints(cyc, adj):
+                    out.append(tuple(cyc))
+            if depth + 1 >= max_len:
+                continue
+            # only vertices above s, so every cycle is found from its least
+            # vertex
+            nbrs = (av & ~visited) >> (s + 1) << (s + 1)
+            inner = visited & ~(1 << v) & ~(1 << s)
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                w = low.bit_length() - 1
+                if tight_only and depth >= 1:
+                    aw = adj[w]
+                    # an edge from w back into the path interior is a chord
+                    # of every completion, hence a 1-shortcut
+                    if aw & inner:
+                        continue
+                    # common neighbor with path[i], i >= 2, at index
+                    # distance >= 3: a 2-shortcut of every completion
+                    if any(aw & adj[path[i]] for i in range(2, depth - 1)):
+                        continue
+                stack.append((w, depth + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # union-find over edge pairs (hyperplane components)
 # ---------------------------------------------------------------------------
 
-def _uf_core(parent, pairs):
-    for k in range(pairs.shape[0]):
-        a = pairs[k, 0]
-        b = pairs[k, 1]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            if a < b:
-                parent[b] = a
-            else:
-                parent[a] = b
-    for i in range(parent.shape[0]):
-        r = i
-        while parent[r] != r:
-            r = parent[r]
-        while parent[i] != r:
-            nxt = parent[i]
-            parent[i] = r
-            i = nxt
-    return 0
-
-
-_uf_py = _uf_core
-if HAVE_JIT:
-    _uf_jit = njit(cache=True)(_uf_core)
-
-
 def union_find(n, pairs):
-    """Component roots of 0..n-1 under the given (k,2) int array of unions."""
-    parent = np.arange(n, dtype=np.int64)
+    """Component roots of 0..n-1 under a (k, 2) int array of unions: each
+    element maps to the least member of its component.
+
+    Min-label propagation with pointer jumping: every root hooks onto the
+    least root across one of its pairs, then every label jumps to its root;
+    this repeats until the two ends of every pair share a root.  One scratch
+    buffer serves both steps, so the working set stays near the inputs.
+    """
+    root = np.arange(n, dtype=np.int64)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if HAVE_JIT:
-        _uf_jit(parent, pairs)
-    else:
-        _uf_py(parent, pairs)
-    return parent
-
-
-def tight_check_ints(cycle, adj_masks):
-    """Exact tightness test for one cycle of vertex indices."""
-    n = len(adj_masks)
-    L = len(cycle)
-    cyc = np.asarray(cycle, dtype=np.int64)
-    if HAVE_JIT and n <= 63:
-        adj = np.asarray(adj_masks, dtype=np.int64)
-        return bool(_tight_check_jit(cyc, L, adj))
-    adj = np.empty(n, dtype=object)
-    adj[:] = adj_masks
-    cyc = np.empty(L, dtype=object)
-    cyc[:] = list(cycle)
-    return bool(_tight_check_py(cyc, L, adj))
+    k = pairs.shape[0]
+    if k == 0:
+        return root
+    scratch = np.empty(max(2 * k, n), dtype=np.int64)
+    ends = scratch[: 2 * k].reshape(k, 2)
+    hop = scratch[:n]
+    while True:
+        np.take(root, pairs, out=ends)
+        ra, rb = ends[:, 0], ends[:, 1]
+        if np.array_equal(ra, rb):
+            return root
+        # ra, rb are roots here; hooking a root only ever lowers its label
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        while True:
+            np.take(root, root, out=hop)
+            if np.array_equal(hop, root):
+                break
+            root[:] = hop

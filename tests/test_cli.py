@@ -4,6 +4,7 @@ import pytest
 
 import raagqi as rq
 from raagqi.cli import main
+from raagqi.graphs import cycle_graph
 
 
 @pytest.fixture()
@@ -40,6 +41,14 @@ def test_tight_cycles(capsys, pentagon_file):
     data = json.loads(out)
     assert data["count"] == 1
     assert data["cycles"] == [["a", "b", "c", "d", "e"]]
+
+
+def test_tight_cycles_beyond_64_vertices(capsys, tmp_path):
+    path = tmp_path / "c70.json"
+    path.write_text(cycle_graph(70).to_json())
+    code, out, _ = run(capsys, "tight-cycles", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == 1
 
 
 def test_whitehead(capsys, pentagon_file):

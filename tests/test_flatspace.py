@@ -32,11 +32,20 @@ def test_ball_determinism(pentagon):
 
 def test_ball_structure_pentagon(pentagon_ball6):
     rep = FS.verify_ball_structure(pentagon_ball6)
-    assert rep["passed"], rep
+    assert rep == {
+        "passed": True,
+        "squares_typed": True,
+        "cone_links_isomorphic": True,
+        "bad_cones": 0,
+        "interior_links_checked": 60,
+        "links_girth_ok": True,
+        "bad_links": 0,
+    }
 
 
 def test_cone_link_is_barycentric_subdivision(pentagon):
     b = FS.build_ball(pentagon, 4)
+    assert b.stats()["vertices"] == 91
     for ci in b.vertices_by_kind("cone"):
         nodes, edges = b.cone_link_graph(ci)
         sing = {i for i in nodes if b.kind_of(i) == "singular"}
