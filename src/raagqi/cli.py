@@ -156,25 +156,29 @@ def cmd_taut(args):
         build_diagram,
         find_icut,
         find_quasicut,
-        is_taut,
         lift_cycle,
     )
     from .flatspace import build_ball
 
     g = _load_graph(args.graph)
     gamma = EmbeddedCycle(g, _parse_cycle(g, args.cycle))
-    ball = build_ball(g, args.radius or DEFAULT_LIFT_RADIUS)
     cyc = lift_cycle(g, gamma)
-    taut = is_taut(ball, cyc)
+    # the cut searches are algebraic and read no ball; each runs once, and
+    # tautness (no 1-cut, 2-cut or quasi-cut) is read off their results
+    cuts = {
+        "cut_1": find_icut(None, cyc, 1),
+        "cut_2": find_icut(None, cyc, 2),
+        "quasi_cut": find_quasicut(None, cyc),
+    }
+    taut = all(c is None for c in cuts.values())
     obj = {
         "cycle": list(gamma.vertices),
         "tight_in_graph": is_tight(g, gamma),
         "taut_in_flat_space": taut,
-        "cut_1": find_icut(ball, cyc, 1),
-        "cut_2": find_icut(ball, cyc, 2),
-        "quasi_cut": find_quasicut(ball, cyc),
+        **cuts,
     }
     if taut:
+        ball = build_ball(g, args.radius or DEFAULT_LIFT_RADIUS)
         obj["core_single_cell"] = len(build_diagram(ball, cyc).core) == 1
     _emit(args, obj, "taut" if taut else "not taut")
     return 0

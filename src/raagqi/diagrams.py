@@ -8,12 +8,21 @@ same-hyperplane boundary crossings without same-class interleaving, cross
 two arcs exactly when their positions interleave, and read the regions off
 the chord arrangement.  Regions map to vertices of the flat space (blocks);
 the core is the set of regions not touching the boundary circle.
+
+The lift of a graph cycle v_0 ... v_{n-1} through the identity fundamental
+domain needs no more than that domain: each boundary edge is dual to the
+hyperplane (v_j, <lk v_j>) through the identity cone's closed star, so the
+reduced diagram is the cone over the cycle (arc j pairs boundary positions
+2j and 2j-3 mod 2n, n crossings, and one core region, the identity cone).
+``DEFAULT_LIFT_RADIUS`` is therefore 2.  Any other cycle needs an explicit
+ball, and a ball too small for it raises ``InsufficientRadius``.  Hyperplane
+ids in a diagram are edge ids of its ball, local to that ball.
 """
 
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .graphs import GraphError
+from .graphs import GraphError, InsufficientRadius, InvariantError
 from .words import (
     CosetKey,
     in_special_subgroup,
@@ -39,7 +48,10 @@ __all__ = [
     "DEFAULT_LIFT_RADIUS",
 ]
 
-DEFAULT_LIFT_RADIUS = 6
+# A lifted cycle's diagram is the cone over it at the identity cone: every
+# hyperplane it crosses meets the identity cone's closed star, which is the
+# radius-2 ball (1 + |V| + |E| cells), so nothing outside that ball is read.
+DEFAULT_LIFT_RADIUS = 2
 
 
 class FullEdgeCycle:
@@ -184,10 +196,12 @@ def _noncrossing_matchings(positions):
 def build_diagram(ball, cycle, _matching_order=None):
     """The reduced dual disk diagram of an embedded full-edge cycle.
 
-    Raises "insufficient radius" when the cycle's cells or their hyperplane
-    data are not contained in the ball.  ``_matching_order`` permutes the
-    choice order among valid same-hyperplane pairings; the output must not
-    depend on it (the diagram is unique), which the tests exercise.
+    Raises ``InsufficientRadius`` when the cycle's cells or their hyperplane
+    data are not contained in the ball, and ``InvariantError`` when the
+    assembled diagram breaks the square-complex structure.
+    ``_matching_order`` permutes the choice order among valid same-hyperplane
+    pairings; the output must not depend on it (the diagram is unique), which
+    the tests exercise.
     """
     n = len(cycle)
     # boundary edge at position 2i: (f_i, s_i); at 2i+1: (s_i, f_{i+1})
@@ -197,12 +211,12 @@ def build_diagram(ball, cycle, _matching_order=None):
         si = ball.find(cycle.singulars[i])
         fj = ball.find(cycle.flats[(i + 1) % n])
         if fi < 0 or si < 0 or fj < 0:
-            raise GraphError("insufficient radius: cycle cell missing from ball")
+            raise InsufficientRadius("insufficient radius: cycle cell missing from ball")
         try:
             pos_edges.append(ball.edge_id(fi, si))
             pos_edges.append(ball.edge_id(si, fj))
         except GraphError:
-            raise GraphError("insufficient radius: cycle edge missing from ball") from None
+            raise InsufficientRadius("insufficient radius: cycle edge missing from ball") from None
     root, cross_classes = ball.hyperplanes()
     classes = [int(root[e]) for e in pos_edges]
 
@@ -211,13 +225,13 @@ def build_diagram(ball, cycle, _matching_order=None):
         by_class.setdefault(h, []).append(p)
     for h, ps in by_class.items():
         if len(ps) % 2:
-            raise GraphError("insufficient radius: hyperplane crossed an odd number of times")
+            raise InsufficientRadius("insufficient radius: hyperplane crossed an odd number of times")
 
     choices = []
     for h in sorted(by_class):
         ms = _noncrossing_matchings(by_class[h])
         if not ms:
-            raise GraphError("no valid arc pairing for a hyperplane")
+            raise InvariantError("no valid arc pairing for a hyperplane")
         choices.append((h, ms))
     if _matching_order is not None:
         import random
@@ -251,7 +265,7 @@ def build_diagram(ball, cycle, _matching_order=None):
 
     arcs = assemble(0, [])
     if arcs is None:
-        raise GraphError("no consistent dual diagram pairing (insufficient radius?)")
+        raise InsufficientRadius("insufficient radius: no consistent dual diagram pairing")
     arcs.sort()
     crossings = set()
     for i in range(len(arcs)):
@@ -263,7 +277,7 @@ def build_diagram(ball, cycle, _matching_order=None):
             if k in (i, j):
                 continue
             if (min(i, k), max(i, k)) in crossings and (min(j, k), max(j, k)) in crossings:
-                raise GraphError("three pairwise-crossing arcs: not a flat-space diagram")
+                raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
 
     faces, face_edges, seg_face, edge_faces, face_nodes = _arrangement_faces(
         2 * n, arcs, crossings
@@ -378,13 +392,13 @@ def _arrangement_faces(nb, arcs, crossings):
             walk.append(cur)
             cur = next_he[cur]
         if cur != he:
-            raise GraphError("face tracing failed to close")
+            raise InvariantError("face tracing failed to close")
         faces.append(walk)
 
     nverts = len(adj)
     nedges = sum(len(x) for x in adj.values()) // 2
     if nverts - nedges + len(faces) != 2:
-        raise GraphError("arrangement failed the Euler check")
+        raise InvariantError("arrangement failed the Euler check")
 
     outer = face_of_he[(("b", 1 % nb), ("b", 0), ("seg", 0))]
     seg_face = {}
@@ -416,7 +430,7 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces, ro
     for k in range(nb):
         fid = seg_face.get(k)
         if fid is None:
-            raise GraphError("boundary segment lost its region")
+            raise InvariantError("boundary segment lost its region")
         i, odd = divmod(k, 2)
         key = cycle.singulars[i] if not odd else cycle.flats[(i + 1) % n]
         vi = ball.find(key)
@@ -442,7 +456,7 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces, ro
             y = _block_across(ball, x, arc_class[lab[1]], root)
             if other in vertex_of:
                 if vertex_of[other] != y:
-                    raise GraphError("region propagation conflict: diagram is inconsistent")
+                    raise InvariantError("region propagation conflict: diagram is inconsistent")
             else:
                 vertex_of[other] = y
                 pending.append(other)
@@ -452,7 +466,7 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces, ro
     core = []
     for fid in faces:
         if fid not in vertex_of:
-            raise GraphError("region not reached by propagation")
+            raise InvariantError("region not reached by propagation")
         vi = vertex_of[fid]
         segs = [lab[1] for lab in face_edges[fid] if lab[0] == "seg"]
         in_core = not segs
@@ -486,9 +500,9 @@ def _block_across(ball, x, h, root):
     class h."""
     hits = {other for eid, other in ball.incident_edges(x) if int(root[eid]) == h}
     if not hits:
-        raise GraphError("insufficient radius: hyperplane missing at a region vertex")
+        raise InsufficientRadius("insufficient radius: hyperplane missing at a region vertex")
     if len(hits) != 1:
-        raise GraphError("hyperplane crosses a block star more than once")
+        raise InvariantError("hyperplane crosses a block star more than once")
     return hits.pop()
 
 
@@ -507,16 +521,16 @@ def _check_diagram_observations(ball, diagram, face_nodes):
             continue  # a crossing with the outer face around it cannot occur
         kinds = sorted(by_face[f].kind for f in fs)
         if kinds != ["cone", "flat", "singular", "singular"]:
-            raise GraphError("crossing regions are not cone+flat+two singulars")
+            raise InvariantError("crossing regions are not cone+flat+two singulars")
     for r in diagram.regions:
         if r.in_core:
             continue
         nodes = face_nodes[r.face_id]
         ncross = sum(1 for u in nodes if u[0] == "x")
         if len(nodes) == 3 and ncross == 1 and r.kind != "flat":
-            raise GraphError("corner region is not a flat region")
+            raise InvariantError("corner region is not a flat region")
         if r.kind == "cone":
-            raise GraphError("cone region touches the boundary")
+            raise InvariantError("cone region touches the boundary")
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ for every power of its generator), so finite balls are built from a budget:
 ``build_ball(graph, radius)`` materializes every coset incident to a cone
 vertex reachable from the identity by at most ``(radius-2)//2`` syllable
 moves u^k with |k| <= (radius-2)//2, together with all edges and squares
-among those cells.  Radius 2 is exactly one fundamental domain.
+among those cells.  Radius 2 is exactly one fundamental domain, the closed
+star of the identity cone (1 + |V| + |E| cells); it holds the whole dual
+disk diagram of a cycle lifted through that domain, so the ``diagram`` and
+``taut`` commands build nothing larger unless asked to.
 
-Coarse-distance queries do not depend on the ball: they are answered
-algebraically from centralizer-coset membership, which is exact.  The ball
-hosts cell-level queries (links, squares, hyperplanes, diagrams).
+Coarse-distance and cut queries do not depend on the ball: they are
+answered algebraically from centralizer-coset membership, which is exact.
+The ball hosts cell-level queries (links, squares, hyperplanes, diagrams).
 """
 
 from dataclasses import dataclass

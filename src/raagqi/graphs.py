@@ -11,6 +11,8 @@ from dataclasses import dataclass
 __all__ = [
     "DefiningGraph",
     "GraphError",
+    "InsufficientRadius",
+    "InvariantError",
     "AtomicityReport",
     "check_atomic",
     "girth",
@@ -33,6 +35,15 @@ __all__ = [
 
 class GraphError(ValueError):
     """Invalid graph input or violated precondition."""
+
+
+class InsufficientRadius(GraphError):
+    """A computation needs cells beyond the radius of the given ball."""
+
+
+class InvariantError(Exception):
+    """A structural invariant failed: a bug, not a bad input.  Deliberately
+    not a GraphError, so the CLI reports it with exit code 3."""
 
 
 class DefiningGraph:

@@ -220,7 +220,8 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
     if atomic:
 
         def s_taut():
-            ball = fs.build_ball(g, max(ball_radius, 4))
+            # lifted cycles need only the identity fundamental domain
+            ball = fs.build_ball(g, dg.DEFAULT_LIFT_RADIUS)
             cap = max_cycle_len or len(g.vertices)
             checked = 0
             all_taut = True
@@ -230,7 +231,7 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
                 taut = dg.is_taut(ball, lift)
                 all_taut = all_taut and taut
                 if taut:
-                    single_cell = single_cell and dg.verify_taut_diagram_lemma(ball, lift)
+                    single_cell = single_cell and len(dg.build_diagram(ball, lift).core) == 1
                 checked += 1
             return {"cycles_checked": checked, "all_tight_lifts_taut": all_taut, "cores_single_cell": single_cell}
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 import raagqi as rq
+import raagqi.cycles as C
+import raagqi.flatspace as FS
 from raagqi.cli import main
 from raagqi.graphs import cycle_graph
 
@@ -84,6 +86,28 @@ def test_diagram_and_taut(capsys, pentagon_file):
     assert code == 0
     data = json.loads(out)
     assert data["tight_in_graph"] and data["taut_in_flat_space"] and data["core_single_cell"]
+
+
+def test_lifted_cycle_commands_build_no_large_ball(capsys, monkeypatch, pentagon_file, tmp_path):
+    class SmallBall(FS.FlatBall):
+        def __init__(self, graph, radius):
+            assert radius <= 2, "built a radius-%d ball" % radius
+            super().__init__(graph, radius)
+
+    monkeypatch.setattr(FS, "FlatBall", SmallBall)
+    dodeca = rq.dodecahedron()
+    path = tmp_path / "dodecahedron.json"
+    path.write_text(dodeca.to_json())
+    eight = ",".join(next(c for c in C.enumerate_cycles(dodeca, 8) if len(c) == 8).vertices)
+
+    code, out, _ = run(capsys, "taut", pentagon_file, "--cycle", "a,b,c,d,e", "--json")
+    assert code == 0 and json.loads(out)["core_single_cell"]
+    code, out, _ = run(capsys, "taut", str(path), "--cycle", eight, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert not data["taut_in_flat_space"] and "core_single_cell" not in data
+    code, out, _ = run(capsys, "diagram", pentagon_file, "--cycle", "a,b,c,d,e", "--json")
+    assert code == 0 and json.loads(out)["core_size"] == 1
 
 
 def test_classify_and_out_group(capsys, pentagon_file, doubled_file):

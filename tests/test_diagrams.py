@@ -3,8 +3,8 @@ import pytest
 import raagqi.cycles as C
 import raagqi.diagrams as D
 import raagqi.flatspace as FS
-from raagqi.graphs import GraphError
-from raagqi.words import flat_key, identity, singular_key
+from raagqi.graphs import GraphError, InsufficientRadius, InvariantError
+from raagqi.words import cone_key, flat_key, identity, singular_key
 
 
 def eight_cycle_fixtures(ball, limit=12):
@@ -125,7 +125,52 @@ def test_insufficient_radius_is_reported(pentagon, pentagon_ball6):
     small = FS.build_ball(pentagon, 2)
     with pytest.raises(GraphError) as err:
         D.build_diagram(small, cyc)
+    assert isinstance(err.value, InsufficientRadius)
     assert "insufficient radius" in str(err.value)
+
+
+def test_broken_arrangement_is_an_invariant_error():
+    # two interleaved chords declared not to cross cannot bound a planar
+    # arrangement: a bug in the caller, not a bad input
+    with pytest.raises(InvariantError) as err:
+        D._arrangement_faces(4, [(0, 2, 0), (1, 3, 1)], set())
+    assert not isinstance(err.value, GraphError)
+
+
+def _renumbered(signature):
+    """A diagram signature with hyperplane ids renumbered by the first
+    boundary position they are crossed at; raw ids are ball edge ids."""
+    arcs, crossings, regions = signature
+    first = {}
+    for _, _, h in arcs:
+        first.setdefault(h, len(first))
+    return tuple((a, b, first[h]) for a, b, h in arcs), crossings, regions
+
+
+def test_lifted_cycle_diagrams_are_cones_in_the_fundamental_domain(
+    pentagon, dodeca, dodeca_double, pentagon_ball6, dd_ball6
+):
+    # the default lift radius is 2 because a lifted cycle's diagram is the
+    # cone over it at the identity cone; pin that on every embedded cycle
+    assert D.DEFAULT_LIFT_RADIUS == 2
+    checked = 0
+    for g, max_len, big in ((pentagon, 10, pentagon_ball6), (dodeca, 10, None), (dodeca_double, 9, dd_ball6)):
+        small = FS.build_ball(g, D.DEFAULT_LIFT_RADIUS)
+        assert small.nvertices == 1 + len(g.vertices) + len(g.edges)
+        for gamma in C.enumerate_cycles(g, max_len):
+            cyc = D.lift_cycle(g, gamma)
+            n = len(cyc)
+            d = D.build_diagram(small, cyc)
+            spans = {frozenset((a, b)) for a, b, _ in d.arcs}
+            assert len(d.arcs) == n
+            assert spans == {frozenset((2 * j % (2 * n), (2 * j - 3) % (2 * n))) for j in range(n)}
+            assert len(d.crossings) == n
+            assert len(d.core) == 1
+            assert small.key_of(d.core_regions()[0].vertex) == cone_key(identity(g))
+            if big is not None:
+                assert _renumbered(d.signature()) == _renumbered(D.build_diagram(big, cyc).signature())
+            checked += 1
+    assert checked == 227
 
 
 def test_diagram_uniqueness_under_matching_order(pentagon, pentagon_ball6):
