@@ -163,12 +163,12 @@ def cmd_taut(args):
     g = _load_graph(args.graph)
     gamma = EmbeddedCycle(g, _parse_cycle(g, args.cycle))
     cyc = lift_cycle(g, gamma)
-    # the cut searches are algebraic and read no ball; each runs once, and
+    # the cut searches are algebraic and need no ball; each runs once, and
     # tautness (no 1-cut, 2-cut or quasi-cut) is read off their results
     cuts = {
-        "cut_1": find_icut(None, cyc, 1),
-        "cut_2": find_icut(None, cyc, 2),
-        "quasi_cut": find_quasicut(None, cyc),
+        "cut_1": find_icut(cyc, 1),
+        "cut_2": find_icut(cyc, 2),
+        "quasi_cut": find_quasicut(cyc),
     }
     taut = all(c is None for c in cuts.values())
     obj = {
@@ -272,7 +272,6 @@ def build_parser():
     p = add("flat-ball", cmd_flat_ball)
     p.add_argument("graph")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--stats", action="store_true", help="stats output (default)")
     p.add_argument("--dot", action="store_true")
 
     p = add("diagram", cmd_diagram)

@@ -193,15 +193,25 @@ def _noncrossing_matchings(positions):
     return out
 
 
-def build_diagram(ball, cycle, _matching_order=None):
+def _matching_choices(by_class):
+    """(hyperplane, candidate pairings) for each crossed hyperplane, in the
+    order ``build_diagram`` tries them.  The diagram is unique, so its output
+    does not depend on this order."""
+    choices = []
+    for h in sorted(by_class):
+        ms = _noncrossing_matchings(by_class[h])
+        if not ms:
+            raise InvariantError("no valid arc pairing for a hyperplane")
+        choices.append((h, ms))
+    return choices
+
+
+def build_diagram(ball, cycle):
     """The reduced dual disk diagram of an embedded full-edge cycle.
 
     Raises ``InsufficientRadius`` when the cycle's cells or their hyperplane
     data are not contained in the ball, and ``InvariantError`` when the
     assembled diagram breaks the square-complex structure.
-    ``_matching_order`` permutes the choice order among valid same-hyperplane
-    pairings; the output must not depend on it (the diagram is unique), which
-    the tests exercise.
     """
     n = len(cycle)
     # boundary edge at position 2i: (f_i, s_i); at 2i+1: (s_i, f_{i+1})
@@ -227,18 +237,7 @@ def build_diagram(ball, cycle, _matching_order=None):
         if len(ps) % 2:
             raise InsufficientRadius("insufficient radius: hyperplane crossed an odd number of times")
 
-    choices = []
-    for h in sorted(by_class):
-        ms = _noncrossing_matchings(by_class[h])
-        if not ms:
-            raise InvariantError("no valid arc pairing for a hyperplane")
-        choices.append((h, ms))
-    if _matching_order is not None:
-        import random
-
-        rng = random.Random(_matching_order)
-        rng.shuffle(choices)
-        choices = [(h, rng.sample(ms, len(ms))) for h, ms in choices]
+    choices = _matching_choices(by_class)
 
     def consistent(arcs):
         for i in range(len(arcs)):
@@ -657,7 +656,7 @@ def _stars(graph):
     return {v: {v} | set(graph.neighbors(v)) for v in graph.vertices}
 
 
-def find_icut(ball, cycle, i):
+def find_icut(cycle, i):
     """An i-cut: flat vertices v, w on the cycle joined by a full-edge path
     of coarse length i while both cycle arcs have coarse length > i.
 
@@ -684,7 +683,7 @@ def find_icut(ball, cycle, i):
                 continue
             fp, fq = cycle.flats[p], cycle.flats[q]
             if i == 1:
-                if same_parallel_set(ball, fp, fq):
+                if same_parallel_set(fp, fq):
                     return {
                         "kind": "1-cut",
                         "v": p,
@@ -709,7 +708,7 @@ def find_icut(ball, cycle, i):
     return None
 
 
-def find_quasicut(ball, cycle):
+def find_quasicut(cycle):
     """A coarse-length-3 connection between non-adjacent cycle flats whose
     interior avoids the cycle's flat vertices.  By the quasi-cut lemma such
     a connection already forces a 1- or 2-cut somewhere, so tautness must
@@ -783,18 +782,18 @@ def _quasicut_witness(graph, stars, cycle_flats, fp, fq, w, x, t, z):
     return None
 
 
-def is_taut(ball, cycle):
+def is_taut(cycle):
     """No 1-cut, no 2-cut, and no quasi-cut."""
     return (
-        find_icut(ball, cycle, 1) is None
-        and find_icut(ball, cycle, 2) is None
-        and find_quasicut(ball, cycle) is None
+        find_icut(cycle, 1) is None
+        and find_icut(cycle, 2) is None
+        and find_quasicut(cycle) is None
     )
 
 
 def verify_taut_diagram_lemma(ball, cycle):
     """For a taut cycle, the diagram core must be a single cell."""
-    if not is_taut(ball, cycle):
+    if not is_taut(cycle):
         raise GraphError("verify_taut_diagram_lemma requires a taut cycle")
     d = build_diagram(ball, cycle)
     return len(d.core) == 1

@@ -14,9 +14,18 @@ star of the identity cone (1 + |V| + |E| cells); it holds the whole dual
 disk diagram of a cycle lifted through that domain, so the ``diagram`` and
 ``taut`` commands build nothing larger unless asked to.
 
-Coarse-distance and cut queries do not depend on the ball: they are
-answered algebraically from centralizer-coset membership, which is exact.
-The ball hosts cell-level queries (links, squares, hyperplanes, diagrams).
+A ball indexes each cell by the tuple ``(gens, codes)``: ``gens`` is the
+sorted tuple of generator names of the coset's subgroup (empty for a cone,
+one name for a singular, an edge for a flat vertex), the tuple
+``CosetKey.gens`` holds, and ``codes`` is the letter codes of the stripped
+normal-form representative.  ``find(key)`` is one lookup of
+``(key.gens, key.rep.codes)``; codes are plain ints, not bytes, so graph
+size has no byte limit.
+
+Turn, coarse-distance and parallel-set queries take coset keys and no ball:
+they are answered algebraically from centralizer-coset membership, which is
+exact.  The ball hosts cell-level queries (links, squares, hyperplanes,
+diagrams).
 """
 
 from dataclasses import dataclass
@@ -41,24 +50,8 @@ __all__ = [
     "FullEdgePath",
 ]
 
-_CONE, _SING, _FLAT = 0, 1, 2
-_KINDNAME = {_CONE: "cone", _SING: "singular", _FLAT: "flat"}
-
-
-def _blob(kind, gens, codes):
-    return bytes((kind, *gens, *codes)) if kind != _FLAT else bytes((kind, gens[0], gens[1], *codes))
-
-
-def _blob_cone(codes):
-    return bytes((_CONE, *codes))
-
-
-def _blob_sing(u, codes):
-    return bytes((_SING, u, *codes))
-
-
-def _blob_flat(u, w, codes):
-    return bytes((_FLAT, u, w, *codes))
+# a cell's kind, indexed by the number of generators in its key
+_KINDS = ("cone", "singular", "flat")
 
 
 def _syllables(codes):
@@ -106,16 +99,19 @@ class FlatBall:
         index = {}
         vkeys = []
 
-        def add(blob):
-            i = index.get(blob)
+        def add(key):
+            i = index.get(key)
             if i is None:
                 i = len(vkeys)
-                index[blob] = i
-                vkeys.append(blob)
+                index[key] = i
+                vkeys.append(key)
             return i
 
         sing_mask = [1 << i for i in range(n)]
         flat_mask = [(1 << u) | (1 << w) for u, w in edge_pairs]
+        # one gens tuple per subgroup, shared by every cell key that names it
+        sing_gens = [(v,) for v in gens]
+        flat_gens = [(gens[u], gens[w]) for u, w in edge_pairs]
 
         edge_rows = []
         square_rows = []
@@ -125,19 +121,19 @@ class FlatBall:
             support = 0
             for c in codes:
                 support |= 1 << ((c - 1) >> 1)
-            ci = add(_blob_cone(codes))
+            ci = add(((), codes))
             cone_bounds.append((ci, len(square_rows)))
             srefs = []
             for u in range(n):
                 # stripping only ever removes letters of the stripped
                 # generators, so it is the identity when they do not occur
                 rep = codes if not support & sing_mask[u] else ctx.strip(codes, sing_mask[u])
-                si = add(_blob_sing(u, rep))
+                si = add((sing_gens[u], rep))
                 srefs.append(si)
                 edge_rows.append((ci, si))
             for k, (u, w) in enumerate(edge_pairs):
                 rep = codes if not support & flat_mask[k] else ctx.strip(codes, flat_mask[k])
-                fi = add(_blob_flat(u, w, rep))
+                fi = add((flat_gens[k], rep))
                 edge_rows.append((srefs[u], fi))
                 edge_rows.append((srefs[w], fi))
                 square_rows.append((ci, srefs[u], fi, srefs[w]))
@@ -161,50 +157,24 @@ class FlatBall:
     # -- vertex/edge lookups ------------------------------------------------
 
     def kind_of(self, i):
-        return _KINDNAME[self.vkeys[i][0]]
+        return _KINDS[len(self.vkeys[i][0])]
 
     def gens_of(self, i):
-        blob = self.vkeys[i]
-        k = blob[0]
-        names = self.ctx.generators
-        if k == _CONE:
-            return ()
-        if k == _SING:
-            return (names[blob[1]],)
-        return (names[blob[1]], names[blob[2]])
+        return self.vkeys[i][0]
 
     def rep_of(self, i):
-        blob = self.vkeys[i]
-        off = 1 + (0 if blob[0] == _CONE else 1 if blob[0] == _SING else 2)
-        return GroupElement(self.ctx, tuple(blob[off:]), _canonical=True)
+        return GroupElement(self.ctx, self.vkeys[i][1], _canonical=True)
 
     def key_of(self, i):
-        return CosetKey(self.kind_of(i), self.gens_of(i), self.rep_of(i))
-
-    def _blob_of_key(self, key):
-        ctx = self.ctx
-        codes = key.rep.codes
-        if key.kind == "cone":
-            return _blob_cone(codes)
-        if key.kind == "singular":
-            return _blob_sing(ctx.index[key.gens[0]], codes)
-        u, w = (ctx.index[key.gens[0]], ctx.index[key.gens[1]])
-        if u > w:
-            u, w = w, u
-        return _blob_flat(u, w, codes)
+        gens, codes = self.vkeys[i]
+        return CosetKey(_KINDS[len(gens)], gens, GroupElement(self.ctx, codes, _canonical=True))
 
     def find(self, key):
         """Index of a CosetKey in the ball, or -1."""
-        return self.index.get(self._blob_of_key(key), -1)
+        return self.index.get((key.gens, key.rep.codes), -1)
 
     def __contains__(self, key):
         return self.find(key) >= 0
-
-    def has_edge_idx(self, i, j):
-        lo, hi = (i, j) if i < j else (j, i)
-        enc = lo * self.nvertices + hi
-        p = np.searchsorted(self._edge_enc, enc)
-        return p < self._edge_enc.shape[0] and self._edge_enc[p] == enc
 
     def edge_id(self, i, j):
         lo, hi = (i, j) if i < j else (j, i)
@@ -215,18 +185,16 @@ class FlatBall:
         return p
 
     def vertices_by_kind(self, kind):
-        k = {"cone": _CONE, "singular": _SING, "flat": _FLAT}[kind]
-        return [i for i, blob in enumerate(self.vkeys) if blob[0] == k]
+        k = _KINDS.index(kind)
+        return [i for i, (gens, _) in enumerate(self.vkeys) if len(gens) == k]
 
     def is_interior(self, i):
         """Conservative interior flag: the cells this vertex's link needs are
         guaranteed present."""
-        blob = self.vkeys[i]
-        off = 1 if blob[0] == _CONE else 2 if blob[0] == _SING else 3
-        syl = _syllables(blob[off:])
-        if blob[0] == _CONE:
+        gens, codes = self.vkeys[i]
+        if not gens:
             return True
-        return syl <= max(0, self.budget - 2)
+        return _syllables(codes) <= max(0, self.budget - 2)
 
     # -- links --------------------------------------------------------------
 
@@ -320,8 +288,8 @@ class FlatBall:
 
     def stats(self):
         counts = {"cone": 0, "singular": 0, "flat": 0}
-        for blob in self.vkeys:
-            counts[_KINDNAME[blob[0]]] += 1
+        for gens, _ in self.vkeys:
+            counts[_KINDS[len(gens)]] += 1
         return {
             "radius": self.radius,
             "complete_radius": self.complete_radius,
@@ -376,13 +344,14 @@ def verify_ball_structure(ball):
 
     graph = ball.graph
     nV, nE = len(graph.vertices), len(graph.edges)
-    kinds = np.array([blob[0] for blob in ball.vkeys], dtype=np.int8)
+    # a cell's kind is the number of generators in its key
+    kinds = np.array([len(gens) for gens, _ in ball.vkeys], dtype=np.int8)
     sq = ball.squares
     squares_typed = bool(
-        (kinds[sq[:, 0]] == _CONE).all()
-        and (kinds[sq[:, 1]] == _SING).all()
-        and (kinds[sq[:, 2]] == _FLAT).all()
-        and (kinds[sq[:, 3]] == _SING).all()
+        (kinds[sq[:, 0]] == 0).all()
+        and (kinds[sq[:, 1]] == 1).all()
+        and (kinds[sq[:, 2]] == 2).all()
+        and (kinds[sq[:, 3]] == 1).all()
     )
 
     # every cone link must be the barycentric subdivision of the graph:
@@ -420,7 +389,7 @@ def verify_ball_structure(ball):
     interior = [
         i
         for i in range(ball.nvertices)
-        if ball.vkeys[i][0] != _CONE and ball.is_interior(i)
+        if ball.vkeys[i][0] and ball.is_interior(i)
     ]
     links_girth_ok = True
     bad_links = 0
@@ -522,7 +491,7 @@ class FullEdgePath:
         return out
 
 
-def classify_turn(ball, e1, e2):
+def classify_turn(e1, e2):
     """Turn type for two full edges (f, s, f') sharing a flat endpoint."""
     f1a, s1, f1b = e1
     f2a, s2, f2b = e2
@@ -537,14 +506,14 @@ def classify_turn(ball, e1, e2):
     return "illegal" if stabilizers_equal(s1, s2) else "legal"
 
 
-def coarse_length(ball, path):
+def coarse_length(path):
     """Number of legal turns along the path, plus one."""
     if not isinstance(path, FullEdgePath):
         path = FullEdgePath(path)
     return sum(1 for t in path.turns() if t == "legal") + 1
 
 
-def same_parallel_set(ball, f1, f2):
+def same_parallel_set(f1, f2):
     """Whether two standard flats lie in a common parallel set: a shared
     defining generator u with representatives in the same centralizer coset."""
     _check_key("flat", f1)
@@ -575,7 +544,7 @@ def _star_sets(graph):
     return {v: {v} | set(graph.neighbors(v)) for v in graph.vertices}
 
 
-def coarse_distance(ball, f1, f2, max_search=6):
+def coarse_distance(f1, f2, max_search=6):
     """Minimal coarse length of a full-edge path between two flat vertices.
 
     A coarse-length-m connection exists iff there is a walk t_1 .. t_m in the
@@ -609,13 +578,10 @@ def parallel_set_slice(ball, s):
     coset s, i.e. flats whose stabilizer contains the stabilizer of s."""
     _check_key("singular", s)
     u = s.gens[0]
-    ui = ball.ctx.index[u]
-    graph = ball.graph
-    star = {u} | set(graph.neighbors(u))
+    star = {u} | set(ball.graph.neighbors(u))
     out = []
-    for i in ball.vertices_by_kind("flat"):
-        blob = ball.vkeys[i]
-        if blob[1] != ui and blob[2] != ui:
+    for i, (gens, _) in enumerate(ball.vkeys):
+        if len(gens) != 2 or u not in gens:
             continue
         f = ball.key_of(i)
         if in_special_subgroup(s.rep.inverse() * f.rep, star):

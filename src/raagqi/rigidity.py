@@ -228,7 +228,7 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
             single_cell = True
             for gamma in cy.tight_cycles(g, cap)[:taut_cap]:
                 lift = dg.lift_cycle(g, gamma)
-                taut = dg.is_taut(ball, lift)
+                taut = dg.is_taut(lift)
                 all_taut = all_taut and taut
                 if taut:
                     single_cell = single_cell and len(dg.build_diagram(ball, lift).core) == 1

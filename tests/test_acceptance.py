@@ -37,14 +37,11 @@ class Timer:
             assert dt < self.bound, "%s exceeded its %ss bound: %.2fs" % (self.label, self.bound, dt)
 
 
-@pytest.fixture(scope="module")
-def pentagon():
-    return G.pentagon()
-
-
-@pytest.fixture(scope="module")
-def dd():
-    return G.dodecahedron_double()
+# ``pentagon`` is the session fixture of conftest, which the session balls
+# ``pentagon_ball6`` and ``dd_ball6`` are built from
+@pytest.fixture(scope="session")
+def dd(dodeca_double):
+    return dodeca_double
 
 
 def test_criterion_01_atomicity_fixtures(pentagon, dd):
@@ -120,8 +117,7 @@ def test_criterion_04_coloring_lemma_suite(pentagon, dd):
         assert accepted >= 500
 
 
-def _diagram_corpus(pentagon, dd, dd_ball):
-    pent_ball = FS.build_ball(pentagon, 6)
+def _diagram_corpus(pentagon, dd, pent_ball, dd_ball):
     out = []
     out.append((pent_ball, D.lift_cycle(pentagon, C.enumerate_cycles(pentagon, 5)[0])))
     from test_diagrams import eight_cycle_fixtures
@@ -133,11 +129,12 @@ def _diagram_corpus(pentagon, dd, dd_ball):
     return out
 
 
-def test_criterion_05_gauss_bonnet_shells(pentagon, dd):
-    dd_ball = FS.build_ball(dd, 6)
+def test_criterion_05_gauss_bonnet_shells(pentagon, dd, pentagon_ball6, dd_ball6):
+    # the session balls equal FS.build_ball(pentagon, 6) and FS.build_ball(dd, 6):
+    # balls are deterministic and equal graphs share one word context
     with Timer("criterion 5: shell inequality over the diagram corpus", None):
         cases = set()
-        for ball, cyc in _diagram_corpus(pentagon, dd, dd_ball):
+        for ball, cyc in _diagram_corpus(pentagon, dd, pentagon_ball6, dd_ball6):
             d = D.build_diagram(ball, cyc)
             rep = D.shell_report(d)
             assert rep.total_score >= 4
@@ -155,15 +152,13 @@ def test_criterion_05_gauss_bonnet_shells(pentagon, dd):
         assert "single_cell" in cases and "two_1shells" in cases
 
 
-def test_criterion_06_tight_iff_taut(pentagon, dd):
+def test_criterion_06_tight_iff_taut(pentagon, dd, pentagon_ball6, dd_ball6):
     with Timer("criterion 6: tight cycles match taut lifts up to length 9", 300.0):
-        pent_ball = FS.build_ball(pentagon, 6)
-        dd_ball = FS.build_ball(dd, 6)
-        for g, ball in ((pentagon, pent_ball), (dd, dd_ball)):
+        for g, ball in ((pentagon, pentagon_ball6), (dd, dd_ball6)):
             for gamma in C.enumerate_cycles(g, 9):
                 lift = D.lift_cycle(g, gamma)
                 tight = C.is_tight(g, gamma)
-                taut = D.is_taut(ball, lift)
+                taut = D.is_taut(lift)
                 assert tight == taut, gamma
                 if taut:
                     assert D.verify_taut_diagram_lemma(ball, lift), gamma

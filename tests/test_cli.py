@@ -70,6 +70,15 @@ def test_flat_ball_stats(capsys, pentagon_file):
     assert data["link_conditions"]["passed"]
 
 
+def test_flat_ball_beyond_128_vertices(capsys, tmp_path):
+    # letter codes of 130 generators run past 255; cell keys have no byte limit
+    path = tmp_path / "c130.json"
+    path.write_text(cycle_graph(130).to_json())
+    code, out, _ = run(capsys, "flat-ball", str(path), "--radius", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["link_conditions"]["passed"]
+
+
 def test_flat_ball_radius_error(capsys, pentagon_file):
     code, _, err = run(capsys, "flat-ball", pentagon_file, "--radius", "1")
     assert code == 2

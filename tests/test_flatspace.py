@@ -1,6 +1,7 @@
 import pytest
 
 import raagqi.flatspace as FS
+import raagqi.graphs as G
 import raagqi.words as W
 from raagqi.graphs import DefiningGraph, GraphError, star_graph
 from raagqi.words import flat_key, identity, normal_form, singular_key
@@ -73,8 +74,22 @@ def test_key_lookup_roundtrip(pentagon_ball6, pentagon):
     assert pentagon_ball6.find(missing) == -1 or missing in pentagon_ball6
 
 
-def test_classify_turn(pentagon, pentagon_ball6):
-    b = pentagon_ball6
+@pytest.mark.parametrize(
+    "graph, radius",
+    [(G.pentagon(), 4), (star_graph("b", ["a", "c", "d"]), 2), (G.cycle_graph(130), 4)],
+    ids=["pentagon-r4", "K13-r2", "C130-r4"],
+)
+def test_cell_key_roundtrip(graph, radius):
+    # a cell's key is (gens, codes): the coset's generators and the stripped
+    # normal form of its representative, with no limit on the letter codes
+    ball = FS.build_ball(graph, radius)
+    for i in range(ball.nvertices):
+        key = ball.key_of(i)
+        assert ball.find(key) == i
+        assert key == W.coset_key(ball.rep_of(i), ball.kind_of(i), ball.gens_of(i))
+
+
+def test_classify_turn(pentagon):
     e = identity(pentagon)
     fab = flat_key(e, "a", "b")
     fae = flat_key(e, "a", "e")
@@ -86,12 +101,10 @@ def test_classify_turn(pentagon, pentagon_ball6):
 
     # two distinct full edges through one singular vertex: same stabilizer
     k13 = star_graph("b", ["a", "c", "d"])
-    bk = FS.build_ball(k13, 2)
     e13 = identity(k13)
     s13 = singular_key(e13, "b")
     assert (
         FS.classify_turn(
-            bk,
             (flat_key(e13, "a", "b"), s13, flat_key(e13, "b", "c")),
             (flat_key(e13, "b", "c"), s13, flat_key(e13, "b", "d")),
         )
@@ -99,19 +112,19 @@ def test_classify_turn(pentagon, pentagon_ball6):
     )
     # the reversed copy of one full edge is rejected
     with pytest.raises(GraphError):
-        FS.classify_turn(b, (fae, sa, fab), (fab, sa, fae))
+        FS.classify_turn((fae, sa, fab), (fab, sa, fae))
     # different kinds at the shared flat: trivial intersection
-    assert FS.classify_turn(b, (fae, sa, fab), (fab, sb, fbc)) == "legal"
+    assert FS.classify_turn((fae, sa, fab), (fab, sb, fbc)) == "legal"
     # translate along the commuting direction: equal stabilizers, illegal
-    assert FS.classify_turn(b, (fae, sa, fab), (fab, bga, fbae)) == "illegal"
+    assert FS.classify_turn((fae, sa, fab), (fab, bga, fbae)) == "illegal"
     with pytest.raises(GraphError):
-        FS.classify_turn(b, (fae, sa, fab), (fbc, sb, flat_key(e, "c", "d")))
+        FS.classify_turn((fae, sa, fab), (fbc, sb, flat_key(e, "c", "d")))
 
 
-def test_full_edge_path_and_coarse_length(pentagon, pentagon_ball6):
+def test_full_edge_path_and_coarse_length(pentagon):
     e = identity(pentagon)
     path = FS.FullEdgePath([flat_key(e, "a", "b"), singular_key(e, "b"), flat_key(e, "b", "c")])
-    assert FS.coarse_length(pentagon_ball6, path) == 1
+    assert FS.coarse_length(path) == 1
 
     stalling = FS.FullEdgePath(
         [
@@ -123,7 +136,7 @@ def test_full_edge_path_and_coarse_length(pentagon, pentagon_ball6):
         ]
     )
     assert [t for t in stalling.turns()] == ["illegal"]
-    assert FS.coarse_length(pentagon_ball6, stalling) == 1
+    assert FS.coarse_length(stalling) == 1
 
     two_turns = FS.FullEdgePath(
         [
@@ -134,24 +147,24 @@ def test_full_edge_path_and_coarse_length(pentagon, pentagon_ball6):
             flat_key(e, "c", "d"),
         ]
     )
-    assert FS.coarse_length(pentagon_ball6, two_turns) == 2
+    assert FS.coarse_length(two_turns) == 2
     with pytest.raises(GraphError):
         FS.FullEdgePath([flat_key(e, "a", "b"), singular_key(e, "c"), flat_key(e, "c", "d")])
 
 
-def test_coarse_distance(pentagon, pentagon_ball6):
+def test_coarse_distance(pentagon):
     e = identity(pentagon)
     fab = flat_key(e, "a", "b")
     fae = flat_key(e, "a", "e")
     fcd = flat_key(e, "c", "d")
-    assert FS.coarse_distance(pentagon_ball6, fab, fab).value == 0
-    d = FS.coarse_distance(pentagon_ball6, fab, fae)
+    assert FS.coarse_distance(fab, fab).value == 0
+    d = FS.coarse_distance(fab, fae)
     assert d.value == 1 and d.certified
-    d = FS.coarse_distance(pentagon_ball6, fab, fcd)
+    d = FS.coarse_distance(fab, fcd)
     assert d.value == 2 and d.certified
 
 
-def test_coarse_distance_metric_properties(pentagon, pentagon_ball6):
+def test_coarse_distance_metric_properties(pentagon):
     e = identity(pentagon)
     flats = [flat_key(normal_form(pentagon, w), u, v)
              for w in ("", "a", "b c", "c")
@@ -160,7 +173,7 @@ def test_coarse_distance_metric_properties(pentagon, pentagon_ball6):
     dist = {}
     for f1 in flats:
         for f2 in flats:
-            r = FS.coarse_distance(pentagon_ball6, f1, f2)
+            r = FS.coarse_distance(f1, f2)
             assert r.certified
             dist[(f1, f2)] = r.value
     for f1 in flats:
@@ -170,14 +183,14 @@ def test_coarse_distance_metric_properties(pentagon, pentagon_ball6):
                 assert dist[(f1, f3)] <= dist[(f1, f2)] + dist[(f2, f3)]
 
 
-def test_same_parallel_set_examples(pentagon, pentagon_ball6):
+def test_same_parallel_set_examples(pentagon):
     e = identity(pentagon)
     fab = flat_key(e, "a", "b")
     fae = flat_key(e, "a", "e")
     fcd = flat_key(e, "c", "d")
-    assert FS.same_parallel_set(pentagon_ball6, fab, fae)
-    assert not FS.same_parallel_set(pentagon_ball6, fab, fcd)
-    assert not FS.same_parallel_set(pentagon_ball6, fab, fab)
+    assert FS.same_parallel_set(fab, fae)
+    assert not FS.same_parallel_set(fab, fcd)
+    assert not FS.same_parallel_set(fab, fab)
     # a^5 <a,e> is the same coset as <a,e>
     assert flat_key(normal_form(pentagon, "a^5"), "a", "e") == fae
 
@@ -190,7 +203,7 @@ def test_same_parallel_set_agrees_with_stalling_bfs(pentagon):
     # BFS reachability implies the algebraic relation
     for f in reach:
         if f != start:
-            assert FS.same_parallel_set(ball, start, f)
+            assert FS.same_parallel_set(start, f)
     # and conversely for translates of bounded size
     for w in ("", "a", "b", "a b", "b^2", "a^-1 b", "a^3"):
         g = normal_form(pentagon, w)
@@ -198,7 +211,7 @@ def test_same_parallel_set_agrees_with_stalling_bfs(pentagon):
             f = flat_key(g, u, v)
             if f == start or ball.find(f) < 0:
                 continue
-            if FS.same_parallel_set(ball, start, f) and len(f.rep) <= 2:
+            if FS.same_parallel_set(start, f) and len(f.rep) <= 2:
                 assert f in reach, f.label()
 
 
