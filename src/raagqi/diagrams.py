@@ -29,6 +29,7 @@ from .words import (
     subgroup_product_factors,
 )
 from .flatspace import (
+    _star_sets,
     same_parallel_set,
     singular_contained_in_flat,
     stabilizers_equal,
@@ -652,10 +653,6 @@ def _is_ladder(diagram, core):
 # cuts and tautness
 # ---------------------------------------------------------------------------
 
-def _stars(graph):
-    return {v: {v} | set(graph.neighbors(v)) for v in graph.vertices}
-
-
 def find_icut(cycle, i):
     """An i-cut: flat vertices v, w on the cycle joined by a full-edge path
     of coarse length i while both cycle arcs have coarse length > i.
@@ -673,7 +670,7 @@ def find_icut(cycle, i):
         raise GraphError("expected a FullEdgeCycle")
     n = len(cycle)
     graph = cycle.flats[0].rep.ctx.graph
-    stars = _stars(graph)
+    stars = _star_sets(graph)
     from .words import in_subgroup_product
 
     for p in range(n):
@@ -718,7 +715,7 @@ def find_quasicut(cycle):
         raise GraphError("expected a FullEdgeCycle")
     n = len(cycle)
     graph = cycle.flats[0].rep.ctx.graph
-    stars = _stars(graph)
+    stars = _star_sets(graph)
     cycle_flats = set(cycle.flats)
     for p in range(n):
         for q in range(p + 1, n):

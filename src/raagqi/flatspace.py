@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graphs import GraphError, orthogonal_complement
+from .graphs import GraphError, _girth, orthogonal_complement
 from .words import GroupElement, CosetKey, context_for, in_special_subgroup, in_subgroup_product
 
 __all__ = [
@@ -310,30 +310,12 @@ def build_ball(graph, radius):
     return FlatBall(graph, radius)
 
 
-def _graph_girth_of(nodes, edges):
-    import math
-
+def _link_girth(nodes, edges):
     adj = {v: set() for v in nodes}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    best = math.inf
-    for a, b in edges:
-        dist = {a: 0}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if (v, u) in ((a, b), (b, a)):
-                        continue
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        if b in dist:
-            best = min(best, dist[b] + 1)
-    return best
+    return _girth(adj, edges)
 
 
 def verify_ball_structure(ball):
@@ -395,7 +377,7 @@ def verify_ball_structure(ball):
     bad_links = 0
     for vi in interior:
         nodes, edges = ball.vertex_link_graph(vi)
-        g = _graph_girth_of(nodes, edges)
+        g = _link_girth(nodes, edges)
         if g < 4:
             links_girth_ok = False
             bad_links += 1
@@ -404,10 +386,10 @@ def verify_ball_structure(ball):
     subdivision_girth = None
     for ci in ball.vertices_by_kind("cone")[:50]:
         if ci not in subdivided:
-            g = _graph_girth_of(*ball.cone_link_graph(ci))
+            g = _link_girth(*ball.cone_link_graph(ci))
         else:
             if subdivision_girth is None:
-                subdivision_girth = _graph_girth_of(*ball.cone_link_graph(ci))
+                subdivision_girth = _link_girth(*ball.cone_link_graph(ci))
             g = subdivision_girth
         if g < 4:
             links_girth_ok = False

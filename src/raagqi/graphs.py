@@ -6,6 +6,8 @@ of the identifiers.
 """
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 __all__ = [
@@ -145,47 +147,51 @@ class DefiningGraph:
 # basic invariants
 # ---------------------------------------------------------------------------
 
-def is_connected(g):
-    if not g.vertices:
+def _connected(g, keep):
+    """Whether the subgraph of g induced on the vertex set keep is connected;
+    an empty keep counts as connected."""
+    keep = set(keep)
+    if not keep:
         return True
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
+    start = next(iter(keep))
+    seen = {start}
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in seen:
+        for u in g.neighbors(stack.pop()):
+            if u in keep and u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == len(g.vertices)
+    return len(seen) == len(keep)
 
 
-def _bfs_dist(g, src, skip_edge=None):
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if skip_edge and tuple(sorted((v, u))) == skip_edge:
-                    continue
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+def is_connected(g):
+    return _connected(g, g.vertices)
+
+
+def _girth(adj, edges):
+    """Shortest embedded cycle of the graph with adjacency map adj and edge
+    list edges, by one BFS per edge a-b that does not cross it; math.inf
+    for forests."""
+    best = math.inf
+    for a, b in edges:
+        dist = {a: 0}
+        frontier = [a]
+        while frontier and b not in dist:
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if u not in dist and (v, u) != (a, b):
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        if b in dist:
+            best = min(best, dist[b] + 1)
+    return best
 
 
 def girth(g):
     """Length of the shortest embedded cycle; math.inf for forests."""
-    import math
-
-    best = math.inf
-    for e in g.edges:
-        a, b = e
-        dist = _bfs_dist(g, a, skip_edge=e)
-        if b in dist:
-            best = min(best, dist[b] + 1)
-    return best
+    return _girth(g._adj, g.edges)
 
 
 def orthogonal_complement(g, vs):
@@ -204,22 +210,7 @@ def cut_vertices(g):
     """Vertices whose removal disconnects g.  Requires g connected."""
     if not is_connected(g):
         raise GraphError("cut_vertices requires a connected graph")
-    cuts = set()
-    for v in g.vertices:
-        rest = [u for u in g.vertices if u != v]
-        if not rest:
-            continue
-        seen = {rest[0]}
-        stack = [rest[0]]
-        while stack:
-            x = stack.pop()
-            for u in g.neighbors(x):
-                if u != v and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(rest):
-            cuts.add(v)
-    return cuts
+    return {v for v in g.vertices if not _connected(g, set(g.vertices) - {v})}
 
 
 def _short_cycles(g):
@@ -269,20 +260,8 @@ def check_atomic(g):
         failures.append({"kind": "short_cycle", "cycle": list(cyc), "length": len(cyc)})
     for v in sorted(g.vertices):
         star_verts, _ = g.closed_star(v)
-        rest = [u for u in g.vertices if u not in star_verts]
-        if not rest:
-            # an empty complement does not count as separated
-            continue
-        seen = {rest[0]}
-        stack = [rest[0]]
-        restset = set(rest)
-        while stack:
-            x = stack.pop()
-            for u in g.neighbors(x):
-                if u in restset and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(rest):
+        # an empty complement counts as connected, so it does not separate
+        if not _connected(g, set(g.vertices) - star_verts):
             failures.append({"kind": "separating_closed_star", "vertex": v})
     return AtomicityReport(is_atomic=not failures, failures=tuple(failures))
 
@@ -291,95 +270,111 @@ def check_atomic(g):
 # isomorphism / automorphisms
 # ---------------------------------------------------------------------------
 
-def _distance_profile(g):
-    prof = {}
-    for v in g.vertices:
-        dist = _bfs_dist(g, v)
-        row = sorted(dist.get(u, -1) for u in g.vertices)
-        nbr_degs = sorted(g.degree(u) for u in g.neighbors(v))
-        prof[v] = (g.degree(v), tuple(nbr_degs), tuple(row))
-    return prof
+def _refine(sides):
+    """Joint colour refinement of (graph, colouring) pairs to the coarsest
+    equitable colouring.  A new colour is the rank of the signature (colour,
+    sorted neighbour colours) among the signatures of all sides, so colours
+    mean the same on every side.  None once two sides' colour classes differ
+    in size, as no colour-preserving isomorphism can then exist."""
+    ncolours = len({x for _, c in sides for x in c.values()})
+    while True:
+        sigs = [{v: (c[v], tuple(sorted(c[u] for u in g.neighbors(v)))) for v in g.vertices} for g, c in sides]
+        rank = {sig: i for i, sig in enumerate(sorted({sig for s in sigs for sig in s.values()}))}
+        colourings = [{v: rank[sig] for v, sig in s.items()} for s in sigs]
+        sizes = Counter(colourings[0].values())
+        if any(Counter(c.values()) != sizes for c in colourings[1:]):
+            return None
+        if len(rank) == ncolours:
+            return colourings
+        ncolours = len(rank)
+        sides = [(g, c) for (g, _), c in zip(sides, colourings)]
 
 
-def _isomorphism_search(g1, g2, count_all):
-    """Backtracking vertex-map search.  Returns (count, first_witness)."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return 0, None
-    p1, p2 = _distance_profile(g1), _distance_profile(g2)
-    from collections import Counter
+def _target_cell(c):
+    """The colour and sorted vertices of the smallest non-singleton colour
+    class (least colour on ties), or None for a discrete colouring."""
+    cells = {}
+    for v, x in c.items():
+        cells.setdefault(x, []).append(v)
+    big = [(len(vs), x) for x, vs in cells.items() if len(vs) > 1]
+    if not big:
+        return None
+    x = min(big)[1]
+    return x, sorted(cells[x])
 
-    if Counter(p1.values()) != Counter(p2.values()):
-        return 0, None
-    # order source vertices to stay connected to the mapped part
-    verts = sorted(g1.vertices, key=lambda v: (p1[v], v))
-    order = []
-    placed = set()
-    pool = list(verts)
-    while pool:
-        nxt = None
-        for v in pool:
-            if any(u in placed for u in g1.neighbors(v)):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = pool[0]
-        order.append(nxt)
-        placed.add(nxt)
-        pool.remove(nxt)
 
-    mapping = {}
-    used = set()
-    count = 0
-    witness = None
+def _individualize(c, v):
+    """c with v alone in a new colour, the same on every side."""
+    return {**c, v: -1}
 
-    def extend(i):
-        nonlocal count, witness
-        if i == len(order):
-            count += 1
-            if witness is None:
-                witness = dict(mapping)
-            return not count_all
-        v = order[i]
-        for w in sorted(g2.vertices):
-            if w in used or p2[w] != p1[v]:
-                continue
-            ok = True
-            for u in g1.neighbors(v):
-                if u in mapping and not g2.has_edge(mapping[u], w):
-                    ok = False
-                    break
-            if ok:
-                for u in g1.vertices:
-                    if u in mapping and not g1.has_edge(v, u) and g2.has_edge(mapping[u], w):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
 
-    extend(0)
-    return count, witness
+def _match(g1, c1, g2, c2):
+    """One colour-preserving isomorphism from (g1, c1) to (g2, c2), or None.
+    Refines jointly, then maps the least vertex of the smallest non-singleton
+    cell to each vertex of that colour in g2 in turn and recurses."""
+    refined = _refine([(g1, c1), (g2, c2)])
+    if refined is None:
+        return None
+    c1, c2 = refined
+    cell = _target_cell(c1)
+    if cell is None:
+        image = {x: w for w, x in c2.items()}
+        mapping = {v: image[x] for v, x in c1.items()}
+        return mapping if is_isomorphism(g1, g2, mapping) else None
+    x, (v, *_) = cell
+    for w in sorted(u for u, y in c2.items() if y == x):
+        mapping = _match(g1, _individualize(c1, v), g2, _individualize(c2, w))
+        if mapping is not None:
+            return mapping
+    return None
+
+
+def _orbit(v, gens):
+    """The orbit of v under the group generated by the maps gens."""
+    orbit, stack = {v}, [v]
+    while stack:
+        x = stack.pop()
+        for m in gens:
+            if m[x] not in orbit:
+                orbit.add(m[x])
+                stack.append(m[x])
+    return orbit
+
+
+def _aut_order(g, c, gens):
+    """Order of the group of automorphisms of g preserving the equitable
+    colouring c, as |orbit(v)| * |Stab(v)| down a stabilizer chain.  Every
+    automorphism found is appended to gens; the stabilizer's come first and
+    preserve c too, so the orbit is closed under all of gens and a candidate
+    image of v is searched for at most once."""
+    cell = _target_cell(c)
+    if cell is None:
+        return 1
+    _, (v, *rest) = cell
+    stab = _aut_order(g, _refine([(g, _individualize(c, v))])[0], gens)
+    orbit = _orbit(v, gens)
+    for w in rest:
+        if w not in orbit:
+            mapping = _match(g, _individualize(c, v), g, _individualize(c, w))
+            if mapping is not None:
+                gens.append(mapping)
+                orbit = _orbit(v, gens)
+    return len(orbit) * stab
 
 
 def isomorphism(g1, g2):
     """A witness vertex bijection preserving edges both ways, or None."""
-    _, wit = _isomorphism_search(g1, g2, count_all=False)
-    return wit
+    return _match(g1, dict.fromkeys(g1.vertices, 0), g2, dict.fromkeys(g2.vertices, 0))
 
 
 def count_isomorphisms(g1, g2):
-    n, _ = _isomorphism_search(g1, g2, count_all=True)
-    return n
+    """Number of isomorphisms g1 -> g2: |Aut(g1)| if one exists, else 0."""
+    return 0 if isomorphism(g1, g2) is None else automorphism_group_order(g1)
 
 
 def automorphism_group_order(g):
-    return count_isomorphisms(g, g)
+    """|Aut(g)|, by colour refinement and orbit-stabilizer."""
+    return _aut_order(g, _refine([(g, dict.fromkeys(g.vertices, 0))])[0], [])
 
 
 def is_isomorphism(g1, g2, mapping):
@@ -399,6 +394,22 @@ def is_isomorphism(g1, g2, mapping):
 # constructions
 # ---------------------------------------------------------------------------
 
+def _glue(g, shared, k):
+    """k copies of g identified along the vertex set shared.
+
+    Shared vertices, and so the edges between them, keep their names;
+    vertex x outside shared becomes ``x#i`` in copy i.
+    """
+
+    def name(x, i):
+        return x if x in shared else "%s#%d" % (x, i)
+
+    copies = range(1, k + 1)
+    verts = [name(x, i) for i in copies for x in g.vertices if i == 1 or x not in shared]
+    edges = [(name(a, i), name(b, i)) for i in copies for a, b in g.edges]
+    return DefiningGraph(verts, edges)
+
+
 def glue_k_copies_along_star(g, v, k):
     """k copies of g identified along the closed star of v.
 
@@ -410,51 +421,12 @@ def glue_k_copies_along_star(g, v, k):
     if k < 2:
         raise GraphError("k must be >= 2")
     star_verts, _ = g.closed_star(v)
-
-    def name(x, i):
-        return x if x in star_verts else "%s#%d" % (x, i)
-
-    verts = []
-    seen = set()
-    edges = set()
-    for i in range(1, k + 1):
-        for x in g.vertices:
-            nx = name(x, i)
-            if nx not in seen:
-                seen.add(nx)
-                verts.append(nx)
-        for a, b in g.edges:
-            edges.add(tuple(sorted((name(a, i), name(b, i)))))
-    return DefiningGraph(verts, edges)
+    return _glue(g, star_verts, k)
 
 
 def double_along_closed_star(g, v):
     """Two copies of g glued along the closed star of v."""
     return glue_k_copies_along_star(g, v, 2)
-
-
-def _double_along_subgraph(g, shared_verts, shared_edges):
-    shared_verts = set(shared_verts)
-    shared_edges = {tuple(sorted(e)) for e in shared_edges}
-
-    def name(x, i):
-        return x if x in shared_verts else "%s#%d" % (x, i)
-
-    verts = []
-    seen = set()
-    edges = set()
-    for i in (1, 2):
-        for x in g.vertices:
-            nx = name(x, i)
-            if nx not in seen:
-                seen.add(nx)
-                verts.append(nx)
-        for a, b in g.edges:
-            if (a, b) in shared_edges:
-                edges.add((a, b))
-            else:
-                edges.add(tuple(sorted((name(a, i), name(b, i)))))
-    return DefiningGraph(verts, edges)
 
 
 def cycle_graph(n, prefix="v"):
@@ -493,7 +465,4 @@ def dodecahedron():
 def dodecahedron_double():
     """Two copies of the dodecahedron 1-skeleton glued along one pentagonal
     face (the inner cycle i0-i2-i4-i6-i8): 2*20 - 5 = 35 vertices."""
-    g = dodecahedron()
-    face = ["i0", "i2", "i4", "i6", "i8"]
-    face_edges = [(face[j], face[(j + 1) % 5]) for j in range(5)]
-    return _double_along_subgraph(g, face, face_edges)
+    return _glue(dodecahedron(), {"i0", "i2", "i4", "i6", "i8"}, 2)

@@ -6,6 +6,12 @@ isomorphism; outside the atomic class the classifier refuses to extrapolate
 groups with non-isomorphic graphs).  The outer automorphism group of an
 atomic RAAG is an extension of the graph automorphisms by the generator
 inversions, so its order is 2^|V| * |Aut|.
+
+Both questions go to one engine in ``graphs``: joint colour refinement to
+the coarsest equitable colouring, with individualization of one vertex at
+a time, finds the isomorphism witness (checked with ``is_isomorphism``),
+and |Aut| is computed as |orbit(v)| * |Stab(v)| down a stabilizer chain,
+without listing the automorphisms.
 """
 
 import json
@@ -158,7 +164,9 @@ def edges_to_isomorphism(g1, g2, edge_map):
 # ---------------------------------------------------------------------------
 
 def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
-    """Full analysis bundle; each section fails independently."""
+    """Full analysis bundle.  A section whose precondition fails (a
+    GraphError) is reported as ``ok: false`` and the others still run; any
+    other exception, such as an InvariantError, propagates."""
     from . import cycles as cy
     from . import diagrams as dg
     from . import flatspace as fs
@@ -168,7 +176,7 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
     def section(name, fn):
         try:
             bundle["sections"][name] = {"ok": True, "data": fn()}
-        except Exception as exc:  # report, never abort the bundle
+        except GraphError as exc:
             bundle["sections"][name] = {"ok": False, "error": "%s" % exc}
 
     def s_graph():

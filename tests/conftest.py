@@ -31,6 +31,32 @@ def dd_ball6(dodeca_double):
     return rq.build_ball(dodeca_double, 6)
 
 
+@pytest.fixture(scope="session")
+def tutte_coxeter():
+    """The Tutte-Coxeter graph, LCF notation [-13, -9, 7, -7, 9, 13]^5:
+    cubic, girth 8, |Aut| = 1440."""
+    shifts = [-13, -9, 7, -7, 9, 13] * 5
+    verts = ["t%d" % i for i in range(30)]
+    edges = [(verts[i], verts[(i + 1) % 30]) for i in range(30)]
+    edges += [(verts[i], verts[(i + shifts[i]) % 30]) for i in range(30)]
+    return G.DefiningGraph(verts, edges)
+
+
+@pytest.fixture(scope="session")
+def hoffman_singleton():
+    """Robertson's construction of the Hoffman-Singleton graph: pentagons
+    P_h and pentagrams Q_i (h, i in Z/5), with P_h[j] joined to
+    Q_i[h*i + j]: 7-regular, girth 5, |Aut| = 252000."""
+    verts, edges = [], []
+    for h in range(5):
+        for j in range(5):
+            verts += ["P%d_%d" % (h, j), "Q%d_%d" % (h, j)]
+            edges.append(("P%d_%d" % (h, j), "P%d_%d" % (h, (j + 1) % 5)))
+            edges.append(("Q%d_%d" % (h, j), "Q%d_%d" % (h, (j + 2) % 5)))
+            edges += [("P%d_%d" % (h, j), "Q%d_%d" % (i, (h * i + j) % 5)) for i in range(5)]
+    return G.DefiningGraph(verts, edges)
+
+
 def wedge_of_cycles(n1, n2):
     """Two cycles sharing exactly one vertex."""
     v1 = ["p%d" % i for i in range(n1)]

@@ -166,3 +166,11 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == 1 and "line" in err
     code, _, err = run(capsys, "check-atomic", str(tmp_path / "missing.json"))
     assert code == 1
+
+
+def test_out_group_hoffman_singleton(capsys, tmp_path, hoffman_singleton):
+    path = tmp_path / "hs.json"
+    path.write_text(hoffman_singleton.to_json())
+    code, out, _ = run(capsys, "out-group", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["aut_order"] == 252000

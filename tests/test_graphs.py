@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -163,10 +165,20 @@ def test_isomorphism_witness_and_count(pentagon):
     assert G.count_isomorphisms(pentagon, relab) == 10
 
 
-def test_automorphism_orders(pentagon, dodeca):
+def test_automorphism_orders(pentagon, dodeca, dodeca_double, tutte_coxeter, hoffman_singleton):
     assert G.automorphism_group_order(pentagon) == 10
     assert G.automorphism_group_order(DefiningGraph(["a", "b"], [("a", "b")])) == 2
     assert G.automorphism_group_order(dodeca) == 120
+    # the Petersen graph as the Kneser graph K(5, 2): 2-subsets, joined when disjoint
+    pairs = ["%d%d" % p for p in itertools.combinations(range(5), 2)]
+    petersen = DefiningGraph(pairs, [(a, b) for a, b in itertools.combinations(pairs, 2) if not set(a) & set(b)])
+    assert G.automorphism_group_order(petersen) == 120
+    assert G.automorphism_group_order(dodeca_double) == 20
+    assert G.automorphism_group_order(tutte_coxeter) == 1440
+    assert G.automorphism_group_order(hoffman_singleton) == 252000
+    assert G.automorphism_group_order(DefiningGraph([], [])) == 1
+    assert G.isomorphism(DefiningGraph([], []), DefiningGraph([], [])) == {}
+    assert G.isomorphism(hoffman_singleton, tutte_coxeter) is None
 
 
 def test_isomorphism_is_an_equivalence():
@@ -208,3 +220,38 @@ def test_dot_output(pentagon):
     dot = pentagon.to_dot()
     assert dot.startswith("graph")
     assert '"a" -- "b";' in dot
+
+
+def _glue_reference(g, shared_verts, shared_edges, k):
+    """The gluing loop of the earlier constructions, kept as the oracle:
+    shared edges were added under their own names."""
+    shared_edges = {tuple(sorted(e)) for e in shared_edges}
+
+    def name(x, i):
+        return x if x in shared_verts else "%s#%d" % (x, i)
+
+    verts, seen, edges = [], set(), set()
+    for i in range(1, k + 1):
+        for x in g.vertices:
+            if name(x, i) not in seen:
+                seen.add(name(x, i))
+                verts.append(name(x, i))
+        for a, b in g.edges:
+            edges.add((a, b) if (a, b) in shared_edges else tuple(sorted((name(a, i), name(b, i)))))
+    return DefiningGraph(verts, edges)
+
+
+def test_gluing_matches_the_reference_construction():
+    face = ["i0", "i2", "i4", "i6", "i8"]
+    ref = _glue_reference(G.dodecahedron(), set(face), [(face[j], face[(j + 1) % 5]) for j in range(5)], 2)
+    dd = G.dodecahedron_double()
+    assert dd.vertices == ref.vertices and dd.edges == ref.edges
+    rng = random.Random(17)
+    for _ in range(400):
+        verts = ["v%d" % i for i in range(rng.randint(1, 9))]
+        rng.shuffle(verts)
+        g = DefiningGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < 0.4])
+        v, k = rng.choice(verts), rng.randint(2, 4)
+        star, _ = g.closed_star(v)
+        glued, ref = G.glue_k_copies_along_star(g, v, k), _glue_reference(g, star, (), k)
+        assert glued.vertices == ref.vertices and glued.edges == ref.edges

@@ -1,5 +1,7 @@
 """Property tests for the word algebra and graph invariants."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 import raagqi.graphs as G
@@ -64,3 +66,40 @@ def test_support_decides_special_membership(raw, u):
     x = W.normal_form(PENTAGON, raw)
     star = {u} | set(PENTAGON.neighbors(u))
     assert W.in_special_subgroup(x, star) == (x.support() <= star)
+
+
+@st.composite
+def small_graphs_with_relabelling(draw):
+    """A graph on at most 7 vertices and a copy under random new names,
+    listed in a random order."""
+    n = draw(st.integers(0, 7))
+    verts = ["v%d" % i for i in range(n)]
+    pairs = list(itertools.combinations(verts, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = G.DefiningGraph(verts, [e for e, k in zip(pairs, keep) if k])
+    names = draw(st.permutations(range(n)))
+    rename = {v: "u%d" % x for v, x in zip(verts, names)}
+    order = draw(st.permutations(verts))
+    h = G.DefiningGraph([rename[v] for v in order], [(rename[a], rename[b]) for a, b in g.edges])
+    return g, h
+
+
+def brute_force_aut_order(g):
+    edges = set(g.edges)
+    count = 0
+    for image in itertools.permutations(g.vertices):
+        m = dict(zip(g.vertices, image))
+        count += all(tuple(sorted((m[a], m[b]))) in edges for a, b in g.edges)
+    return count
+
+
+@given(small_graphs_with_relabelling())
+@settings(max_examples=150, deadline=None)
+def test_automorphism_order_is_brute_force_count_and_naming_free(pair):
+    g, h = pair
+    order = brute_force_aut_order(g)
+    assert G.automorphism_group_order(g) == order
+    assert G.automorphism_group_order(h) == order
+    wit = G.isomorphism(g, h)
+    assert wit is not None and G.is_isomorphism(g, h, wit)
+    assert G.count_isomorphisms(g, h) == order

@@ -42,7 +42,7 @@ def test_classify_qi_is_symmetric(pentagon, dodeca_double):
             assert G.is_isomorphism(g1, g2, inv)
 
 
-def test_out_group(pentagon, dodeca_double):
+def test_out_group(pentagon, dodeca_double, hoffman_singleton):
     rep = R.out_group(pentagon)
     assert rep.h_order == 32
     assert rep.aut_order == 10
@@ -50,6 +50,9 @@ def test_out_group(pentagon, dodeca_double):
     rep = R.out_group(dodeca_double)
     assert rep.h_order == 2 ** 35
     assert rep.out_order == rep.h_order * rep.aut_order
+    rep = R.out_group(hoffman_singleton)
+    assert rep.aut_order == 252000
+    assert rep.out_order == 2 ** 50 * 252000
     with pytest.raises(GraphError):
         R.out_group(G.double_along_closed_star(pentagon, "a"))
 
@@ -126,3 +129,26 @@ def test_run_report_deterministic(pentagon):
     a = R.report_json(R.run_report(pentagon, ball_radius=4))
     b = R.report_json(R.run_report(pentagon, ball_radius=4))
     assert a == b
+
+
+def test_run_report_fails_sections_only_on_graph_errors(pentagon, monkeypatch, capsys, tmp_path):
+    import raagqi.cycles as C
+    from raagqi.cli import main
+
+    def raising(exc):
+        def fn(*args, **kwargs):
+            raise exc
+        return fn
+
+    monkeypatch.setattr(C, "tight_cycles", raising(GraphError("no cycles today")))
+    s = R.run_report(pentagon, ball_radius=2)["sections"]
+    assert s["tight_cycles"] == {"ok": False, "error": "no cycles today"}
+    assert s["flat_ball"]["ok"] and s["out_group"]["ok"]
+
+    monkeypatch.setattr(C, "tight_cycles", raising(G.InvariantError("broken invariant")))
+    with pytest.raises(G.InvariantError):
+        R.run_report(pentagon, ball_radius=2)
+    path = tmp_path / "pentagon.json"
+    path.write_text(pentagon.to_json())
+    assert main(["report", str(path), "--radius", "2"]) == 3
+    assert "InvariantError: broken invariant" in capsys.readouterr().err
