@@ -14,13 +14,17 @@ star of the identity cone (1 + |V| + |E| cells); it holds the whole dual
 disk diagram of a cycle lifted through that domain, so the ``diagram`` and
 ``taut`` commands build nothing larger unless asked to.
 
-A ball indexes each cell by the tuple ``(gens, codes)``: ``gens`` is the
-sorted tuple of generator names of the coset's subgroup (empty for a cone,
-one name for a singular, an edge for a flat vertex), the tuple
-``CosetKey.gens`` holds, and ``codes`` is the letter codes of the stripped
-normal-form representative.  ``find(key)`` is one lookup of
-``(key.gens, key.rep.codes)``; codes are plain ints, not bytes, so graph
-size has no byte limit.
+A ball names each cell by the pair (cone, slot).  The slot is one of the
+1 + |V| + |E| special subgroups (trivial, one generator, one edge); the
+cone is the coset's stripped representative, which is always a cone of the
+ball: stripping deletes the right-movable letters over the slot's
+generators, and since a reduced word is a subword of every word for its
+element, what is left is again a product of at most ``budget`` syllables
+u^k with |k| <= budget.  So a ball is int arrays indexed by cone and slot,
+built with one right-to-left scan per cone and no coset-stripping call;
+``find(key)`` is one cone lookup plus arithmetic, and the ``(gens, codes)``
+key of ``vkeys[i]`` and the ``CosetKey`` of ``key_of(i)`` are built on
+demand.
 
 Turn, coarse-distance and parallel-set queries take coset keys and no ball:
 they are answered algebraically from centralizer-coset membership, which is
@@ -28,13 +32,14 @@ exact.  The ball hosts cell-level queries (links, squares, hyperplanes,
 diagrams).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .graphs import GraphError, _girth, orthogonal_complement
-from .words import GroupElement, CosetKey, context_for, in_special_subgroup, in_subgroup_product
+from .graphs import GraphError, InvariantError, _girth, orthogonal_complement
+from .words import CosetKey, context_for, in_special_subgroup, in_subgroup_product, syllable_ball
 
 __all__ = [
     "FlatBall",
@@ -54,19 +59,16 @@ __all__ = [
 _KINDS = ("cone", "singular", "flat")
 
 
-def _syllables(codes):
-    count = 0
-    prev = -1
-    for c in codes:
-        g = (c - 1) >> 1
-        if g != prev:
-            count += 1
-            prev = g
-    return count
-
-
 class FlatBall:
-    """A finite, deterministic chunk of the flat space around the identity."""
+    """A finite, deterministic chunk of the flat space around the identity.
+
+    Cell ``i`` is the coset of cone ``_cell_cone[i]`` in the special
+    subgroup of slot ``_cell_slot[i]``: slot 0 is the trivial subgroup,
+    slots ``1..|V|`` the generators and the remaining ``|E|`` slots the
+    edges of the defining graph, all in sorted generator order.  The cone
+    is the coset's stripped representative, and ``_cell[c, s]`` is the id
+    of the coset of cone ``c`` in slot ``s``.
+    """
 
     def __init__(self, graph, radius):
         if radius < 2:
@@ -85,93 +87,170 @@ class FlatBall:
         ctx = self.ctx
         gens = ctx.generators
         n = len(gens)
-        edge_pairs = [
-            (ctx.index[a], ctx.index[b]) for a, b in self.graph.edges
-        ]
-        edge_pairs = [(min(p), max(p)) for p in edge_pairs]
-        edge_pairs.sort()
-
-        from .words import syllable_ball
+        edge_pairs = sorted(
+            (min(ctx.index[a], ctx.index[b]), max(ctx.index[a], ctx.index[b])) for a, b in self.graph.edges
+        )
+        nslots = 1 + n + len(edge_pairs)
+        eu = np.array([u for u, _ in edge_pairs], dtype=np.int64)
+        ew = np.array([w for _, w in edge_pairs], dtype=np.int64)
+        self._edge_gens = (eu, ew)
+        self._slot_gens = [()] + [(v,) for v in gens] + [(gens[u], gens[w]) for u, w in edge_pairs]
+        self._slot_of = {g: s for s, g in enumerate(self._slot_gens)}
+        self._slot_kind = np.array([len(g) for g in self._slot_gens], dtype=np.int8)
+        # the flat slots at each generator, with the other end of their edge
+        flats_at = [[] for _ in range(n)]
+        for k, (u, w) in enumerate(edge_pairs):
+            flats_at[u].append((1 + n + k, w))
+            flats_at[w].append((1 + n + k, u))
 
         cones = syllable_ball(self.graph, self.budget, self.budget)
         self.cones = cones
+        ncones = len(cones)
+        cone_id = {g.codes: c for c, g in enumerate(cones)}
+        self._cone_id = cone_id
 
-        index = {}
-        vkeys = []
+        def cone_without(codes, drop):
+            # A reduced word is a subword of every word for its element, so
+            # deleting letters from a cone's normal form leaves a product of
+            # at most `budget` syllables u^k with |k| <= budget: a cone.
+            c = cone_id.get(tuple(x for i, x in enumerate(codes) if i not in drop))
+            if c is None:
+                raise InvariantError("a stripped coset representative is not a cone of the ball")
+            return c
 
-        def add(key):
-            i = index.get(key)
-            if i is None:
-                i = len(vkeys)
-                index[key] = i
-                vkeys.append(key)
-            return i
-
-        sing_mask = [1 << i for i in range(n)]
-        flat_mask = [(1 << u) | (1 << w) for u, w in edge_pairs]
-        # one gens tuple per subgroup, shared by every cell key that names it
-        sing_gens = [(v,) for v in gens]
-        flat_gens = [(gens[u], gens[w]) for u, w in edge_pairs]
-
-        edge_rows = []
-        square_rows = []
-        cone_bounds = []
-        for g in cones:
+        # rep[c, s] is the cone that represents the coset of cone c in slot s.
+        # Coset stripping deletes the right-movable letters over the slot's
+        # generators.  They all commute with those generators, so deleting
+        # them unblocks no other letter (one pass is the fixpoint), and the
+        # result is still in shortlex normal form: no normal form call.
+        star = ctx.star_masks
+        syllables = []
+        rows, cols, reps = [], [], []
+        for c, g in enumerate(cones):
             codes = g.codes
-            support = 0
-            for c in codes:
-                support |= 1 << ((c - 1) >> 1)
-            ci = add(((), codes))
-            cone_bounds.append((ci, len(square_rows)))
-            srefs = []
-            for u in range(n):
-                # stripping only ever removes letters of the stripped
-                # generators, so it is the identity when they do not occur
-                rep = codes if not support & sing_mask[u] else ctx.strip(codes, sing_mask[u])
-                si = add((sing_gens[u], rep))
-                srefs.append(si)
-                edge_rows.append((ci, si))
-            for k, (u, w) in enumerate(edge_pairs):
-                rep = codes if not support & flat_mask[k] else ctx.strip(codes, flat_mask[k])
-                fi = add((flat_gens[k], rep))
-                edge_rows.append((srefs[u], fi))
-                edge_rows.append((srefs[w], fi))
-                square_rows.append((ci, srefs[u], fi, srefs[w]))
-        self._cone_square_start = {ci: start for ci, start in cone_bounds}
-        self._squares_per_cone = len(edge_pairs)
+            later = 0
+            prev = -1
+            count = 0
+            tail = {}  # generator -> positions of its right-movable letters
+            for i in range(len(codes) - 1, -1, -1):
+                x = (codes[i] - 1) >> 1
+                if x != prev:
+                    count += 1
+                    prev = x
+                if not later & ~star[x]:
+                    tail.setdefault(x, []).append(i)
+                later |= 1 << x
+            syllables.append(count)
+            for x, drop in tail.items():
+                r = cone_without(codes, drop)
+                rows.append(c)
+                cols.append(1 + x)
+                reps.append(r)
+                for slot, y in flats_at[x]:
+                    if y in tail:
+                        if y < x:
+                            continue
+                        r_flat = cone_without(codes, drop + tail[y])
+                    else:
+                        r_flat = r
+                    rows.append(c)
+                    cols.append(slot)
+                    reps.append(r_flat)
+        self._syllables = np.array(syllables, dtype=np.int64)
+        rep = np.repeat(np.arange(ncones, dtype=np.int64), nslots).reshape(ncones, nslots)
+        rep[rows, cols] = reps
 
-        self.vkeys = vkeys
-        self.index = index
-        self.nvertices = len(vkeys)
-        edges = np.asarray(edge_rows, dtype=np.int64)
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        enc = lo * self.nvertices + hi
-        enc = np.unique(enc)
-        self.edge_lo = (enc // self.nvertices).astype(np.int64)
-        self.edge_hi = (enc % self.nvertices).astype(np.int64)
+        # Cones come sorted by (length, codes) and a representative is never
+        # longer than its cone, so every cell first appears at its own
+        # representative: in row-major order, cell ids count the positions
+        # where rep[c, s] == c.
+        own = rep == np.arange(ncones)[:, None]
+        slots = np.arange(nslots)
+        if not own[rep, slots].all():
+            raise InvariantError("a coset representative does not represent itself")
+        first = np.cumsum(own, dtype=np.int64).reshape(ncones, nslots)
+        first -= 1
+        cell = first[rep, slots]
+        del first, rep
+        cone_of, slot_of = np.nonzero(own)
+        self._cell = cell
+        self._cell_cone = cone_of.astype(np.int32)
+        self._cell_slot = slot_of.astype(np.int32)
+        self.nvertices = nv = cone_of.shape[0]
+        del cone_of, slot_of
+
+        cone = cell[:, 0]
+        sing = cell[:, 1 : 1 + n]
+        flat = cell[:, 1 + n :]
+        # every cone-singular edge is new; a singular-flat edge is listed
+        # once, at the cone that represents the singular
+        mu, mw = own[:, 1 + eu], own[:, 1 + ew]
+
+        def edge_ends():
+            yield np.repeat(cone, n), sing.ravel()
+            for side, m in ((eu, mu), (ew, mw)):
+                yield sing[:, side][m], flat[m]
+
+        enc = np.empty(sing.size + int(mu.sum()) + int(mw.sum()), dtype=np.int64)
+        at = 0
+        for a, b in edge_ends():
+            part = enc[at : at + a.size]
+            np.minimum(a, b, out=part)
+            part *= nv
+            part += np.maximum(a, b)
+            at += a.size
+        del a, b, mu, mw, own
+        enc.sort()
         self._edge_enc = enc
         self.nedges = enc.shape[0]
-        self.squares = np.asarray(square_rows, dtype=np.int64)
+        squares = np.empty((ncones, len(edge_pairs), 4), dtype=np.int64)
+        squares[:, :, 0] = cone[:, None]
+        squares[:, :, 1] = sing[:, eu]
+        squares[:, :, 2] = flat
+        squares[:, :, 3] = sing[:, ew]
+        self.squares = squares.reshape(-1, 4)
 
     # -- vertex/edge lookups ------------------------------------------------
 
+    @functools.cached_property
+    def vkeys(self):
+        """Each cell's ``(gens, codes)`` key, built on first use."""
+        cones, slot_gens = self.cones, self._slot_gens
+        return [
+            (slot_gens[s], cones[c].codes)
+            for c, s in zip(self._cell_cone.tolist(), self._cell_slot.tolist())
+        ]
+
+    @functools.cached_property
+    def edge_lo(self):
+        """Lower endpoint of each edge; edges are sorted by (lo, hi)."""
+        return self._edge_enc // self.nvertices
+
+    @functools.cached_property
+    def edge_hi(self):
+        return self._edge_enc % self.nvertices
+
     def kind_of(self, i):
-        return _KINDS[len(self.vkeys[i][0])]
+        return _KINDS[self._slot_kind[self._cell_slot[i]]]
 
     def gens_of(self, i):
-        return self.vkeys[i][0]
+        return self._slot_gens[self._cell_slot[i]]
 
     def rep_of(self, i):
-        return GroupElement(self.ctx, self.vkeys[i][1], _canonical=True)
+        return self.cones[self._cell_cone[i]]
 
     def key_of(self, i):
-        gens, codes = self.vkeys[i]
-        return CosetKey(_KINDS[len(gens)], gens, GroupElement(self.ctx, codes, _canonical=True))
+        gens = self.gens_of(i)
+        return CosetKey(_KINDS[len(gens)], gens, self.rep_of(i))
 
     def find(self, key):
         """Index of a CosetKey in the ball, or -1."""
-        return self.index.get((key.gens, key.rep.codes), -1)
+        slot = self._slot_of.get(key.gens)
+        c = self._cone_id.get(key.rep.codes)
+        if slot is None or c is None:
+            return -1
+        i = int(self._cell[c, slot])
+        return i if self._cell_cone[i] == c else -1
 
     def __contains__(self, key):
         return self.find(key) >= 0
@@ -186,23 +265,23 @@ class FlatBall:
 
     def vertices_by_kind(self, kind):
         k = _KINDS.index(kind)
-        return [i for i, (gens, _) in enumerate(self.vkeys) if len(gens) == k]
+        return np.flatnonzero(self._slot_kind[self._cell_slot] == k).tolist()
 
     def is_interior(self, i):
         """Conservative interior flag: the cells this vertex's link needs are
         guaranteed present."""
-        gens, codes = self.vkeys[i]
-        if not gens:
+        if self._cell_slot[i] == 0:
             return True
-        return _syllables(codes) <= max(0, self.budget - 2)
+        return bool(self._syllables[self._cell_cone[i]] <= max(0, self.budget - 2))
 
     # -- links --------------------------------------------------------------
 
     def squares_at_cone(self, ci):
-        start = self._cone_square_start.get(ci)
-        if start is None:
+        if not 0 <= ci < self.nvertices or self._cell_slot[ci] != 0:
             raise GraphError("not a cone vertex of this ball")
-        return self.squares[start : start + self._squares_per_cone]
+        per_cone = len(self._edge_gens[0])
+        start = int(self._cell_cone[ci]) * per_cone
+        return self.squares[start : start + per_cone]
 
     def cone_link_graph(self, ci):
         """Barycentric-subdivision-shaped boundary of the cone star: singular
@@ -214,22 +293,6 @@ class FlatBall:
             nodes.update((s1, f, s2))
             edges.add((min(s1, f), max(s1, f)))
             edges.add((min(s2, f), max(s2, f)))
-        return nodes, edges
-
-    def vertex_link_graph(self, vi):
-        """Square-complex link: nodes are incident ball edges, link edges are
-        square corners at the vertex."""
-        nodes = set()
-        mask = (self.edge_lo == vi) | (self.edge_hi == vi)
-        for p in np.where(mask)[0]:
-            other = int(self.edge_hi[p] if self.edge_lo[p] == vi else self.edge_lo[p])
-            nodes.add(other)
-        edges = set()
-        sq = self.squares
-        for col, (x, y) in ((0, (1, 3)), (1, (0, 2)), (2, (1, 3)), (3, (0, 2))):
-            for row in sq[np.where(sq[:, col] == vi)[0]]:
-                a, b = int(row[x]), int(row[y])
-                edges.add((min(a, b), max(a, b)))
         return nodes, edges
 
     # -- hyperplanes ----------------------------------------------------------
@@ -287,15 +350,13 @@ class FlatBall:
     # -- summary ------------------------------------------------------------
 
     def stats(self):
-        counts = {"cone": 0, "singular": 0, "flat": 0}
-        for gens, _ in self.vkeys:
-            counts[_KINDS[len(gens)]] += 1
+        counts = np.bincount(self._slot_kind[self._cell_slot], minlength=len(_KINDS))
         return {
             "radius": self.radius,
             "complete_radius": self.complete_radius,
             "budget": self.budget,
             "vertices": self.nvertices,
-            "vertices_by_type": counts,
+            "vertices_by_type": dict(zip(_KINDS, counts.tolist())),
             "edges": int(self.nedges),
             "squares": int(self.squares.shape[0]),
         }
@@ -310,11 +371,11 @@ def build_ball(graph, radius):
     return FlatBall(graph, radius)
 
 
-def _link_girth(nodes, edges):
-    adj = {v: set() for v in nodes}
+def _link_girth(edges):
+    adj = {}
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
     return _girth(adj, edges)
 
 
@@ -322,12 +383,9 @@ def verify_ball_structure(ball):
     """Structural checks of a ball: square typing, cone links isomorphic to
     the barycentric subdivision of the defining graph, and interior vertex
     links of girth >= 4.  Returns a report dict with an overall flag."""
-    import numpy as np
-
-    graph = ball.graph
-    nV, nE = len(graph.vertices), len(graph.edges)
-    # a cell's kind is the number of generators in its key
-    kinds = np.array([len(gens) for gens, _ in ball.vkeys], dtype=np.int8)
+    n = len(ball.graph.vertices)
+    slot = ball._cell_slot
+    kinds = ball._slot_kind[slot]
     sq = ball.squares
     squares_typed = bool(
         (kinds[sq[:, 0]] == 0).all()
@@ -336,72 +394,63 @@ def verify_ball_structure(ball):
         and (kinds[sq[:, 3]] == 1).all()
     )
 
-    # every cone link must be the barycentric subdivision of the graph:
-    # one singular per vertex, one flat per edge, incidences matching
-    cone_links_ok = True
-    bad_cones = 0
-    subdivided = set()
-    for ci in ball.vertices_by_kind("cone"):
-        rows = ball.squares_at_cone(ci)
-        sing_kind = {}
-        flat_kind = {}
-        ok = True
-        for row in rows:
-            s1, f, s2 = int(row[1]), int(row[2]), int(row[3])
-            u1 = ball.gens_of(s1)[0]
-            u2 = ball.gens_of(s2)[0]
-            fe = ball.gens_of(f)
-            if set((u1, u2)) != set(fe):
-                ok = False
-                break
-            for s, u in ((s1, u1), (s2, u2)):
-                if sing_kind.setdefault(u, s) != s:
-                    ok = False
-            if flat_kind.setdefault(fe, f) != f:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            ok = len(sing_kind) == nV and len(flat_kind) == nE and len(rows) == nE
-        if ok:
-            subdivided.add(ci)
-        else:
-            cone_links_ok = False
-            bad_cones += 1
-    interior = [
-        i
-        for i in range(ball.nvertices)
-        if ball.vkeys[i][0] and ball.is_interior(i)
-    ]
-    links_girth_ok = True
-    bad_links = 0
-    for vi in interior:
-        nodes, edges = ball.vertex_link_graph(vi)
-        g = _link_girth(nodes, edges)
-        if g < 4:
-            links_girth_ok = False
-            bad_links += 1
+    # every cone link must be the barycentric subdivision of the graph: one
+    # singular per vertex, one flat per edge, incidences matching.  Row k of
+    # a cone's squares is read as (cone, s1, f, s2).
+    eu, ew = ball._edge_gens
+    ncones, nE = len(ball.cones), len(eu)
+    rows = sq.reshape(ncones, nE, 4)
+    s1, f, s2 = rows[:, :, 1], rows[:, :, 2], rows[:, :, 3]
+    typed = (kinds[s1] == 1) & (kinds[f] == 2) & (kinds[s2] == 1)
+    u1 = np.where(typed, slot[s1] - 1, 0)
+    u2 = np.where(typed, slot[s2] - 1, 0)
+    k = np.where(typed, slot[f] - 1 - n, 0)
+    ok = (typed & (((u1 == eu[k]) & (u2 == ew[k])) | ((u1 == ew[k]) & (u2 == eu[k])))).all(axis=1)
+    ok &= (np.sort(k, axis=1) == np.arange(nE)).all(axis=1)
+    # each generator names one singular cell per cone: record one cell per
+    # (cone, generator), then every row must agree with it and none be unset
+    cone = np.arange(ncones)[:, None]
+    named = np.full((ncones, n), -1, dtype=np.int64)
+    named[cone, u1] = s1
+    named[cone, u2] = s2
+    ok &= (named[cone, u1] == s1).all(axis=1) & (named[cone, u2] == s2).all(axis=1)
+    ok &= (named >= 0).all(axis=1)
+    bad_cones = int(ncones - ok.sum())
+    cone_links_ok = bad_cones == 0
+
+    # interior vertex links, from the square rows at interior vertices only:
+    # a square with v in column j joins the cells in columns j - 1 and j + 1
+    lim = max(0, ball.budget - 2)
+    interior = np.flatnonzero((kinds > 0) & (ball._syllables <= lim)[ball._cell_cone])
+    inside = np.zeros(ball.nvertices, dtype=bool)
+    inside[interior] = True
+    links = {v: set() for v in interior.tolist()}
+    for j in range(4):
+        hit = sq[inside[sq[:, j]]]
+        for v, a, b in zip(hit[:, j].tolist(), hit[:, j - 1].tolist(), hit[:, (j + 1) % 4].tolist()):
+            links[v].add((a, b) if a < b else (b, a))
+    bad_links = sum(1 for edges in links.values() if _link_girth(edges) < 4)
     # every subdivided cone link is the same graph, so one girth serves them
-    cone_girth_checked = 0
+    cone_girth_checked = min(50, ncones)
     subdivision_girth = None
-    for ci in ball.vertices_by_kind("cone")[:50]:
-        if ci not in subdivided:
-            g = _link_girth(*ball.cone_link_graph(ci))
+    for c in range(cone_girth_checked):
+        ci = int(ball._cell[c, 0])
+        if not ok[c]:
+            g = _link_girth(ball.cone_link_graph(ci)[1])
         else:
             if subdivision_girth is None:
-                subdivision_girth = _link_girth(*ball.cone_link_graph(ci))
+                subdivision_girth = _link_girth(ball.cone_link_graph(ci)[1])
             g = subdivision_girth
         if g < 4:
-            links_girth_ok = False
             bad_links += 1
-        cone_girth_checked += 1
+    links_girth_ok = bad_links == 0
     passed = squares_typed and cone_links_ok and links_girth_ok
     return {
         "passed": passed,
         "squares_typed": squares_typed,
         "cone_links_isomorphic": cone_links_ok,
         "bad_cones": bad_cones,
-        "interior_links_checked": len(interior) + cone_girth_checked,
+        "interior_links_checked": len(links) + cone_girth_checked,
         "links_girth_ok": links_girth_ok,
         "bad_links": bad_links,
     }
@@ -561,12 +610,12 @@ def parallel_set_slice(ball, s):
     _check_key("singular", s)
     u = s.gens[0]
     star = {u} | set(ball.graph.neighbors(u))
+    slots = [k for k, gens in enumerate(ball._slot_gens) if len(gens) == 2 and u in gens]
+    inv = s.rep.inverse()
     out = []
-    for i, (gens, _) in enumerate(ball.vkeys):
-        if len(gens) != 2 or u not in gens:
-            continue
+    for i in np.flatnonzero(np.isin(ball._cell_slot, slots)).tolist():
         f = ball.key_of(i)
-        if in_special_subgroup(s.rep.inverse() * f.rep, star):
+        if in_special_subgroup(inv * f.rep, star):
             out.append(f)
     out.sort()
     return out

@@ -109,12 +109,16 @@ class GroupElement:
         return GroupElement(self.ctx, inv)
 
     def __pow__(self, k):
-        if k == 0:
-            return GroupElement(self.ctx, (), _canonical=True)
+        # repeated squaring: about 2 log2|k| products, each normalized once
+        out = GroupElement(self.ctx, (), _canonical=True)
         base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = base if out.is_identity else out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- structure ----------------------------------------------------------

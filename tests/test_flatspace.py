@@ -1,5 +1,11 @@
-import pytest
+import copy
+import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import raagqi._kernels as K
 import raagqi.flatspace as FS
 import raagqi.graphs as G
 import raagqi.words as W
@@ -87,6 +93,276 @@ def test_cell_key_roundtrip(graph, radius):
         key = ball.key_of(i)
         assert ball.find(key) == i
         assert key == W.coset_key(ball.rep_of(i), ball.kind_of(i), ball.gens_of(i))
+
+
+# ---------------------------------------------------------------------------
+# reference ball: one coset strip per cell, cells keyed by (gens, codes) in a
+# dict, edges deduplicated by np.unique; and the per-row structure check
+# ---------------------------------------------------------------------------
+
+def _syllables(codes):
+    return sum(1 for i, c in enumerate(codes) if i == 0 or (c - 1) >> 1 != (codes[i - 1] - 1) >> 1)
+
+
+def reference_ball(graph, radius):
+    ctx = W.context_for(graph)
+    gens = ctx.generators
+    n = len(gens)
+    edge_pairs = sorted(tuple(sorted((ctx.index[a], ctx.index[b]))) for a, b in graph.edges)
+    budget = (radius - 2) // 2
+    index, vkeys = {}, []
+
+    def add(key):
+        if key not in index:
+            index[key] = len(vkeys)
+            vkeys.append(key)
+        return index[key]
+
+    edge_rows, square_rows, cone_start = [], [], {}
+    for g in W.syllable_ball(graph, budget, budget):
+        codes = g.codes
+        support = 0
+        for c in codes:
+            support |= 1 << ((c - 1) >> 1)
+        ci = add(((), codes))
+        cone_start[ci] = len(square_rows)
+        srefs = []
+        for u in range(n):
+            mask = 1 << u
+            si = add(((gens[u],), codes if not support & mask else ctx.strip(codes, mask)))
+            srefs.append(si)
+            edge_rows.append((ci, si))
+        for u, w in edge_pairs:
+            mask = (1 << u) | (1 << w)
+            fi = add(((gens[u], gens[w]), codes if not support & mask else ctx.strip(codes, mask)))
+            edge_rows += [(srefs[u], fi), (srefs[w], fi)]
+            square_rows.append((ci, srefs[u], fi, srefs[w]))
+    nv = len(vkeys)
+    edges = np.asarray(edge_rows, dtype=np.int64)
+    enc = np.unique(edges.min(axis=1) * nv + edges.max(axis=1))
+    counts = {"cone": 0, "singular": 0, "flat": 0}
+    for key_gens, _ in vkeys:
+        counts[("cone", "singular", "flat")[len(key_gens)]] += 1
+    stats = {
+        "radius": radius,
+        "complete_radius": radius - 2,
+        "budget": budget,
+        "vertices": nv,
+        "vertices_by_type": counts,
+        "edges": int(enc.shape[0]),
+        "squares": len(square_rows),
+    }
+    return {
+        "graph": graph,
+        "budget": budget,
+        "vkeys": vkeys,
+        "edge_lo": enc // nv,
+        "edge_hi": enc % nv,
+        "squares": np.asarray(square_rows, dtype=np.int64),
+        "cone_start": cone_start,
+        "stats": stats,
+    }
+
+
+def reference_structure(ref):
+    vkeys, sq = ref["vkeys"], ref["squares"]
+    nV, nE = len(ref["graph"].vertices), len(ref["graph"].edges)
+    kinds = np.array([len(key_gens) for key_gens, _ in vkeys])
+    squares_typed = all(bool((kinds[sq[:, j]] == want).all()) for j, want in enumerate((0, 1, 2, 1)))
+
+    def girth(edges):
+        adj = {}
+        for a, b in edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        return G._girth(adj, edges)
+
+    def cone_rows(ci):
+        return sq[ref["cone_start"][ci] : ref["cone_start"][ci] + nE].tolist()
+
+    cones = [i for i, (key_gens, _) in enumerate(vkeys) if not key_gens]
+    bad_cones = 0
+    subdivided = set()
+    for ci in cones:
+        sing_kind, flat_kind, ok = {}, {}, True
+        for _, s1, f, s2 in cone_rows(ci):
+            u1, u2, fe = vkeys[s1][0][0], vkeys[s2][0][0], vkeys[f][0]
+            if (
+                {u1, u2} != set(fe)
+                or sing_kind.setdefault(u1, s1) != s1
+                or sing_kind.setdefault(u2, s2) != s2
+                or flat_kind.setdefault(fe, f) != f
+            ):
+                ok = False
+                break
+        if ok and len(sing_kind) == nV and len(flat_kind) == nE:
+            subdivided.add(ci)
+        else:
+            bad_cones += 1
+    lim = max(0, ref["budget"] - 2)
+    interior = [i for i, (key_gens, codes) in enumerate(vkeys) if key_gens and _syllables(codes) <= lim]
+    bad_links = 0
+    for vi in interior:
+        edges = set()
+        for col in range(4):
+            for row in sq[sq[:, col] == vi].tolist():
+                a, b = row[col - 1], row[(col + 1) % 4]
+                edges.add((min(a, b), max(a, b)))
+        bad_links += girth(edges) < 4
+    subdivision_girth = None
+    for ci in cones[:50]:
+        if ci in subdivided and subdivision_girth is not None:
+            bad_links += subdivision_girth < 4
+            continue
+        edges = set()
+        for _, s1, f, s2 in cone_rows(ci):
+            edges |= {(min(s1, f), max(s1, f)), (min(s2, f), max(s2, f))}
+        g = girth(edges)
+        if ci in subdivided:
+            subdivision_girth = g
+        bad_links += g < 4
+    return {
+        "passed": squares_typed and bad_cones == 0 and bad_links == 0,
+        "squares_typed": squares_typed,
+        "cone_links_isomorphic": bad_cones == 0,
+        "bad_cones": bad_cones,
+        "interior_links_checked": len(interior) + len(cones[:50]),
+        "links_girth_ok": bad_links == 0,
+        "bad_links": bad_links,
+    }
+
+
+def assert_matches_reference(graph, radius):
+    ball = FS.build_ball(graph, radius)
+    ref = reference_ball(graph, radius)
+    assert list(ball.vkeys) == ref["vkeys"]
+    assert np.array_equal(ball.edge_lo, ref["edge_lo"])
+    assert np.array_equal(ball.edge_hi, ref["edge_hi"])
+    assert np.array_equal(ball.squares, ref["squares"])
+    assert ball.stats() == ref["stats"]
+    assert FS.verify_ball_structure(ball) == reference_structure(ref)
+
+
+@pytest.mark.parametrize(
+    "graph, radius",
+    [
+        (G.pentagon(), 6),
+        (G.pentagon(), 8),
+        (G.dodecahedron(), 4),
+        (G.dodecahedron_double(), 4),
+        (star_graph("b", ["a", "c", "d"]), 2),
+        (G.cycle_graph(130), 4),
+    ],
+    ids=["pentagon-r6", "pentagon-r8", "dodecahedron-r4", "dd-r4", "K13-r2", "C130-r4"],
+)
+def test_build_matches_strip_reference(graph, radius):
+    assert_matches_reference(graph, radius)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 6]))
+@settings(max_examples=30, deadline=None)
+def test_build_matches_strip_reference_on_random_graphs(seed, radius):
+    # connected graphs on 2..6 vertices: a random tree plus random extra
+    # edges, so triangles and larger cliques occur
+    rng = random.Random(seed)
+    verts = ["v%d" % i for i in range(rng.randint(2, 6))]
+    edges = {(verts[rng.randrange(i)], verts[i]) for i in range(1, len(verts))}
+    for i, a in enumerate(verts):
+        for b in verts[i + 1 :]:
+            if rng.random() < 0.3:
+                edges.add((a, b))
+    assert_matches_reference(G.DefiningGraph(verts, sorted(edges)), radius)
+
+
+@pytest.mark.parametrize("ball_name", ["pentagon_ball6", "dd_ball6"])
+def test_stripped_representatives_are_cones(ball_name, request):
+    # the invariant that lets a ball name each cell by (cone, slot)
+    ball = request.getfixturevalue(ball_name)
+    ctx = ball.ctx
+    cones = {g.codes for g in ball.cones}
+    masks = [1 << i for i in range(len(ctx.generators))]
+    masks += [ctx.gen_mask(e) for e in ball.graph.edges]
+    for codes in cones:
+        support = 0
+        for c in codes:
+            support |= 1 << ((c - 1) >> 1)
+        for mask in masks:
+            if support & mask:
+                assert ctx.strip(codes, mask) in cones
+
+
+def test_ball_build_makes_no_strip_calls(monkeypatch, pentagon, dodeca):
+    def refuse(*args):
+        raise AssertionError("a ball build stripped a coset representative")
+
+    monkeypatch.setattr(W.WordContext, "strip", refuse)
+    monkeypatch.setattr(K, "strip_coset_codes", refuse)
+    for graph, radius in ((pentagon, 6), (dodeca, 4)):
+        ball = FS.build_ball(graph, radius)
+        assert FS.verify_ball_structure(ball)["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the structure check must be able to fail
+# ---------------------------------------------------------------------------
+
+def _quiet_rows(ball):
+    """Square rows past the first 50 cones whose cells are all outside the
+    interior: corrupting one changes no link that the check reads from
+    other rows."""
+    per_cone = len(ball.graph.edges)
+    for r in range(50 * per_cone, ball.squares.shape[0]):
+        if not any(ball.is_interior(int(x)) for x in ball.squares[r, 1:]):
+            yield r
+
+
+def _corrupted(ball, row, col, cell):
+    bad = copy.copy(ball)
+    bad.squares = ball.squares.copy()
+    bad.squares[row, col] = cell
+    return bad
+
+
+def _donor(ball, row, col, want):
+    """A cell in column col of a quiet row at another cone, chosen by want."""
+    per_cone = len(ball.graph.edges)
+    for r in _quiet_rows(ball):
+        x = int(ball.squares[r, col])
+        if r // per_cone != row // per_cone and want(x):
+            return x
+    raise AssertionError("no donor cell")
+
+
+def test_structure_check_rejects_another_cones_flat(pentagon_ball6):
+    ball = pentagon_ball6
+    row = next(_quiet_rows(ball))
+    edge = ball.gens_of(int(ball.squares[row, 2]))
+    flat = _donor(ball, row, 2, lambda x: ball.gens_of(x) != edge)
+    rep = FS.verify_ball_structure(_corrupted(ball, row, 2, flat))
+    assert rep["squares_typed"] is True
+    assert rep["cone_links_isomorphic"] is False
+    assert rep["bad_cones"] == 1
+    assert rep["passed"] is False
+
+
+def test_structure_check_rejects_a_cone_in_the_flat_column(pentagon_ball6):
+    ball = pentagon_ball6
+    row = next(_quiet_rows(ball))
+    rep = FS.verify_ball_structure(_corrupted(ball, row, 2, int(ball.squares[row, 0])))
+    assert rep["squares_typed"] is False
+    assert rep["passed"] is False
+
+
+def test_structure_check_rejects_a_broken_singular(pentagon_ball6):
+    ball = pentagon_ball6
+    row = next(_quiet_rows(ball))
+    s1 = int(ball.squares[row, 1])
+    other = _donor(ball, row, 1, lambda x: x != s1 and ball.gens_of(x) == ball.gens_of(s1))
+    rep = FS.verify_ball_structure(_corrupted(ball, row, 1, other))
+    assert rep["squares_typed"] is True
+    assert rep["cone_links_isomorphic"] is False
+    assert rep["bad_cones"] == 1
+    assert rep["passed"] is False
 
 
 def test_classify_turn(pentagon):

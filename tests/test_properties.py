@@ -37,6 +37,17 @@ def test_inverse_cancels(raw):
     assert x.inverse().inverse() == x
 
 
+@given(words, st.integers(min_value=-12, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_power_is_repeated_product(raw, k):
+    x = W.normal_form(PENTAGON, raw)
+    step = x if k >= 0 else x.inverse()
+    product = W.identity(PENTAGON)
+    for _ in range(abs(k)):
+        product = product * step
+    assert x ** k == product
+
+
 @given(words, st.sampled_from("abcde"), st.integers(min_value=-3, max_value=3))
 @settings(max_examples=150, deadline=None)
 def test_singular_coset_key_invariant_under_right_multiplication(raw, u, k):

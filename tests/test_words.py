@@ -165,6 +165,17 @@ def test_multiply(pentagon):
     assert a * c != c * a
 
 
+def test_power_by_repeated_squaring(pentagon):
+    # a^400 takes about 2 log2(400) normalized products, not 399 growing ones
+    a = W.generator(pentagon, "a")
+    cache = W.context_for(pentagon)._nf_cache
+    before = len(cache)
+    x = a ** 400
+    assert x.letters() == [("a", 1)] * 400
+    assert len(cache) - before <= 20
+    assert x * a ** -400 == W.identity(pentagon)
+
+
 def test_multiply_rejects_graph_mismatch(pentagon):
     other = make_pentagon()
     # same graph value yields the same cached context, so rebuild a distinct one
