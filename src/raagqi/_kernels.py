@@ -88,30 +88,26 @@ def normal_form_codes(w, comm):
 
 def strip_coset_codes(w, comm, strip_mask):
     """Canonical coset representative of the letter-code list ``w`` (which
-    it may change): normal form with every right-movable letter over
-    ``strip_mask`` generators stripped, iterated to a fixpoint."""
+    it may change): the normal form with its right-movable letters over
+    ``strip_mask`` generators deleted.
+
+    One right-to-left pass drops each mask letter that commutes with every
+    kept later letter.  The dropped letters form the largest suffix of the
+    word in <mask> (a right factor, so the word stays in its left coset), so
+    the rest is reduced and none of its mask letters can move to its right
+    end.  Deleting such a suffix from the shortlex-least order of a word's
+    letters leaves the shortlex-least order of the rest, so there is no
+    renormalize loop.
+    """
     normal_form_codes(w, comm)
-    while True:
-        # Remove one letter whose generator is in the mask and which can
-        # commute to the right end of the word.  That is a right
-        # multiplication by a generator's inverse, so the word stays in the
-        # same left coset of <mask>.
-        n = len(w)
-        for i in range(n - 1, -1, -1):
-            g = (w[i] - 1) >> 1
-            if (strip_mask >> g) & 1:
-                cg = comm[g]
-                for j in range(i + 1, n):
-                    h = (w[j] - 1) >> 1
-                    if g != h and not (cg >> h) & 1:
-                        break
-                else:
-                    del w[i]
-                    break
+    blocked = 0
+    for i in range(len(w) - 1, -1, -1):
+        g = (w[i] - 1) >> 1
+        if (strip_mask >> g) & 1 and not (blocked >> g) & 1:
+            del w[i]
         else:
-            return w
-        # stripping can expose a new cancellation, so renormalize each round
-        normal_form_codes(w, comm)
+            blocked |= ~comm[g] & ~(1 << g)
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,16 @@ reduced diagram is the cone over the cycle (arc j pairs boundary positions
 ``DEFAULT_LIFT_RADIUS`` is therefore 2.  Any other cycle needs an explicit
 ball, and a ball too small for it raises ``InsufficientRadius``.  Hyperplane
 ids in a diagram are edge ids of its ball, local to that ball.
+
+Cuts and quasi-cuts are short coarse connections between flats of a cycle,
+so ``find_icut`` and ``find_quasicut`` are loops over the one connection
+search, ``flatspace._connections``, whose product factors (each found in one
+pass) seed the quasi-cut witness.  A cycle computes its legal turns once,
+and arc coarse lengths are sums over them.
 """
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .graphs import GraphError, InsufficientRadius, InvariantError
 from .words import (
@@ -29,8 +35,8 @@ from .words import (
     subgroup_product_factors,
 )
 from .flatspace import (
-    _star_sets,
-    same_parallel_set,
+    _connections,
+    _star,
     singular_contained_in_flat,
     stabilizers_equal,
 )
@@ -87,21 +93,19 @@ class FullEdgeCycle:
     def __len__(self):
         return len(self.flats)
 
+    @cached_property
+    def _legal(self):
+        sings = self.singulars
+        return [not stabilizers_equal(sings[i - 1], sings[i]) for i in range(len(sings))]
+
     def turn_legal(self, i):
         """Turn at flat i, between the full edges through s_{i-1} and s_i."""
-        n = len(self.flats)
-        return not stabilizers_equal(self.singulars[(i - 1) % n], self.singulars[i])
+        return self._legal[i % len(self.flats)]
 
     def arc_coarse_length(self, p, q):
         """Coarse length of the forward cycle arc f_p -> f_q."""
         n = len(self.flats)
-        turns = 0
-        i = (p + 1) % n
-        while i != q:
-            if self.turn_legal(i):
-                turns += 1
-            i = (i + 1) % n
-        return turns + 1
+        return sum(self._legal[(p + k) % n] for k in range(1, (q - p - 1) % n + 1)) + 1
 
     def both_arcs(self, p, q):
         return self.arc_coarse_length(p, q), self.arc_coarse_length(q, p)
@@ -655,53 +659,27 @@ def _is_ladder(diagram, core):
 
 def find_icut(cycle, i):
     """An i-cut: flat vertices v, w on the cycle joined by a full-edge path
-    of coarse length i while both cycle arcs have coarse length > i.
-
-    A coarse-length-m connection between flats f, f' exists iff some walk
-    t_1 .. t_m in the defining graph (consecutive entries adjacent and
-    distinct, t_1 a generator of f, t_m one of f') satisfies
-    rep(f)^-1 rep(f') in C(t_1) ... C(t_m), with C the star subgroups.  For
-    i <= 2 the walks are a single shared generator or a single edge, so the
-    search below is complete.
-    """
+    of coarse length i while both cycle arcs have coarse length > i.  The
+    connections of ``flatspace._connections`` are exact, so None means
+    there is no i-cut."""
     if i not in (1, 2):
         raise GraphError("only 1-cuts and 2-cuts are meaningful")
     if not isinstance(cycle, FullEdgeCycle):
         raise GraphError("expected a FullEdgeCycle")
     n = len(cycle)
-    graph = cycle.flats[0].rep.ctx.graph
-    stars = _star_sets(graph)
-    from .words import in_subgroup_product
-
     for p in range(n):
         for q in range(p + 1, n):
             a1, a2 = cycle.both_arcs(p, q)
             if not (a1 > i and a2 > i):
                 continue
             fp, fq = cycle.flats[p], cycle.flats[q]
-            if i == 1:
-                if same_parallel_set(fp, fq):
-                    return {
-                        "kind": "1-cut",
-                        "v": p,
-                        "w": q,
-                        "coarse_length": 1,
-                        "shared_generators": sorted(set(fp.gens) & set(fq.gens)),
-                    }
-            else:
-                w = fp.rep.inverse() * fq.rep
-                for x in fp.gens:
-                    for z in fq.gens:
-                        if x == z or not graph.has_edge(x, z):
-                            continue
-                        if in_subgroup_product(w, [stars[x], stars[z]]):
-                            return {
-                                "kind": "2-cut",
-                                "v": p,
-                                "w": q,
-                                "coarse_length": 2,
-                                "via_edge": (x, z),
-                            }
+            for walk, _ in _connections(fp, fq, i):
+                cut = {"kind": "%d-cut" % i, "v": p, "w": q, "coarse_length": i}
+                if i == 1:
+                    cut["shared_generators"] = sorted(set(fp.gens) & set(fq.gens))
+                else:
+                    cut["via_edge"] = walk
+                return cut
     return None
 
 
@@ -714,8 +692,6 @@ def find_quasicut(cycle):
     if not isinstance(cycle, FullEdgeCycle):
         raise GraphError("expected a FullEdgeCycle")
     n = len(cycle)
-    graph = cycle.flats[0].rep.ctx.graph
-    stars = _star_sets(graph)
     cycle_flats = set(cycle.flats)
     for p in range(n):
         for q in range(p + 1, n):
@@ -723,54 +699,48 @@ def find_quasicut(cycle):
             if d < 2:
                 continue
             fp, fq = cycle.flats[p], cycle.flats[q]
-            w = fp.rep.inverse() * fq.rep
-            for x in fp.gens:
-                for t in sorted(graph.neighbors(x)):
-                    for z in fq.gens:
-                        if z == t:
-                            continue
-                        if not graph.has_edge(t, z):
-                            continue
-                        wit = _quasicut_witness(graph, stars, cycle_flats, fp, fq, w, x, t, z)
-                        if wit is not None:
-                            return {
-                                "kind": "quasi-cut",
-                                "v": p,
-                                "w": q,
-                                "coarse_length": 3,
-                                "via_path": (x, t, z),
-                                "interior_flats": [k.label() for k in wit],
-                            }
+            for walk, factors in _connections(fp, fq, 3):
+                wit = _quasicut_witness(cycle_flats, fp, walk, factors)
+                if wit is not None:
+                    return {
+                        "kind": "quasi-cut",
+                        "v": p,
+                        "w": q,
+                        "coarse_length": 3,
+                        "via_path": walk,
+                        "interior_flats": [k.label() for k in wit],
+                    }
     return None
 
 
-def _quasicut_witness(graph, stars, cycle_flats, fp, fq, w, x, t, z):
-    """Turning flats c1<x,t>, c2<t,z> realizing the chain and avoiding the
-    cycle's flats.  The canonical choice comes from the product
-    factorization; small centralizer twists are tried when it collides."""
-    from .words import flat_key, generator, identity
+def _quasicut_witness(cycle_flats, fp, walk, factors):
+    """Turning flats c1<x,t>, c2<t,z> realizing the connection along the
+    walk (x, t, z) and avoiding the cycle's flats.  The canonical choice
+    comes from the walk's product factors; small centralizer twists are
+    tried when it collides."""
+    from .words import flat_key, generator
 
-    base = subgroup_product_factors(w, [stars[x], stars[t], stars[z]])
-    if base is None:
-        return None
-    alphas = [base[0]]
-    for g in sorted(stars[x]):
-        for s in (1, -1):
-            alphas.append(base[0] * generator(graph, g, s))
-    for alpha in alphas:
-        rest = alpha.inverse() * w
-        fac = subgroup_product_factors(rest, [stars[t], stars[z]])
+    graph = fp.rep.ctx.graph
+    x, t, z = walk
+    star_x, star_t, star_z = (_star(graph, v) for v in walk)
+
+    def twists(a, rest, star):
+        # (a, rest), then (a g^s, g^-s rest) for each g in the star and
+        # s = +-1: every pair has the same product as (a, rest)
+        yield a, rest
+        for g in sorted(star):
+            for s in (1, -1):
+                yield a * generator(graph, g, s), generator(graph, g, -s) * rest
+
+    for alpha, rest in twists(factors[0], factors[1] * factors[2], star_x):
+        fac = subgroup_product_factors(rest, [star_t, star_z])
         if fac is None:
             continue
         k1 = flat_key(fp.rep * alpha, x, t)
         if k1 in cycle_flats:
             continue
-        betas = [fac[0]]
-        for g in sorted(stars[t]):
-            for s in (1, -1):
-                betas.append(fac[0] * generator(graph, g, s))
-        for beta in betas:
-            if not in_special_subgroup(beta.inverse() * rest, stars[z]):
+        for beta, last in twists(fac[0], fac[1], star_t):
+            if not in_special_subgroup(last, star_z):
                 continue
             k2 = flat_key(fp.rep * alpha * beta, t, z)
             if k2 in cycle_flats:

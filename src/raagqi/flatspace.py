@@ -27,9 +27,13 @@ key of ``vkeys[i]`` and the ``CosetKey`` of ``key_of(i)`` are built on
 demand.
 
 Turn, coarse-distance and parallel-set queries take coset keys and no ball:
-they are answered algebraically from centralizer-coset membership, which is
-exact.  The ball hosts cell-level queries (links, squares, hyperplanes,
-diagrams).
+they are answered algebraically, and exactly, from membership in products
+of star subgroups.  One search, ``_connections``, finds the walks of the
+defining graph that join two flats at a given coarse length;
+``coarse_distance``, ``same_parallel_set`` and the cut searches of
+``diagrams`` are loops over it, and the stripping and factoring of
+``words`` behind it each make one pass over a normal form.  The ball hosts
+cell-level queries (links, squares, hyperplanes, diagrams).
 """
 
 import functools
@@ -38,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graphs import GraphError, InvariantError, _girth, orthogonal_complement
-from .words import CosetKey, context_for, in_special_subgroup, in_subgroup_product, syllable_ball
+from .graphs import GraphError, InvariantError, orthogonal_complement
+from .words import CosetKey, context_for, in_special_subgroup, subgroup_product_factors, syllable_ball
 
 __all__ = [
     "FlatBall",
@@ -371,18 +375,22 @@ def build_ball(graph, radius):
     return FlatBall(graph, radius)
 
 
-def _link_girth(edges):
+def _has_loop_or_triangle(edges):
+    """Whether a link, given by its set of edges, has girth < 4."""
     adj = {}
     for a, b in edges:
+        if a == b:
+            return True
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    return _girth(adj, edges)
+    return any(adj[a] & adj[b] for a, b in edges)
 
 
 def verify_ball_structure(ball):
     """Structural checks of a ball: square typing, cone links isomorphic to
     the barycentric subdivision of the defining graph, and interior vertex
-    links of girth >= 4.  Returns a report dict with an overall flag."""
+    links of girth >= 4, i.e. with no loop and no triangle.  Returns a report
+    dict with an overall flag."""
     n = len(ball.graph.vertices)
     slot = ball._cell_slot
     kinds = ball._slot_kind[slot]
@@ -407,14 +415,11 @@ def verify_ball_structure(ball):
     k = np.where(typed, slot[f] - 1 - n, 0)
     ok = (typed & (((u1 == eu[k]) & (u2 == ew[k])) | ((u1 == ew[k]) & (u2 == eu[k])))).all(axis=1)
     ok &= (np.sort(k, axis=1) == np.arange(nE)).all(axis=1)
-    # each generator names one singular cell per cone: record one cell per
-    # (cone, generator), then every row must agree with it and none be unset
+    # each generator names one singular cell per cone, the coset of the cone
+    # in its slot; this also holds on a graph with no edges
     cone = np.arange(ncones)[:, None]
-    named = np.full((ncones, n), -1, dtype=np.int64)
-    named[cone, u1] = s1
-    named[cone, u2] = s2
-    ok &= (named[cone, u1] == s1).all(axis=1) & (named[cone, u2] == s2).all(axis=1)
-    ok &= (named >= 0).all(axis=1)
+    sing = ball._cell[:, 1 : 1 + n]
+    ok &= (sing[cone, u1] == s1).all(axis=1) & (sing[cone, u2] == s2).all(axis=1)
     bad_cones = int(ncones - ok.sum())
     cone_links_ok = bad_cones == 0
 
@@ -429,20 +434,19 @@ def verify_ball_structure(ball):
         hit = sq[inside[sq[:, j]]]
         for v, a, b in zip(hit[:, j].tolist(), hit[:, j - 1].tolist(), hit[:, (j + 1) % 4].tolist()):
             links[v].add((a, b) if a < b else (b, a))
-    bad_links = sum(1 for edges in links.values() if _link_girth(edges) < 4)
-    # every subdivided cone link is the same graph, so one girth serves them
+    bad_links = sum(1 for edges in links.values() if _has_loop_or_triangle(edges))
+    # every subdivided cone link is the same graph, so one check serves them
     cone_girth_checked = min(50, ncones)
-    subdivision_girth = None
+    subdivision_short = None
     for c in range(cone_girth_checked):
         ci = int(ball._cell[c, 0])
         if not ok[c]:
-            g = _link_girth(ball.cone_link_graph(ci)[1])
+            short = _has_loop_or_triangle(ball.cone_link_graph(ci)[1])
         else:
-            if subdivision_girth is None:
-                subdivision_girth = _link_girth(ball.cone_link_graph(ci)[1])
-            g = subdivision_girth
-        if g < 4:
-            bad_links += 1
+            if subdivision_short is None:
+                subdivision_short = _has_loop_or_triangle(ball.cone_link_graph(ci)[1])
+            short = subdivision_short
+        bad_links += short
     links_girth_ok = bad_links == 0
     passed = squares_typed and cone_links_ok and links_girth_ok
     return {
@@ -465,6 +469,12 @@ def _check_key(kind, key):
         raise GraphError("expected a %s coset key" % kind)
 
 
+def _star(graph, u):
+    """Generators of the star subgroup C(u): u and its neighbours.  C(u) is
+    the centralizer of u."""
+    return graph.neighbors(u) | {u}
+
+
 def singular_contained_in_flat(s, f):
     """Coset containment g<u> <= h<x,y>."""
     _check_key("singular", s)
@@ -483,9 +493,7 @@ def stabilizers_equal(s1, s2):
     if s1.gens != s2.gens:
         return False
     u = s1.gens[0]
-    g = s1.rep.ctx.graph
-    star = {u} | set(g.neighbors(u))
-    return in_special_subgroup(s2.rep.inverse() * s1.rep, star)
+    return in_special_subgroup(s2.rep.inverse() * s1.rep, _star(s1.rep.ctx.graph, u))
 
 
 class FullEdgePath:
@@ -544,19 +552,40 @@ def coarse_length(path):
     return sum(1 for t in path.turns() if t == "legal") + 1
 
 
+def _connections(f1, f2, m):
+    """The full-edge connections of coarse length m between two flats.
+
+    Flats f1 and f2 are joined by a full-edge path of coarse length m iff
+    some walk t_1 .. t_m in the defining graph (consecutive vertices
+    adjacent, hence distinct), with t_1 a generator of f1 and t_m one of f2,
+    has rep(f1)^-1 rep(f2) in the product C(t_1) C(t_2) ... C(t_m) of star
+    subgroups.  This is exact and needs no ball.
+
+    Yields each such walk as a tuple, with the factors a_1 .. a_m of
+    ``subgroup_product_factors`` (a_j in C(t_j)), in sorted walk order: t_1
+    runs over f1.gens and each next vertex over the sorted neighbours.
+    """
+    graph = f1.rep.ctx.graph
+    walks = [(t,) for t in f1.gens]
+    for _ in range(m - 1):
+        walks = [wk + (t,) for wk in walks for t in sorted(graph.neighbors(wk[-1]))]
+    w = None
+    for wk in walks:
+        if wk[-1] not in f2.gens:
+            continue
+        if w is None:
+            w = f1.rep.inverse() * f2.rep
+        factors = subgroup_product_factors(w, [_star(graph, t) for t in wk])
+        if factors is not None:
+            yield wk, factors
+
+
 def same_parallel_set(f1, f2):
-    """Whether two standard flats lie in a common parallel set: a shared
-    defining generator u with representatives in the same centralizer coset."""
+    """Whether two distinct standard flats lie in a common parallel set:
+    a connection of coarse length 1."""
     _check_key("flat", f1)
     _check_key("flat", f2)
-    if f1 == f2:
-        return False
-    g = f1.rep.ctx.graph
-    for u in set(f1.gens) & set(f2.gens):
-        star = {u} | set(g.neighbors(u))
-        if in_special_subgroup(f2.rep.inverse() * f1.rep, star):
-            return True
-    return False
+    return f1 != f2 and next(_connections(f1, f2, 1), None) is not None
 
 
 @dataclass(frozen=True)
@@ -571,36 +600,18 @@ class CoarseDistance:
         return "unknown(>=%d)" % self.lower_bound
 
 
-def _star_sets(graph):
-    return {v: {v} | set(graph.neighbors(v)) for v in graph.vertices}
-
-
 def coarse_distance(f1, f2, max_search=6):
-    """Minimal coarse length of a full-edge path between two flat vertices.
-
-    A coarse-length-m connection exists iff there is a walk t_1 .. t_m in the
-    defining graph (consecutive vertices distinct and adjacent) with t_1 a
-    generator of f1, t_m a generator of f2, and rep(f1)^-1 rep(f2) in the
-    centralizer product C(t_1) C(t_2) ... C(t_m).  This is ball-independent
-    and exact; ``unknown`` is only returned past ``max_search``.
+    """Minimal coarse length of a full-edge path between two flat vertices:
+    the least m with a connection (see ``_connections``).  Exact;
+    ``unknown`` is only returned past ``max_search``.
     """
     _check_key("flat", f1)
     _check_key("flat", f2)
     if f1 == f2:
         return CoarseDistance(0, True, 0)
-    graph = f1.rep.ctx.graph
-    stars = _star_sets(graph)
-    w = f1.rep.inverse() * f2.rep
-    targets = set(f2.gens)
     for m in range(1, max_search + 1):
-        walks = [[t] for t in f1.gens]
-        for _ in range(m - 1):
-            walks = [wk + [t] for wk in walks for t in graph.neighbors(wk[-1])]
-        for wk in walks:
-            if wk[-1] not in targets:
-                continue
-            if in_subgroup_product(w, [stars[t] for t in wk]):
-                return CoarseDistance(m, True, m)
+        if next(_connections(f1, f2, m), None) is not None:
+            return CoarseDistance(m, True, m)
     return CoarseDistance(max_search + 1, False, max_search + 1)
 
 
@@ -609,7 +620,7 @@ def parallel_set_slice(ball, s):
     coset s, i.e. flats whose stabilizer contains the stabilizer of s."""
     _check_key("singular", s)
     u = s.gens[0]
-    star = {u} | set(ball.graph.neighbors(u))
+    star = _star(ball.graph, u)
     slots = [k for k, gens in enumerate(ball._slot_gens) if len(gens) == 2 and u in gens]
     inv = s.rep.inverse()
     out = []

@@ -233,36 +233,38 @@ def subgroup_product_factors(x, gen_sets):
     """Factor x as a1 a2 ... ak with ai in the special subgroup <Ai>, or
     return None.
 
-    Greedy and exact: repeatedly delete a front-movable letter whose
-    generator lies in A1 (a left division by <A1>), then recurse.  If w is in
+    Greedy and exact: a1 is the largest prefix of x in <A1>, the A1-letters
+    that can move to the front.  One left-to-right scan finds them: it takes
+    each A1-letter that no kept earlier letter blocks, and taken letters
+    block nothing, since they have moved to the front.  The taken and kept
+    letters together have the length of x, so the rest is reduced, and the
+    front-movable letters of a reduced word do not depend on the order of
+    its commuting letters: the next scan needs no normal form.  If x is in
     the product, so is every such quotient, and once no front-movable
     A1-letter remains the <A1> factor must be trivial.
     """
     ctx = x.ctx
-    codes = list(x.codes)
+    comm = ctx.comm_masks
+    codes = x.codes
     factors = []
     for gens in gen_sets[:-1]:
         mask = ctx.gen_mask(gens)
-        taken = []
-        while True:
-            removed = False
-            blocked = 0
-            for i, c in enumerate(codes):
-                g = _kernels.letter_gen(c)
-                if not (blocked >> g) & 1 and (mask >> g) & 1:
-                    taken.append(c)
-                    del codes[i]
-                    codes = list(ctx.nf(tuple(codes)))
-                    removed = True
-                    break
-                blocked |= ~ctx.comm_masks[g] & ~(1 << g)
-            if not removed:
-                break
+        taken, kept = [], []
+        blocked = 0
+        for c in codes:
+            g = _kernels.letter_gen(c)
+            if (mask >> g) & 1 and not (blocked >> g) & 1:
+                taken.append(c)
+            else:
+                kept.append(c)
+                blocked |= ~comm[g] & ~(1 << g)
         factors.append(GroupElement(ctx, taken))
+        codes = kept
     last = ctx.gen_mask(gen_sets[-1])
     if not all((last >> _kernels.letter_gen(c)) & 1 for c in codes):
         return None
-    factors.append(GroupElement(ctx, tuple(codes), _canonical=True))
+    # reduced but not always shortlex: normalize once
+    factors.append(GroupElement(ctx, codes))
     return factors
 
 
@@ -359,21 +361,8 @@ def flat_key(x, u, w):
 # ---------------------------------------------------------------------------
 
 def cayley_ball(graph, radius):
-    """All elements of word length <= radius, BFS order, deduplicated."""
-    ctx = context_for(graph)
-    letters = [_kernels.letter(i, s) for i in range(len(ctx.generators)) for s in (1, -1)]
-    seen = {(): 0}
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for codes in frontier:
-            for c in letters:
-                w = ctx.nf(codes + (c,))
-                if w not in seen:
-                    seen[w] = len(w)
-                    nxt.append(w)
-        frontier = nxt
-    return [GroupElement(ctx, codes, _canonical=True) for codes in sorted(seen, key=lambda t: (len(t), t))]
+    """All elements of word length <= radius, sorted by (length, codes)."""
+    return syllable_ball(graph, radius, 1)
 
 
 def syllable_ball(graph, depth, exp_cap):

@@ -365,6 +365,33 @@ def test_structure_check_rejects_a_broken_singular(pentagon_ball6):
     assert rep["passed"] is False
 
 
+def test_structure_check_on_a_one_vertex_graph():
+    # no edges, so no squares: each cone link is the one singular vertex
+    ball = FS.build_ball(DefiningGraph(["a"], []), 4)
+    assert FS.verify_ball_structure(ball) == {
+        "passed": True,
+        "squares_typed": True,
+        "cone_links_isomorphic": True,
+        "bad_cones": 0,
+        "interior_links_checked": 4,
+        "links_girth_ok": True,
+        "bad_links": 0,
+    }
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_link_short_cycle_check_matches_girth(pairs):
+    # a link as a set of edges, loops included: girth < 4 means a loop or a
+    # triangle
+    edges = {(min(a, b), max(a, b)) for a, b in pairs}
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    assert FS._has_loop_or_triangle(edges) == (G._girth(adj, edges) < 4)
+
+
 def test_classify_turn(pentagon):
     e = identity(pentagon)
     fab = flat_key(e, "a", "b")

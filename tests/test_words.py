@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import raagqi._kernels as K
 import raagqi.words as W
-from raagqi.graphs import GraphError, pentagon as make_pentagon
+from raagqi.graphs import DefiningGraph, GraphError, pentagon as make_pentagon
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +251,94 @@ def test_subgroup_product_membership_vs_bruteforce(pentagon):
             W.in_special_subgroup(alpha.inverse() * w, B) for alpha in sub_a if len(alpha) <= len(w)
         )
         assert W.in_subgroup_product(w, [A, B]) == brute
+
+
+# ---------------------------------------------------------------------------
+# one-pass stripping and factoring against the renormalizing loops
+# ---------------------------------------------------------------------------
+
+def strip_reference(w, comm, strip_mask):
+    """Delete one right-movable mask letter at a time and renormalize after
+    each deletion, to a fixpoint."""
+    K.normal_form_codes(w, comm)
+    while True:
+        n = len(w)
+        for i in range(n - 1, -1, -1):
+            g = (w[i] - 1) >> 1
+            if (strip_mask >> g) & 1:
+                cg = comm[g]
+                for j in range(i + 1, n):
+                    h = (w[j] - 1) >> 1
+                    if g != h and not (cg >> h) & 1:
+                        break
+                else:
+                    del w[i]
+                    break
+        else:
+            return w
+        K.normal_form_codes(w, comm)
+
+
+def factors_reference(x, gen_sets):
+    """Delete one front-movable letter of each factor at a time and
+    renormalize after each deletion."""
+    ctx = x.ctx
+    codes = list(x.codes)
+    factors = []
+    for gens in gen_sets[:-1]:
+        mask = ctx.gen_mask(gens)
+        taken = []
+        while True:
+            removed = False
+            blocked = 0
+            for i, c in enumerate(codes):
+                g = K.letter_gen(c)
+                if not (blocked >> g) & 1 and (mask >> g) & 1:
+                    taken.append(c)
+                    del codes[i]
+                    codes = list(ctx.nf(tuple(codes)))
+                    removed = True
+                    break
+                blocked |= ~ctx.comm_masks[g] & ~(1 << g)
+            if not removed:
+                break
+        factors.append(W.GroupElement(ctx, taken))
+    last = ctx.gen_mask(gen_sets[-1])
+    if not all((last >> K.letter_gen(c)) & 1 for c in codes):
+        return None
+    factors.append(W.GroupElement(ctx, tuple(codes), _canonical=True))
+    return factors
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_strip_and_factors_match_loops(seed):
+    # graphs on 2..6 vertices with dense random edges, so triangles and
+    # larger cliques occur; words of up to 14 letters, arbitrary masks
+    rng = random.Random(seed)
+    verts = ["v%d" % i for i in range(rng.randint(2, 6))]
+    edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < 0.5]
+    graph = DefiningGraph(verts, edges)
+    ctx = W.context_for(graph)
+
+    def word(gens, k):
+        return [(rng.choice(gens), rng.choice((1, -1))) for _ in range(k)]
+
+    for _ in range(20):
+        x = W.normal_form(graph, word(verts, rng.randint(0, 14)))
+        mask = rng.randrange(1, 1 << len(verts))
+        assert K.strip_coset_codes(list(x.codes), ctx.comm_masks, mask) == strip_reference(
+            list(x.codes), ctx.comm_masks, mask
+        )
+        gen_sets = [rng.sample(verts, rng.randint(1, len(verts))) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            # a member of the product, so that every factor is exercised
+            x = W.normal_form(graph, [ltr for gens in gen_sets for ltr in word(gens, rng.randint(0, 5))])
+        got = W.subgroup_product_factors(x, gen_sets)
+        want = factors_reference(x, gen_sets)
+        assert got == want
+        if got is not None:
+            assert all(f.codes == ctx.nf(f.codes) for f in got)
 
 
 def test_word_parsing(pentagon):
