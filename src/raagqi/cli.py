@@ -5,6 +5,7 @@ Exit codes: 0 computed, 1 input error, 2 precondition/out-of-scope,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,7 +247,10 @@ def cmd_report(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call of ``main`` gets a fresh namespace."""
     ap = argparse.ArgumentParser(prog="raagqi", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -100,10 +100,28 @@ def enumerate_cycles(graph, max_len):
 _tight_cache = {}
 
 
+def _diameter_at_most_2(graph):
+    """Every two vertices are equal, adjacent or have a common neighbour."""
+    n = len(graph.vertices)
+    for v in graph.vertices:
+        nbrs = graph.neighbors(v)
+        reach = {v} | nbrs
+        for u in nbrs:
+            reach |= graph.neighbors(u)
+        if len(reach) != n:
+            return False
+    return True
+
+
 def tight_cycles(graph, max_len=None):
     """All tight cycles of length <= max_len (default: the vertex count,
     which is exact since embedded cycles cannot be longer)."""
     cap = len(graph.vertices) if max_len is None else min(max_len, len(graph.vertices))
+    # in a graph of diameter <= 2, two vertices at cycle distance 3 on a
+    # cycle of length >= 6 are joined by a chord or a common neighbour, a
+    # 1- or 2-shortcut, so no tight cycle is longer than 5
+    if cap > 5 and _diameter_at_most_2(graph):
+        cap = 5
     key = (graph, cap)
     hit = _tight_cache.get(key)
     if hit is not None:

@@ -29,17 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
 from .graphs import GraphError, InsufficientRadius, InvariantError
-from .words import (
-    CosetKey,
-    in_special_subgroup,
-    subgroup_product_factors,
-)
-from .flatspace import (
-    _connections,
-    _star,
-    singular_contained_in_flat,
-    stabilizers_equal,
-)
+from . import _kernels
+from .words import CosetKey, GroupElement, _factors_by_masks
+from .flatspace import _connections, singular_contained_in_flat, stabilizers_equal
 
 __all__ = [
     "FullEdgeCycle",
@@ -688,11 +680,20 @@ def find_quasicut(cycle):
     interior avoids the cycle's flat vertices.  By the quasi-cut lemma such
     a connection already forces a 1- or 2-cut somewhere, so tautness must
     reject it; it is exactly how 2-shortcuts of the defining graph surface
-    in the flat space."""
+    in the flat space.
+
+    The search is not exhaustive: for each connection it tries the
+    canonical factorization and its one-letter centralizer twists (see
+    ``_quasicut_witness``).  None means that no such candidate avoids the
+    cycle's flats, not that no quasi-cut exists.  A witness depends only on
+    rep(f_p), the walk and its factors, so each distinct connection is
+    tried once per call.
+    """
     if not isinstance(cycle, FullEdgeCycle):
         raise GraphError("expected a FullEdgeCycle")
     n = len(cycle)
-    cycle_flats = set(cycle.flats)
+    cycle_flats = {(k.gens, k.rep.codes) for k in cycle.flats}
+    tried = {}
     for p in range(n):
         for q in range(p + 1, n):
             d = min(q - p, n - (q - p))
@@ -700,7 +701,10 @@ def find_quasicut(cycle):
                 continue
             fp, fq = cycle.flats[p], cycle.flats[q]
             for walk, factors in _connections(fp, fq, 3):
-                wit = _quasicut_witness(cycle_flats, fp, walk, factors)
+                key = (fp.rep.codes, walk, tuple(factors))
+                if key not in tried:
+                    tried[key] = _quasicut_witness(cycle_flats, fp, walk, factors)
+                wit = tried[key]
                 if wit is not None:
                     return {
                         "kind": "quasi-cut",
@@ -713,39 +717,63 @@ def find_quasicut(cycle):
     return None
 
 
+def _twist_letters(mask):
+    """g^+1, g^-1 for each generator index g in mask, in sorted order."""
+    return [_kernels.letter(g, s) for g in range(mask.bit_length()) if mask >> g & 1 for s in (1, -1)]
+
+
 def _quasicut_witness(cycle_flats, fp, walk, factors):
     """Turning flats c1<x,t>, c2<t,z> realizing the connection along the
-    walk (x, t, z) and avoiding the cycle's flats.  The canonical choice
-    comes from the walk's product factors; small centralizer twists are
-    tried when it collides."""
-    from .words import flat_key, generator
+    walk (x, t, z) and avoiding the cycle's flats (a set of (gens, codes)),
+    as coset keys, or None.
 
-    graph = fp.rep.ctx.graph
+    With P = rep(fp) and the walk's factors a1 a2 a3 (aj in C(tj)), the
+    candidates are c1 = P alpha and c2 = P alpha beta with alpha in C(x),
+    beta in C(t) and the rest of the product in C(z): first alpha = a1,
+    then the twists a1 g^s for g in st(x) and s = +1, -1; for each alpha,
+    beta is the C(t) factor of alpha^-1 a1 a2 a3, then its twists beta h^s.
+    Twists that repeat a failed candidate or cannot pass are skipped, which
+    leaves the first witness unchanged:
+
+    - c1 depends only on alpha, so a colliding c1 is rejected before
+      factoring.
+    - The rest after beta h^s is h^-s times a C(z) factor, so it lies in
+      C(z) only for h in st(z); and h in {t, z} leaves c2 unchanged.  So h
+      runs over the common neighbours of t and z only.
+    - g in {x, t} leaves c1 unchanged and, since g is in st(t), leaves
+      the rest g^-s alpha^-1 a1 a2 a3 in the same coset of C(t), so its
+      C(z) factor, the minimal representative of that coset, is unchanged
+      too: the candidate repeats the untwisted one.
+    """
+    ctx = fp.rep.ctx
+    nf, strip = ctx.nf, ctx.strip
     x, t, z = walk
-    star_x, star_t, star_z = (_star(graph, v) for v in walk)
-
-    def twists(a, rest, star):
-        # (a, rest), then (a g^s, g^-s rest) for each g in the star and
-        # s = +-1: every pair has the same product as (a, rest)
-        yield a, rest
-        for g in sorted(star):
-            for s in (1, -1):
-                yield a * generator(graph, g, s), generator(graph, g, -s) * rest
-
-    for alpha, rest in twists(factors[0], factors[1] * factors[2], star_x):
-        fac = subgroup_product_factors(rest, [star_t, star_z])
-        if fac is None:
-            continue
-        k1 = flat_key(fp.rep * alpha, x, t)
+    ix, it, iz = (ctx.index[v] for v in walk)
+    xt, tz = tuple(sorted((x, t))), tuple(sorted((t, z)))
+    m_xt, m_tz = (1 << ix) | (1 << it), (1 << it) | (1 << iz)
+    tz_masks = [ctx.star_masks[it], ctx.star_masks[iz]]
+    a1, a2, a3 = factors
+    pa0, rest0 = nf(fp.rep.codes + a1), nf(a2 + a3)
+    beta_twists = _twist_letters(ctx.comm_masks[it] & ctx.comm_masks[iz])
+    for g in [None] + _twist_letters(ctx.star_masks[ix] & ~m_xt):
+        if g is None:
+            pa, rest = pa0, rest0
+        else:
+            pa, rest = nf(pa0 + (g,)), nf((_kernels.letter_inv(g),) + rest0)
+        k1 = (xt, strip(pa, m_xt))
         if k1 in cycle_flats:
             continue
-        for beta, last in twists(fac[0], fac[1], star_t):
-            if not in_special_subgroup(last, star_z):
-                continue
-            k2 = flat_key(fp.rep * alpha * beta, t, z)
-            if k2 in cycle_flats:
-                continue
-            return [k1, k2]
+        fac = _factors_by_masks(ctx, rest, tz_masks)
+        if fac is None:
+            continue
+        pab = nf(pa + fac[0])
+        for h in [None] + beta_twists:
+            k2 = (tz, strip(pab if h is None else nf(pab + (h,)), m_tz))
+            if k2 not in cycle_flats:
+                return [
+                    CosetKey("flat", gens, GroupElement(ctx, codes, _canonical=True))
+                    for gens, codes in (k1, k2)
+                ]
     return None
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _kernels
 from .graphs import GraphError, InvariantError, orthogonal_complement
-from .words import CosetKey, context_for, in_special_subgroup, subgroup_product_factors, syllable_ball
+from .words import CosetKey, _factors_by_masks, context_for, in_special_subgroup, syllable_ball
 
 __all__ = [
     "FlatBall",
@@ -562,20 +562,21 @@ def _connections(f1, f2, m):
     subgroups.  This is exact and needs no ball.
 
     Yields each such walk as a tuple, with the factors a_1 .. a_m of
-    ``subgroup_product_factors`` (a_j in C(t_j)), in sorted walk order: t_1
-    runs over f1.gens and each next vertex over the sorted neighbours.
+    ``subgroup_product_factors`` (a_j in C(t_j)) as normal-form code
+    tuples, in sorted walk order: t_1 runs over f1.gens and each next vertex
+    over the sorted neighbours.
     """
-    graph = f1.rep.ctx.graph
+    ctx = f1.rep.ctx
     walks = [(t,) for t in f1.gens]
     for _ in range(m - 1):
-        walks = [wk + (t,) for wk in walks for t in sorted(graph.neighbors(wk[-1]))]
+        walks = [wk + (t,) for wk in walks for t in sorted(ctx.graph.neighbors(wk[-1]))]
     w = None
     for wk in walks:
         if wk[-1] not in f2.gens:
             continue
         if w is None:
-            w = f1.rep.inverse() * f2.rep
-        factors = subgroup_product_factors(w, [_star(graph, t) for t in wk])
+            w = (f1.rep.inverse() * f2.rep).codes
+        factors = _factors_by_masks(ctx, w, [ctx.star_masks[ctx.index[t]] for t in wk])
         if factors is not None:
             yield wk, factors
 

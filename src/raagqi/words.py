@@ -244,11 +244,20 @@ def subgroup_product_factors(x, gen_sets):
     A1-letter remains the <A1> factor must be trivial.
     """
     ctx = x.ctx
+    factors = _factors_by_masks(ctx, x.codes, [ctx.gen_mask(gens) for gens in gen_sets])
+    if factors is None:
+        return None
+    return [GroupElement(ctx, f, _canonical=True) for f in factors]
+
+
+def _factors_by_masks(ctx, codes, masks):
+    """``subgroup_product_factors`` on normal-form codes, each generator set
+    given as a bitmask over generator indices (``WordContext.star_masks``
+    are the star subgroups).  Returns the factors as normal-form code
+    tuples, or None."""
     comm = ctx.comm_masks
-    codes = x.codes
-    factors = []
-    for gens in gen_sets[:-1]:
-        mask = ctx.gen_mask(gens)
+    parts = []
+    for mask in masks[:-1]:
         taken, kept = [], []
         blocked = 0
         for c in codes:
@@ -258,14 +267,13 @@ def subgroup_product_factors(x, gen_sets):
             else:
                 kept.append(c)
                 blocked |= ~comm[g] & ~(1 << g)
-        factors.append(GroupElement(ctx, taken))
+        parts.append(taken)
         codes = kept
-    last = ctx.gen_mask(gen_sets[-1])
+    last = masks[-1]
     if not all((last >> _kernels.letter_gen(c)) & 1 for c in codes):
         return None
-    # reduced but not always shortlex: normalize once
-    factors.append(GroupElement(ctx, codes))
-    return factors
+    # reduced but not always shortlex: normalize each factor once
+    return [ctx.nf(part) for part in parts + [codes]]
 
 
 def in_subgroup_product(x, gen_sets):

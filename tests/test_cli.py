@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import raagqi as rq
 import raagqi.cycles as C
 import raagqi.flatspace as FS
-from raagqi.cli import main
+from raagqi.cli import build_parser, main
 from raagqi.graphs import cycle_graph
 
 
@@ -174,3 +180,35 @@ def test_out_group_hoffman_singleton(capsys, tmp_path, hoffman_singleton):
     code, out, _ = run(capsys, "out-group", str(path), "--json")
     assert code == 0
     assert json.loads(out)["aut_order"] == 252000
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def fresh_process(argv):
+    """Exit code and stdout of ``raagqi.cli`` run in a new interpreter."""
+    src = str(pathlib.Path(rq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "raagqi.cli"] + argv, capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, pentagon_file):
+    # one parser serves every call: no option or default may carry over from
+    # one command to the next, in either order
+    dodeca = tmp_path / "dodecahedron.json"
+    dodeca.write_text(rq.dodecahedron().to_json())
+    calls = [
+        ["taut", str(dodeca), "--cycle", "i3,i1,i9,i7,o7,o6,o5,i5", "--json"],
+        ["check-atomic", pentagon_file],
+        ["whitehead", pentagon_file, "--vertex", "a", "--dot"],
+        ["report", pentagon_file],
+    ]
+    expect = {tuple(argv): fresh_process(argv) for argv in calls}
+    for order in (calls, calls[::-1]):
+        for argv in order:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
+            assert (code, out.getvalue()) == expect[tuple(argv)]

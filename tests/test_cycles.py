@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import raagqi._kernels as K
 import raagqi.cycles as C
 import raagqi.graphs as G
 from raagqi.graphs import DefiningGraph, GraphError
@@ -94,6 +98,44 @@ def test_tight_cycles_equals_filtered_enumeration(dodeca_double):
     expect = {c.vertices for c in C.enumerate_cycles(dodeca_double, 9) if C.is_tight(dodeca_double, c)}
     got = {c.vertices for c in C.tight_cycles(dodeca_double, 9)}
     assert got == expect
+
+
+def uncapped_tight_cycles(g):
+    """The tight-cycle search at cap |V|, straight from the kernel."""
+    order, masks = C._adj_masks(g)
+    raw = K.enumerate_cycle_lists(masks, len(order), tight_only=True)
+    return sorted(((len(t), tuple(order[i] for i in t)) for t in raw))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_tight_cycles_capped_on_diameter_two_graphs(seed):
+    # dense random graphs on 4..11 vertices, most of diameter <= 2, where
+    # the search stops at length 5; the others must not be capped
+    rng = random.Random(seed)
+    verts = ["v%d" % i for i in range(rng.randint(4, 11))]
+    p = rng.choice((0.3, 0.45, 0.6, 0.8))
+    g = DefiningGraph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < p])
+    got = [(len(c), c.vertices) for c in C.tight_cycles(g)]
+    assert got == uncapped_tight_cycles(g)
+    if C._diameter_at_most_2(g):
+        assert all(n <= 5 for n, _ in got)
+        assert C.tight_cycles(g) is C.tight_cycles(g, 5)
+
+
+def test_diameter_two_cap_on_moore_graphs(hoffman_singleton):
+    petersen = G.DefiningGraph(
+        ["u%d" % j for j in range(5)] + ["w%d" % j for j in range(5)],
+        [("u%d" % j, "u%d" % ((j + 1) % 5)) for j in range(5)]
+        + [("u%d" % j, "w%d" % j) for j in range(5)]
+        + [("w%d" % j, "w%d" % ((j + 2) % 5)) for j in range(5)],
+    )
+    for g, count in ((petersen, 12), (hoffman_singleton, 1260)):
+        assert C._diameter_at_most_2(g)
+        got = C.tight_cycles(g)
+        assert len(got) == count
+        assert [(len(c), c.vertices) for c in got] == uncapped_tight_cycles(g)
+    assert not C._diameter_at_most_2(G.dodecahedron())
 
 
 def test_dodecahedron_double_tight_cycles_stay_in_one_copy(dodeca_double):

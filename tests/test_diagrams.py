@@ -1,12 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import raagqi as rq
 import raagqi.cycles as C
 import raagqi.diagrams as D
 import raagqi.flatspace as FS
-from raagqi.graphs import GraphError, InsufficientRadius, InvariantError
-from raagqi.words import cone_key, flat_key, identity, singular_key
+from raagqi.graphs import DefiningGraph, GraphError, InsufficientRadius, InvariantError
+from raagqi.words import (
+    cone_key,
+    flat_key,
+    generator,
+    identity,
+    in_special_subgroup,
+    normal_form,
+    singular_key,
+    subgroup_product_factors,
+)
 
 
 def eight_cycle_fixtures(ball, limit=12):
@@ -269,3 +280,125 @@ def test_tight_iff_taut_small_scan(pentagon):
     for gamma in C.enumerate_cycles(pentagon, 5):
         lift = D.lift_cycle(pentagon, gamma)
         assert C.is_tight(pentagon, gamma) == D.is_taut(lift)
+
+
+# ---------------------------------------------------------------------------
+# the quasi-cut search against its unpruned form
+# ---------------------------------------------------------------------------
+
+def reference_connections(f1, f2, m):
+    """Every walk from f1.gens through sorted neighbours, kept when it ends
+    in f2.gens and rep(f1)^-1 rep(f2) factors over its star subgroups."""
+    graph = f1.rep.ctx.graph
+    walks = [(t,) for t in f1.gens]
+    for _ in range(m - 1):
+        walks = [wk + (t,) for wk in walks for t in sorted(graph.neighbors(wk[-1]))]
+    w = f1.rep.inverse() * f2.rep
+    for wk in walks:
+        if wk[-1] not in f2.gens:
+            continue
+        factors = subgroup_product_factors(w, [graph.neighbors(t) | {t} for t in wk])
+        if factors is not None:
+            yield wk, factors
+
+
+def reference_witness(cycle_flats, fp, walk, factors):
+    """Every alpha twist in C(x), factored before c1 is tested, then every
+    beta twist in C(t), each tested for the rest lying in C(z)."""
+    graph = fp.rep.ctx.graph
+    x, t, z = walk
+    star_x, star_t, star_z = (graph.neighbors(v) | {v} for v in walk)
+
+    def twists(a, rest, star):
+        yield a, rest
+        for g in sorted(star):
+            for s in (1, -1):
+                yield a * generator(graph, g, s), generator(graph, g, -s) * rest
+
+    for alpha, rest in twists(factors[0], factors[1] * factors[2], star_x):
+        fac = subgroup_product_factors(rest, [star_t, star_z])
+        if fac is None:
+            continue
+        k1 = flat_key(fp.rep * alpha, x, t)
+        if k1 in cycle_flats:
+            continue
+        for beta, last in twists(fac[0], fac[1], star_t):
+            if not in_special_subgroup(last, star_z):
+                continue
+            k2 = flat_key(fp.rep * alpha * beta, t, z)
+            if k2 in cycle_flats:
+                continue
+            return [k1, k2]
+    return None
+
+
+def reference_quasicut(cycle):
+    n = len(cycle)
+    cycle_flats = set(cycle.flats)
+    for p in range(n):
+        for q in range(p + 1, n):
+            if min(q - p, n - (q - p)) < 2:
+                continue
+            fp, fq = cycle.flats[p], cycle.flats[q]
+            for walk, factors in reference_connections(fp, fq, 3):
+                wit = reference_witness(cycle_flats, fp, walk, factors)
+                if wit is not None:
+                    return {
+                        "kind": "quasi-cut",
+                        "v": p,
+                        "w": q,
+                        "coarse_length": 3,
+                        "via_path": walk,
+                        "interior_flats": [k.label() for k in wit],
+                    }
+    return None
+
+
+def translated(cycle, g):
+    """The full-edge cycle g * cycle: every flat and singular rep times g."""
+    return D.FullEdgeCycle(
+        [flat_key(g * k.rep, *k.gens) for k in cycle.flats],
+        [singular_key(g * k.rep, k.gens[0]) for k in cycle.singulars],
+    )
+
+
+def random_element(rng, graph):
+    verts = graph.sorted_vertices()
+    return normal_form(graph, [(rng.choice(verts), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_quasicut_search_matches_reference(seed):
+    # dense graphs on 5..8 vertices, so triangles and 4-cycles occur and the
+    # twists by common neighbours are exercised; each lift also translated by
+    # a random element, so the cycle flats have non-identity representatives
+    rng = random.Random(seed)
+    verts = ["v%d" % i for i in range(rng.randint(5, 8))]
+    p = rng.choice((0.35, 0.5, 0.65))
+    edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < p]
+    graph = DefiningGraph(verts, edges)
+    cycles = C.enumerate_cycles(graph, 7)
+    for gamma in rng.sample(cycles, min(len(cycles), 6)):
+        lift = D.lift_cycle(graph, gamma)
+        for cyc in (lift, translated(lift, random_element(rng, graph))):
+            assert D.find_quasicut(cyc) == reference_quasicut(cyc)
+
+
+def test_quasicut_search_matches_reference_on_golden_cycles():
+    # the non-tight dodecahedron and doubled-dodecahedron cycles of
+    # tests/golden: a 2-cut 8-cycle, a quasi-cut 9-cycle, and the dd 9-cycle
+    # whose 2-shortcut i0 - i2 - i4 is a quasi-cut
+    rng = random.Random(2024)
+    found = 0
+    for graph, names in (
+        (rq.dodecahedron(), "i3,i1,i9,i7,o7,o6,o5,i5"),
+        (rq.dodecahedron(), "o6,o7,i7,i9,o9,o0,i0,i8,i6"),
+        (rq.dodecahedron_double(), "i0,i8,i6,i4,o4#1,o3#1,o2#1,o1#1,o0#1"),
+    ):
+        lift = D.lift_cycle(graph, names.split(","))
+        for cyc in (lift, translated(lift, random_element(rng, graph))):
+            got = D.find_quasicut(cyc)
+            assert got == reference_quasicut(cyc)
+            found += got is not None
+    assert found >= 2
