@@ -7,6 +7,7 @@ directions are joined by some tight cycle through v; scanning all embedded
 cycle lengths up to the vertex count makes the computation exact.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import _kernels
@@ -76,39 +77,28 @@ def _canonical(vs):
     return best
 
 
-def _adj_masks(graph):
-    order = graph.sorted_vertices()
-    idx = {v: i for i, v in enumerate(order)}
-    masks = [0] * len(order)
-    for v in order:
-        for u in graph.neighbors(v):
-            masks[idx[v]] |= 1 << idx[u]
-    return order, masks
-
-
 def enumerate_cycles(graph, max_len):
     """All embedded cycles of length <= max_len, canonical and sorted."""
     if max_len < 3:
         raise GraphError("max_len must be at least 3")
-    order, masks = _adj_masks(graph)
-    raw = _kernels.enumerate_cycle_lists(masks, max_len, tight_only=False)
-    out = [EmbeddedCycle(graph, tuple(order[i] for i in t)) for t in raw]
+    raw = _kernels.enumerate_cycle_lists(graph.masks, max_len, tight_only=False)
+    out = [EmbeddedCycle(graph, tuple(graph.order[i] for i in t)) for t in raw]
     out.sort(key=lambda c: (len(c), c.vertices))
     return out
 
 
-_tight_cache = {}
-
-
 def _diameter_at_most_2(graph):
     """Every two vertices are equal, adjacent or have a common neighbour."""
-    n = len(graph.vertices)
-    for v in graph.vertices:
-        nbrs = graph.neighbors(v)
-        reach = {v} | nbrs
-        for u in nbrs:
-            reach |= graph.neighbors(u)
-        if len(reach) != n:
+    masks = graph.masks
+    full = (1 << len(masks)) - 1
+    for i, m in enumerate(masks):
+        reach = m | 1 << i
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= masks[low.bit_length() - 1]
+        if reach != full:
             return False
     return True
 
@@ -122,16 +112,15 @@ def tight_cycles(graph, max_len=None):
     # 1- or 2-shortcut, so no tight cycle is longer than 5
     if cap > 5 and _diameter_at_most_2(graph):
         cap = 5
-    key = (graph, cap)
-    hit = _tight_cache.get(key)
-    if hit is not None:
-        return hit
-    order, masks = _adj_masks(graph)
-    raw = _kernels.enumerate_cycle_lists(masks, cap, tight_only=True)
-    out = [EmbeddedCycle(graph, tuple(order[i] for i in t)) for t in raw]
+    return _tight_cycles(graph, cap)
+
+
+@functools.lru_cache(maxsize=256)
+def _tight_cycles(graph, cap):
+    """The tight cycles of length <= cap, for the most recent graphs."""
+    raw = _kernels.enumerate_cycle_lists(graph.masks, cap, tight_only=True)
+    out = [EmbeddedCycle(graph, tuple(graph.order[i] for i in t)) for t in raw]
     out.sort(key=lambda c: (len(c), c.vertices))
-    if len(_tight_cache) < 4096:
-        _tight_cache[key] = out
     return out
 
 
@@ -170,9 +159,7 @@ def is_tight(graph, cycle):
     """No 1-shortcuts and no 2-shortcuts."""
     if not isinstance(cycle, EmbeddedCycle):
         cycle = EmbeddedCycle(graph, cycle)
-    order, masks = _adj_masks(graph)
-    idx = {v: k for k, v in enumerate(order)}
-    return _kernels.tight_check_ints([idx[v] for v in cycle.vertices], masks)
+    return _kernels.tight_check_ints([graph.index[v] for v in cycle.vertices], graph.masks)
 
 
 @dataclass(frozen=True)

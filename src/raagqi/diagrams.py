@@ -90,10 +90,6 @@ class FullEdgeCycle:
         sings = self.singulars
         return [not stabilizers_equal(sings[i - 1], sings[i]) for i in range(len(sings))]
 
-    def turn_legal(self, i):
-        """Turn at flat i, between the full edges through s_{i-1} and s_i."""
-        return self._legal[i % len(self.flats)]
-
     def arc_coarse_length(self, p, q):
         """Coarse length of the forward cycle arc f_p -> f_q."""
         n = len(self.flats)
@@ -289,7 +285,7 @@ def build_diagram(ball, cycle):
         core=core,
         region_adjacency=adjacency,
     )
-    _check_diagram_observations(ball, diagram, face_nodes)
+    _check_diagram_observations(diagram, face_nodes)
     return diagram
 
 
@@ -502,7 +498,7 @@ def _block_across(ball, x, h, root):
     return hits.pop()
 
 
-def _check_diagram_observations(ball, diagram, face_nodes):
+def _check_diagram_observations(diagram, face_nodes):
     """Square-complex structure transported to the diagram: around every arc
     crossing sit one cone, one flat and two singular regions; every corner
     region is flat; cone regions are interior."""

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _kernels
 from .graphs import GraphError, InvariantError, orthogonal_complement
-from .words import CosetKey, _factors_by_masks, context_for, in_special_subgroup, syllable_ball
+from .words import CosetKey, _factors_by_masks, _in_mask, context_for, syllable_ball
 
 __all__ = [
     "FlatBall",
@@ -91,9 +91,9 @@ class FlatBall:
         ctx = self.ctx
         gens = ctx.generators
         n = len(gens)
-        edge_pairs = sorted(
-            (min(ctx.index[a], ctx.index[b]), max(ctx.index[a], ctx.index[b])) for a, b in self.graph.edges
-        )
+        # the edges are sorted pairs of names, so their index pairs are
+        # sorted too
+        edge_pairs = [(ctx.index[a], ctx.index[b]) for a, b in self.graph.edges]
         nslots = 1 + n + len(edge_pairs)
         eu = np.array([u for u, _ in edge_pairs], dtype=np.int64)
         ew = np.array([w for _, w in edge_pairs], dtype=np.int64)
@@ -469,31 +469,25 @@ def _check_key(kind, key):
         raise GraphError("expected a %s coset key" % kind)
 
 
-def _star(graph, u):
-    """Generators of the star subgroup C(u): u and its neighbours.  C(u) is
-    the centralizer of u."""
-    return graph.neighbors(u) | {u}
-
-
 def singular_contained_in_flat(s, f):
     """Coset containment g<u> <= h<x,y>."""
     _check_key("singular", s)
     _check_key("flat", f)
     if s.gens[0] not in f.gens:
         return False
-    return in_special_subgroup(f.rep.inverse() * s.rep, set(f.gens))
+    return _in_mask((f.rep.inverse() * s.rep).codes, f.rep.ctx.gen_mask(f.gens))
 
 
 def stabilizers_equal(s1, s2):
     """Whether two singular cosets have the same infinite-cyclic stabilizer:
     same generator u and representatives in the same coset of the centralizer
-    of u (the star subgroup)."""
+    of u, the star subgroup C(u) of u and its neighbours."""
     _check_key("singular", s1)
     _check_key("singular", s2)
     if s1.gens != s2.gens:
         return False
-    u = s1.gens[0]
-    return in_special_subgroup(s2.rep.inverse() * s1.rep, _star(s1.rep.ctx.graph, u))
+    ctx = s1.rep.ctx
+    return _in_mask((s2.rep.inverse() * s1.rep).codes, ctx.star_masks[ctx.index[s1.gens[0]]])
 
 
 class FullEdgePath:
@@ -512,10 +506,6 @@ class FullEdgePath:
             ):
                 raise GraphError("consecutive cells are not incident at position %d" % i)
         self.keys = keys
-
-    @property
-    def flats(self):
-        return self.keys[0::2]
 
     @property
     def singulars(self):
@@ -621,13 +611,13 @@ def parallel_set_slice(ball, s):
     coset s, i.e. flats whose stabilizer contains the stabilizer of s."""
     _check_key("singular", s)
     u = s.gens[0]
-    star = _star(ball.graph, u)
+    star = ball.ctx.star_masks[ball.ctx.index[u]]
     slots = [k for k, gens in enumerate(ball._slot_gens) if len(gens) == 2 and u in gens]
     inv = s.rep.inverse()
     out = []
     for i in np.flatnonzero(np.isin(ball._cell_slot, slots)).tolist():
         f = ball.key_of(i)
-        if in_special_subgroup(inv * f.rep, star):
+        if _in_mask((inv * f.rep).codes, star):
             out.append(f)
     out.sort()
     return out

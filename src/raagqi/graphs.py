@@ -1,14 +1,21 @@
 """Defining graphs: validation, atomicity, graph primitives, constructions.
 
 A defining graph is a finite simplicial graph.  Vertex identifiers are
-strings; the generator order used everywhere downstream is the sorted order
-of the identifiers.
+strings.  The graph is the one index of its vertices: ``order`` is the
+sorted tuple of identifiers, the generator order used everywhere
+downstream, ``index`` maps an identifier to its position there, and
+``masks[i]`` is the int bitmask of the neighbours of ``order[i]`` over
+``order``.  All three are built once, with the graph; connectivity and the
+short-cycle search of the atomicity check work on the masks, and words,
+cycles and flat-space balls read them instead of building their own.
 """
 
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+from . import _kernels
 
 __all__ = [
     "DefiningGraph",
@@ -49,9 +56,10 @@ class InvariantError(Exception):
 
 
 class DefiningGraph:
-    """Finite simplicial graph: unique vertices, loop-free undirected edges."""
+    """Finite simplicial graph: unique vertices, loop-free undirected edges,
+    with its vertex order, index and neighbour bitmasks."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_hash")
+    __slots__ = ("vertices", "edges", "order", "index", "masks", "_adj", "_hash")
 
     def __init__(self, vertices, edges):
         vertices = tuple(str(v) for v in vertices)
@@ -69,19 +77,21 @@ class DefiningGraph:
             norm.add((a, b) if a < b else (b, a))
         self.vertices = vertices
         self.edges = tuple(sorted(norm))
+        self.order = tuple(sorted(vertices))
+        self.index = index = {v: i for i, v in enumerate(self.order)}
         adj = {v: set() for v in vertices}
+        masks = [0] * len(vertices)
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
+            masks[index[a]] |= 1 << index[b]
+            masks[index[b]] |= 1 << index[a]
+        self.masks = tuple(masks)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        self._hash = hash((tuple(sorted(vertices)), self.edges))
+        self._hash = hash((self.order, self.edges))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DefiningGraph)
-            and sorted(self.vertices) == sorted(other.vertices)
-            and self.edges == other.edges
-        )
+        return isinstance(other, DefiningGraph) and self.order == other.order and self.edges == other.edges
 
     def __hash__(self):
         return self._hash
@@ -102,7 +112,7 @@ class DefiningGraph:
         return v in self._adj
 
     def sorted_vertices(self):
-        return tuple(sorted(self.vertices))
+        return self.order
 
     def closed_star(self, v):
         """v, its neighbors, and the edges incident to v."""
@@ -124,18 +134,25 @@ class DefiningGraph:
             ) from exc
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise GraphError('graph JSON must be {"vertices": [...], "edges": [[a,b], ...]}')
-        return cls(data["vertices"], data["edges"])
+        vertices, edges = data["vertices"], data["edges"]
+        if not isinstance(vertices, list) or not all(map(_is_name, vertices)):
+            raise GraphError('"vertices" must be a list of strings or integers')
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_name, e)) for e in edges
+        ):
+            raise GraphError('"edges" must be a list of [a, b] pairs of strings or integers')
+        return cls(vertices, edges)
 
     def to_json(self):
         data = {
-            "vertices": sorted(self.vertices),
+            "vertices": list(self.order),
             "edges": [list(e) for e in self.edges],
         }
         return json.dumps(data, sort_keys=True)
 
     def to_dot(self, name="G"):
         lines = ["graph %s {" % name]
-        for v in sorted(self.vertices):
+        for v in self.order:
             lines.append('  "%s";' % v)
         for a, b in self.edges:
             lines.append('  "%s" -- "%s";' % (a, b))
@@ -143,29 +160,35 @@ class DefiningGraph:
         return "\n".join(lines) + "\n"
 
 
+def _is_name(x):
+    """A vertex identifier in graph JSON: a string or an integer, not a bool."""
+    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+
+
 # ---------------------------------------------------------------------------
 # basic invariants
 # ---------------------------------------------------------------------------
 
-def _connected(g, keep):
-    """Whether the subgraph of g induced on the vertex set keep is connected;
-    an empty keep counts as connected."""
-    keep = set(keep)
-    if not keep:
-        return True
-    start = next(iter(keep))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in g.neighbors(stack.pop()):
-            if u in keep and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(keep)
+def _connected(masks, keep):
+    """Whether the subgraph induced on the vertex bitmask keep is connected,
+    by flooding from its lowest vertex; an empty keep counts as connected."""
+    seen = frontier = keep & -keep
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & keep & ~seen
+        seen |= new
+        frontier |= new
+    return seen == keep
+
+
+def _full(g):
+    """The bitmask of every vertex of g."""
+    return (1 << len(g.order)) - 1
 
 
 def is_connected(g):
-    return _connected(g, g.vertices)
+    return _connected(g.masks, _full(g))
 
 
 def _girth(adj, edges):
@@ -210,30 +233,17 @@ def cut_vertices(g):
     """Vertices whose removal disconnects g.  Requires g connected."""
     if not is_connected(g):
         raise GraphError("cut_vertices requires a connected graph")
-    return {v for v in g.vertices if not _connected(g, set(g.vertices) - {v})}
+    full = _full(g)
+    return {v for i, v in enumerate(g.order) if not _connected(g.masks, full & ~(1 << i))}
 
 
 def _short_cycles(g):
-    """Embedded cycles of length 3 and 4, canonical form, sorted."""
-    out = []
-    order = {v: i for i, v in enumerate(sorted(g.vertices))}
-    for a in sorted(g.vertices):
-        for b in sorted(g.neighbors(a)):
-            if order[b] <= order[a]:
-                continue
-            for c in sorted(g.neighbors(b)):
-                if order[c] <= order[b]:
-                    continue
-                if g.has_edge(a, c):
-                    out.append((a, b, c))
-    for a in sorted(g.vertices):
-        nbrs = sorted(n for n in g.neighbors(a) if order[n] > order[a])
-        for i, b in enumerate(nbrs):
-            for d in nbrs[i + 1 :]:
-                for c in sorted(set(g.neighbors(b)) & set(g.neighbors(d))):
-                    if c != a and order[c] > order[a]:
-                        out.append((a, b, c, d))
-    return out
+    """Embedded cycles a-b-c and a-b-c-d of length 3 and 4, each from its
+    least vertex a with b < the last vertex: triangles by (a, b, c), then
+    4-cycles by (a, b, d, c)."""
+    cycles = _kernels.enumerate_cycle_lists(g.masks, 4)
+    cycles.sort(key=lambda t: (len(t), t[0], t[1], t[-1], t[2]))
+    return [tuple(g.order[i] for i in t) for t in cycles]
 
 
 @dataclass(frozen=True)
@@ -253,15 +263,15 @@ def check_atomic(g):
     failures = []
     if not is_connected(g):
         failures.append({"kind": "disconnected"})
-    for v in sorted(g.vertices):
+    for v in g.order:
         if g.degree(v) < 2:
             failures.append({"kind": "vertex_of_valence_lt_2", "vertex": v})
     for cyc in _short_cycles(g):
         failures.append({"kind": "short_cycle", "cycle": list(cyc), "length": len(cyc)})
-    for v in sorted(g.vertices):
-        star_verts, _ = g.closed_star(v)
+    full = _full(g)
+    for i, v in enumerate(g.order):
         # an empty complement counts as connected, so it does not separate
-        if not _connected(g, set(g.vertices) - star_verts):
+        if not _connected(g.masks, full & ~g.masks[i] & ~(1 << i)):
             failures.append({"kind": "separating_closed_star", "vertex": v})
     return AtomicityReport(is_atomic=not failures, failures=tuple(failures))
 

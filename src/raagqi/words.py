@@ -4,7 +4,16 @@ Elements are stored in shortlex normal form over the sorted vertex order of
 the defining graph: fully cancelled, and lexicographically least among all
 words reachable by swapping adjacent letters whose generators are adjacent in
 the graph.  Two elements are equal in the group iff their stored words agree.
+
+A ``WordContext`` takes the generator order, index and commutation masks
+from its graph and adds only the star masks and the normal-form and
+stripping caches.  ``context_for`` hands out one context per graph (equal
+graphs share it) and holds it weakly: a context lives as long as some
+element, coset key or ball uses it, so a long session keeps only the
+contexts in use.
 """
+
+import weakref
 
 from . import _kernels
 from .graphs import GraphError
@@ -30,7 +39,7 @@ __all__ = [
     "syllable_ball",
 ]
 
-_context_cache = {}
+_context_cache = weakref.WeakValueDictionary()
 
 
 class WordContext:
@@ -38,16 +47,10 @@ class WordContext:
 
     def __init__(self, graph):
         self.graph = graph
-        self.generators = graph.sorted_vertices()
-        self.index = {v: i for i, v in enumerate(self.generators)}
-        comm = []
-        for v in self.generators:
-            m = 0
-            for u in graph.neighbors(v):
-                m |= 1 << self.index[u]
-            comm.append(m)
-        self.comm_masks = comm
-        self.star_masks = [m | (1 << i) for i, m in enumerate(comm)]
+        self.generators = graph.order
+        self.index = graph.index
+        self.comm_masks = graph.masks
+        self.star_masks = [m | (1 << i) for i, m in enumerate(graph.masks)]
         self._nf_cache = {}
         self._strip_cache = {}
 
@@ -81,8 +84,7 @@ class WordContext:
 def context_for(graph):
     ctx = _context_cache.get(graph)
     if ctx is None:
-        ctx = WordContext(graph)
-        _context_cache[graph] = ctx
+        ctx = _context_cache[graph] = WordContext(graph)
     return ctx
 
 
@@ -222,11 +224,13 @@ def in_special_subgroup(x, gens):
     The support of a reduced RAAG word is an invariant of the element, so
     membership is a support check on the normal form.
     """
-    gens = set(gens)
-    for v in gens:
-        if not x.ctx.graph.has_vertex(v):
-            raise GraphError("unknown generator %r" % (v,))
-    return x.support() <= gens
+    return _in_mask(x.codes, x.ctx.gen_mask(gens))
+
+
+def _in_mask(codes, mask):
+    """Whether every letter of the codes is over a generator in the bitmask:
+    for a normal form, membership in that special subgroup."""
+    return all((mask >> _kernels.letter_gen(c)) & 1 for c in codes)
 
 
 def subgroup_product_factors(x, gen_sets):
@@ -269,8 +273,7 @@ def _factors_by_masks(ctx, codes, masks):
                 blocked |= ~comm[g] & ~(1 << g)
         parts.append(taken)
         codes = kept
-    last = masks[-1]
-    if not all((last >> _kernels.letter_gen(c)) & 1 for c in codes):
+    if not _in_mask(codes, masks[-1]):
         return None
     # reduced but not always shortlex: normalize each factor once
     return [ctx.nf(part) for part in parts + [codes]]

@@ -57,7 +57,7 @@ def test_criterion_01_atomicity_fixtures(pentagon, dd):
 
 
 def test_criterion_02_whitehead_fixtures(dd):
-    C._tight_cache.clear()
+    C._tight_cycles.cache_clear()
     with Timer("criterion 2: Whitehead graphs on the doubled dodecahedron", 30.0):
         for v in dd.vertices:
             wh = C.whitehead_graph(dd, v)  # full tight-cycle enumeration

@@ -174,6 +174,24 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": ["a", "b"], "edges": [["a"]]}',
+        '{"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}',
+        '{"vertices": ["a", "b"], "edges": 5}',
+        '{"vertices": "abc", "edges": []}',
+        '{"vertices": [null], "edges": []}',
+        '{"vertices": [true, false], "edges": []}',
+    ],
+)
+def test_malformed_graph_json_is_an_input_error(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "check-atomic", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("input error:")
+
+
 def test_out_group_hoffman_singleton(capsys, tmp_path, hoffman_singleton):
     path = tmp_path / "hs.json"
     path.write_text(hoffman_singleton.to_json())

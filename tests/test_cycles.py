@@ -102,7 +102,7 @@ def test_tight_cycles_equals_filtered_enumeration(dodeca_double):
 
 def uncapped_tight_cycles(g):
     """The tight-cycle search at cap |V|, straight from the kernel."""
-    order, masks = C._adj_masks(g)
+    order, masks = g.order, g.masks
     raw = K.enumerate_cycle_lists(masks, len(order), tight_only=True)
     return sorted(((len(t), tuple(order[i] for i in t)) for t in raw))
 
@@ -226,3 +226,10 @@ def test_coloring_lemma(pentagon, dodeca_double):
         C.check_coloring_lemma(G.cycle_graph(4), {e: "black" for e in G.cycle_graph(4).edges})
     with pytest.raises(GraphError):
         C.check_coloring_lemma(pentagon, {})
+
+
+def test_tight_cycle_cache_is_bounded():
+    for i in range(300):
+        C.tight_cycles(G.cycle_graph(5, prefix="bound%d_" % i))
+    info = C._tight_cycles.cache_info()
+    assert info.maxsize == 256 and info.currsize <= info.maxsize

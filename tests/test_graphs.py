@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raagqi.graphs as G
 from raagqi.graphs import DefiningGraph, GraphError
@@ -255,3 +257,136 @@ def test_gluing_matches_the_reference_construction():
         star, _ = g.closed_star(v)
         glued, ref = G.glue_k_copies_along_star(g, v, k), _glue_reference(g, star, (), k)
         assert glued.vertices == ref.vertices and glued.edges == ref.edges
+
+
+# -- the set-based graph layer, kept as the oracle for the bitmask one --------
+
+def _connected_reference(g, keep):
+    keep = set(keep)
+    if not keep:
+        return True
+    start = next(iter(keep))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in g.neighbors(stack.pop()):
+            if u in keep and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(keep)
+
+
+def _short_cycles_reference(g):
+    out = []
+    order = {v: i for i, v in enumerate(sorted(g.vertices))}
+    for a in sorted(g.vertices):
+        for b in sorted(g.neighbors(a)):
+            if order[b] <= order[a]:
+                continue
+            for c in sorted(g.neighbors(b)):
+                if order[c] <= order[b]:
+                    continue
+                if g.has_edge(a, c):
+                    out.append((a, b, c))
+    for a in sorted(g.vertices):
+        nbrs = sorted(n for n in g.neighbors(a) if order[n] > order[a])
+        for i, b in enumerate(nbrs):
+            for d in nbrs[i + 1 :]:
+                for c in sorted(set(g.neighbors(b)) & set(g.neighbors(d))):
+                    if c != a and order[c] > order[a]:
+                        out.append((a, b, c, d))
+    return out
+
+
+def _adj_masks_reference(g):
+    order = tuple(sorted(g.vertices))
+    idx = {v: i for i, v in enumerate(order)}
+    masks = [0] * len(order)
+    for v in order:
+        for u in g.neighbors(v):
+            masks[idx[v]] |= 1 << idx[u]
+    return order, masks
+
+
+def _diameter_at_most_2_reference(g):
+    for v in g.vertices:
+        reach = {v} | g.neighbors(v)
+        for u in g.neighbors(v):
+            reach |= g.neighbors(u)
+        if len(reach) != len(g.vertices):
+            return False
+    return True
+
+
+def _check_atomic_reference(g):
+    failures = []
+    if not _connected_reference(g, g.vertices):
+        failures.append({"kind": "disconnected"})
+    for v in sorted(g.vertices):
+        if g.degree(v) < 2:
+            failures.append({"kind": "vertex_of_valence_lt_2", "vertex": v})
+    for cyc in _short_cycles_reference(g):
+        failures.append({"kind": "short_cycle", "cycle": list(cyc), "length": len(cyc)})
+    for v in sorted(g.vertices):
+        star_verts, _ = g.closed_star(v)
+        if not _connected_reference(g, set(g.vertices) - star_verts):
+            failures.append({"kind": "separating_closed_star", "vertex": v})
+    return tuple(failures)
+
+
+def assert_graph_layer_matches_reference(g):
+    from raagqi.cycles import _diameter_at_most_2
+
+    assert (g.order, list(g.masks)) == _adj_masks_reference(g)
+    assert G.check_atomic(g).failures == _check_atomic_reference(g)
+    connected = G.is_connected(g)
+    assert connected == _connected_reference(g, g.vertices)
+    if connected:
+        assert G.cut_vertices(g) == {v for v in g.vertices if not _connected_reference(g, set(g.vertices) - {v})}
+    assert _diameter_at_most_2(g) == _diameter_at_most_2_reference(g)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_graph_layer_matches_set_based_reference(seed):
+    # 1..9 vertices whose sorted order is not their numbering ("v10" < "v2"),
+    # from sparse (isolated vertices, several pieces) to dense (triangles and
+    # 4-cycles, some with chords)
+    rng = random.Random(seed)
+    verts = rng.sample(["v%d" % i for i in range(12)], rng.randint(1, 9))
+    p = rng.choice((0.1, 0.25, 0.4, 0.6, 0.85))
+    g = DefiningGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+    assert_graph_layer_matches_reference(g)
+
+
+def _petersen():
+    pairs = ["%d%d" % p for p in itertools.combinations(range(5), 2)]
+    return DefiningGraph(pairs, [(a, b) for a, b in itertools.combinations(pairs, 2) if not set(a) & set(b)])
+
+
+def _heawood():
+    """LCF notation [5, -5]^7: cubic, girth 6."""
+    verts = ["h%d" % i for i in range(14)]
+    edges = [(verts[i], verts[(i + 1) % 14]) for i in range(14)]
+    edges += [(verts[i], verts[(i + (5 if i % 2 == 0 else -5)) % 14]) for i in range(14)]
+    return DefiningGraph(verts, edges)
+
+
+@pytest.mark.parametrize("name", ["petersen", "heawood", "tutte_coxeter", "hoffman_singleton", "dd", "cycle70"])
+def test_graph_layer_matches_reference_on_named_graphs(name, request):
+    g = {
+        "petersen": _petersen,
+        "heawood": _heawood,
+        "tutte_coxeter": lambda: request.getfixturevalue("tutte_coxeter"),
+        "hoffman_singleton": lambda: request.getfixturevalue("hoffman_singleton"),
+        "dd": G.dodecahedron_double,
+        # wider than a 64-bit mask
+        "cycle70": lambda: G.cycle_graph(70),
+    }[name]()
+    assert_graph_layer_matches_reference(g)
+
+
+def test_json_integer_vertices_become_strings():
+    g = DefiningGraph.from_json('{"vertices": [2, 10, "a"], "edges": [[2, 10], ["a", 2]]}')
+    assert g.order == ("10", "2", "a")
+    assert g.edges == (("10", "2"), ("2", "a"))

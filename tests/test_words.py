@@ -346,3 +346,34 @@ def test_word_parsing(pentagon):
     assert x.letters() == [("a", 1), ("a", 1), ("b", -1)]
     with pytest.raises(GraphError):
         W.parse_word(pentagon, "a^x")
+
+
+# ---------------------------------------------------------------------------
+# context lifetime
+# ---------------------------------------------------------------------------
+
+def test_context_is_dropped_with_its_last_user():
+    import gc
+
+    from raagqi.flatspace import build_ball
+    from raagqi.graphs import cycle_graph
+
+    g = cycle_graph(7, prefix="life")
+    ball = build_ball(g, 4)
+    x = W.normal_form(g, "life0 life3^-2 life5")
+    keys = [W.singular_key(x, "life3"), W.flat_key(x, "life0", "life1")]
+    assert W._context_cache.get(g) is ball.ctx is x.ctx
+    del ball, x, keys
+    gc.collect()
+    assert g not in W._context_cache
+
+
+def test_equal_graphs_share_a_live_context():
+    g1 = make_pentagon()
+    x = W.normal_form(g1, "a c^-1")
+    g2 = make_pentagon()
+    assert g2 is not g1 and g2 == g1
+    assert W.context_for(g2) is x.ctx
+    y = W.generator(g2, "b")
+    assert (x * y).word_str() == "a b c^-1"
+    assert y * x * x.inverse() == y
