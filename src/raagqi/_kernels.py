@@ -137,15 +137,44 @@ def enumerate_cycle_lists(adj, max_len, tight_only=False):
     least vertex, second < last) of length <= max_len; only tight ones when
     ``tight_only`` is set.
 
-    The tight search prunes chords and long-range common neighbors early;
-    both prunes are sound (they kill every completion) and the final
-    per-cycle check is exact.
+    Every prune below is sound (it kills only subtrees with no completion),
+    so the cycles come out in plain depth-first order; the final per-cycle
+    tightness check is exact.
+
+    - Distance: a cycle from s returns to s through vertices above s, so a
+      vertex at path index d + 1 must lie within max_len - d - 1 steps of s
+      in the subgraph on s and the vertices above it.  ``near[k]`` holds the
+      vertices above s within k such steps, by BFS frontiers from s.
+    - Tight search: an edge from the new vertex back into the path interior
+      is a chord of every completion; a common neighbour with path[i],
+      2 <= i <= d - 2, is a 2-shortcut of every completion.  ``far[d]``
+      carries the OR of those neighbour masks down the path.
     """
     out = []
+    # an embedded cycle has at most one vertex per graph vertex
+    max_len = min(max_len, len(adj))
     if max_len < 3:
         return out
     path = [0] * (max_len + 1)
+    far = [0] * (max_len + 1)
     for s in range(len(adj)):
+        above = -1 << (s + 1)
+        near = [0] * max_len
+        reach = frontier = 1 << s
+        for k in range(1, max_len):
+            new = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new |= adj[low.bit_length() - 1]
+            frontier = new & above & ~reach
+            if not frontier:
+                near[k:] = [reach & above] * (max_len - k)
+                break
+            reach |= frontier
+            near[k] = reach & above
+        if not near[max_len - 1]:
+            continue
         # a stack entry (v, depth) enters v; (v, -1) leaves it once the
         # subtree below v is done
         stack = [(s, 0)]
@@ -165,25 +194,25 @@ def enumerate_cycle_lists(adj, max_len, tight_only=False):
                     out.append(tuple(cyc))
             if depth + 1 >= max_len:
                 continue
-            # only vertices above s, so every cycle is found from its least
-            # vertex
-            nbrs = (av & ~visited) >> (s + 1) << (s + 1)
-            inner = visited & ~(1 << v) & ~(1 << s)
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                w = low.bit_length() - 1
-                if tight_only and depth >= 1:
+            # near[k] holds only vertices above s, so every cycle is found
+            # from its least vertex
+            nbrs = av & near[max_len - depth - 1] & ~visited
+            if tight_only and depth >= 1:
+                inner = visited & ~(1 << v) & ~(1 << s)
+                far[depth] = far[depth - 1] | adj[path[depth - 2]] if depth >= 4 else 0
+                shortcut = far[depth]
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    w = low.bit_length() - 1
                     aw = adj[w]
-                    # an edge from w back into the path interior is a chord
-                    # of every completion, hence a 1-shortcut
-                    if aw & inner:
-                        continue
-                    # common neighbor with path[i], i >= 2, at index
-                    # distance >= 3: a 2-shortcut of every completion
-                    if any(aw & adj[path[i]] for i in range(2, depth - 1)):
-                        continue
-                stack.append((w, depth + 1))
+                    if not (aw & inner or aw & shortcut):
+                        stack.append((w, depth + 1))
+            else:
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    stack.append((low.bit_length() - 1, depth + 1))
     return out
 
 

@@ -123,7 +123,7 @@ def cmd_diagram(args):
 
     g = _load_graph(args.graph)
     gamma = EmbeddedCycle(g, _parse_cycle(g, args.cycle))
-    ball = build_ball(g, args.radius or DEFAULT_LIFT_RADIUS)
+    ball = build_ball(g, DEFAULT_LIFT_RADIUS if args.radius is None else args.radius)
     cyc = lift_cycle(g, gamma)
     d = build_diagram(ball, cyc)
     if args.dot:
@@ -179,7 +179,7 @@ def cmd_taut(args):
         **cuts,
     }
     if taut:
-        ball = build_ball(g, args.radius or DEFAULT_LIFT_RADIUS)
+        ball = build_ball(g, DEFAULT_LIFT_RADIUS if args.radius is None else args.radius)
         obj["core_single_cell"] = len(build_diagram(ball, cyc).core) == 1
     _emit(args, obj, "taut" if taut else "not taut")
     return 0

@@ -106,6 +106,8 @@ def _diameter_at_most_2(graph):
 def tight_cycles(graph, max_len=None):
     """All tight cycles of length <= max_len (default: the vertex count,
     which is exact since embedded cycles cannot be longer)."""
+    if max_len is not None and max_len < 3:
+        raise GraphError("max_len must be at least 3")
     cap = len(graph.vertices) if max_len is None else min(max_len, len(graph.vertices))
     # in a graph of diameter <= 2, two vertices at cycle distance 3 on a
     # cycle of length >= 6 are joined by a chord or a common neighbour, a

@@ -90,10 +90,21 @@ class FullEdgeCycle:
         sings = self.singulars
         return [not stabilizers_equal(sings[i - 1], sings[i]) for i in range(len(sings))]
 
+    @cached_property
+    def _legal_prefix(self):
+        """Running counts of legal turns over two laps of the cycle, so any
+        forward run of turns is one difference."""
+        out = [0]
+        for legal in self._legal * 2:
+            out.append(out[-1] + legal)
+        return out
+
     def arc_coarse_length(self, p, q):
-        """Coarse length of the forward cycle arc f_p -> f_q."""
+        """Coarse length of the forward cycle arc f_p -> f_q: one plus the
+        legal turns at f_{p+1}, ..., f_{q-1}."""
         n = len(self.flats)
-        return sum(self._legal[(p + k) % n] for k in range(1, (q - p - 1) % n + 1)) + 1
+        start = p % n + 1
+        return self._legal_prefix[start + (q - p - 1) % n] - self._legal_prefix[start] + 1
 
     def both_arcs(self, p, q):
         return self.arc_coarse_length(p, q), self.arc_coarse_length(q, p)
@@ -275,7 +286,7 @@ def build_diagram(ball, cycle):
         2 * n, arcs, crossings
     )
     regions, core, adjacency = _type_regions(
-        ball, cycle, arcs, faces, face_edges, seg_face, edge_faces, root
+        ball, cycle, arcs, faces, face_edges, seg_face, edge_faces
     )
     diagram = DiskDiagram(
         cycle=cycle,
@@ -413,7 +424,7 @@ def _arrangement_faces(nb, arcs, crossings):
     return inner, face_edges, seg_face, edge_faces, face_nodes
 
 
-def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces, root):
+def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces):
     n = len(cycle)
     nb = 2 * n
     # boundary faces carry the vertex of their boundary segment: between
@@ -445,7 +456,7 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces, ro
             if len(both) != 2:
                 continue
             other = both[0] if both[1] == fid else both[1]
-            y = _block_across(ball, x, arc_class[lab[1]], root)
+            y = _block_across(ball, x, arc_class[lab[1]])
             if other in vertex_of:
                 if vertex_of[other] != y:
                     raise InvariantError("region propagation conflict: diagram is inconsistent")
@@ -487,15 +498,15 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces, ro
     return regions, core, adjacency
 
 
-def _block_across(ball, x, h, root):
+def _block_across(ball, x, h):
     """The unique ball vertex adjacent to x through an edge of hyperplane
-    class h."""
-    hits = {other for eid, other in ball.incident_edges(x) if int(root[eid]) == h}
+    class h, read from the ball's per-vertex hyperplane map."""
+    hits = ball.blocks_across(x).get(h)
     if not hits:
         raise InsufficientRadius("insufficient radius: hyperplane missing at a region vertex")
     if len(hits) != 1:
         raise InvariantError("hyperplane crosses a block star more than once")
-    return hits.pop()
+    return hits[0]
 
 
 def _check_diagram_observations(diagram, face_nodes):

@@ -84,6 +84,7 @@ class FlatBall:
         self.ctx = context_for(graph)
         self._build()
         self._hyperplanes = None
+        self._across = {}
 
     # -- construction -------------------------------------------------------
 
@@ -336,20 +337,40 @@ class FlatBall:
             raise GraphError("square edge missing from ball edge set")
         return pos
 
+    @functools.cached_property
+    def _csr(self):
+        """Edge ends sorted by vertex: (ends, other ends, edge ids)."""
+        ends = np.concatenate([self.edge_lo, self.edge_hi])
+        others = np.concatenate([self.edge_hi, self.edge_lo])
+        eids = np.concatenate([np.arange(self.nedges), np.arange(self.nedges)])
+        order = np.argsort(ends, kind="stable")
+        return ends[order], others[order], eids[order]
+
+    def _incident(self, vi):
+        """Slice bounds of vertex vi in the CSR arrays."""
+        ends = self._csr[0]
+        return int(np.searchsorted(ends, vi, side="left")), int(np.searchsorted(ends, vi, side="right"))
+
     def incident_edges(self, vi):
         """(edge_id, other_endpoint) pairs at a vertex, via a lazy CSR."""
-        if not hasattr(self, "_csr"):
-            ends = np.concatenate([self.edge_lo, self.edge_hi])
-            others = np.concatenate([self.edge_hi, self.edge_lo])
-            eids = np.concatenate([np.arange(self.nedges), np.arange(self.nedges)])
-            order = np.argsort(ends, kind="stable")
-            self._csr_ends = ends[order]
-            self._csr_others = others[order]
-            self._csr_eids = eids[order]
-            self._csr = True
-        lo = int(np.searchsorted(self._csr_ends, vi, side="left"))
-        hi = int(np.searchsorted(self._csr_ends, vi, side="right"))
-        return [(int(self._csr_eids[k]), int(self._csr_others[k])) for k in range(lo, hi)]
+        lo, hi = self._incident(vi)
+        _, others, eids = self._csr
+        return list(zip(eids[lo:hi].tolist(), others[lo:hi].tolist()))
+
+    def blocks_across(self, vi):
+        """{hyperplane id: other ends of the edges at vertex vi dual to that
+        hyperplane}, built on first use per vertex and kept with the ball.
+        The id is the edge-class root of ``hyperplanes``."""
+        got = self._across.get(vi)
+        if got is None:
+            lo, hi = self._incident(vi)
+            _, others, eids = self._csr
+            root = self.hyperplanes()[0]
+            got = {}
+            for h, other in zip(root[eids[lo:hi]].tolist(), others[lo:hi].tolist()):
+                got.setdefault(h, []).append(other)
+            self._across[vi] = got
+        return got
 
     # -- summary ------------------------------------------------------------
 

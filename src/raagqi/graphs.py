@@ -280,67 +280,100 @@ def check_atomic(g):
 # isomorphism / automorphisms
 # ---------------------------------------------------------------------------
 
+def _neighbour_lists(g):
+    """The neighbour positions of each position of ``g.order``, read off
+    ``g.masks``."""
+    out = []
+    for m in g.masks:
+        nbrs = []
+        while m:
+            low = m & -m
+            m ^= low
+            nbrs.append(low.bit_length() - 1)
+        out.append(nbrs)
+    return out
+
+
 def _refine(sides):
-    """Joint colour refinement of (graph, colouring) pairs to the coarsest
-    equitable colouring.  A new colour is the rank of the signature (colour,
-    sorted neighbour colours) among the signatures of all sides, so colours
-    mean the same on every side.  None once two sides' colour classes differ
-    in size, as no colour-preserving isomorphism can then exist."""
-    ncolours = len({x for _, c in sides for x in c.values()})
+    """Joint colour refinement of (neighbour lists, colouring) pairs to the
+    coarsest equitable colouring; a colouring is a list over the positions
+    of the graph's ``order``.  A new colour is the rank of the signature
+    (colour, sorted neighbour colours) among the signatures of all sides, so
+    colours mean the same on every side.  None once two sides' colour
+    classes differ in size, as no colour-preserving isomorphism can then
+    exist."""
+    ncolours = len({x for _, c in sides for x in c})
     while True:
-        sigs = [{v: (c[v], tuple(sorted(c[u] for u in g.neighbors(v)))) for v in g.vertices} for g, c in sides]
-        rank = {sig: i for i, sig in enumerate(sorted({sig for s in sigs for sig in s.values()}))}
-        colourings = [{v: rank[sig] for v, sig in s.items()} for s in sigs]
-        sizes = Counter(colourings[0].values())
-        if any(Counter(c.values()) != sizes for c in colourings[1:]):
+        sigs = [[(x, tuple(sorted([c[u] for u in ns]))) for x, ns in zip(c, nbrs)] for nbrs, c in sides]
+        rank = {sig: i for i, sig in enumerate(sorted({sig for s in sigs for sig in s}))}
+        colourings = [[rank[sig] for sig in s] for s in sigs]
+        sizes = Counter(colourings[0])
+        if any(Counter(c) != sizes for c in colourings[1:]):
             return None
         if len(rank) == ncolours:
             return colourings
         ncolours = len(rank)
-        sides = [(g, c) for (g, _), c in zip(sides, colourings)]
+        sides = [(nbrs, c) for (nbrs, _), c in zip(sides, colourings)]
 
 
 def _target_cell(c):
-    """The colour and sorted vertices of the smallest non-singleton colour
-    class (least colour on ties), or None for a discrete colouring."""
+    """The colour and sorted positions of the smallest non-singleton colour
+    class (least colour on ties), or None for a discrete colouring.
+    Positions sort as the vertex names do, since ``order`` is sorted."""
     cells = {}
-    for v, x in c.items():
+    for v, x in enumerate(c):
         cells.setdefault(x, []).append(v)
     big = [(len(vs), x) for x, vs in cells.items() if len(vs) > 1]
     if not big:
         return None
     x = min(big)[1]
-    return x, sorted(cells[x])
+    return x, cells[x]
 
 
 def _individualize(c, v):
     """c with v alone in a new colour, the same on every side."""
-    return {**c, v: -1}
+    c = list(c)
+    c[v] = -1
+    return c
 
 
 def _match(g1, c1, g2, c2):
-    """One colour-preserving isomorphism from (g1, c1) to (g2, c2), or None.
-    Refines jointly, then maps the least vertex of the smallest non-singleton
-    cell to each vertex of that colour in g2 in turn and recurses."""
-    refined = _refine([(g1, c1), (g2, c2)])
+    """One colour-preserving isomorphism from (g1, c1) to (g2, c2) as a
+    list of image positions, or None; g1 and g2 are (neighbour lists,
+    masks) pairs.  Refines jointly, then maps the least vertex of the
+    smallest non-singleton cell to each vertex of that colour in g2 in turn
+    and recurses.  A discrete leaf is accepted only if it maps every
+    neighbour mask of g1 onto the mask of the image vertex."""
+    (nbrs1, _), (nbrs2, masks2) = g1, g2
+    refined = _refine([(nbrs1, c1), (nbrs2, c2)])
     if refined is None:
         return None
     c1, c2 = refined
     cell = _target_cell(c1)
     if cell is None:
-        image = {x: w for w, x in c2.items()}
-        mapping = {v: image[x] for v, x in c1.items()}
-        return mapping if is_isomorphism(g1, g2, mapping) else None
+        image = [0] * len(c2)
+        for w, x in enumerate(c2):
+            image[x] = w
+        perm = [image[x] for x in c1]
+        for v, ns in enumerate(nbrs1):
+            m = 0
+            for u in ns:
+                m |= 1 << perm[u]
+            if m != masks2[perm[v]]:
+                return None
+        return perm
     x, (v, *_) = cell
-    for w in sorted(u for u, y in c2.items() if y == x):
-        mapping = _match(g1, _individualize(c1, v), g2, _individualize(c2, w))
-        if mapping is not None:
-            return mapping
+    c1v = _individualize(c1, v)
+    for w, y in enumerate(c2):
+        if y == x:
+            perm = _match(g1, c1v, g2, _individualize(c2, w))
+            if perm is not None:
+                return perm
     return None
 
 
 def _orbit(v, gens):
-    """The orbit of v under the group generated by the maps gens."""
+    """The orbit of v under the group generated by the permutations gens."""
     orbit, stack = {v}, [v]
     while stack:
         x = stack.pop()
@@ -352,29 +385,39 @@ def _orbit(v, gens):
 
 
 def _aut_order(g, c, gens):
-    """Order of the group of automorphisms of g preserving the equitable
-    colouring c, as |orbit(v)| * |Stab(v)| down a stabilizer chain.  Every
-    automorphism found is appended to gens; the stabilizer's come first and
-    preserve c too, so the orbit is closed under all of gens and a candidate
-    image of v is searched for at most once."""
+    """Order of the group of automorphisms of g, a (neighbour lists, masks)
+    pair, preserving the equitable colouring c, as |orbit(v)| * |Stab(v)|
+    down a stabilizer chain.  Every automorphism found is appended to gens;
+    the stabilizer's come first and preserve c too, so the orbit is closed
+    under all of gens and a candidate image of v is searched for at most
+    once."""
     cell = _target_cell(c)
     if cell is None:
         return 1
     _, (v, *rest) = cell
-    stab = _aut_order(g, _refine([(g, _individualize(c, v))])[0], gens)
+    cv = _individualize(c, v)
+    stab = _aut_order(g, _refine([(g[0], cv)])[0], gens)
     orbit = _orbit(v, gens)
     for w in rest:
         if w not in orbit:
-            mapping = _match(g, _individualize(c, v), g, _individualize(c, w))
-            if mapping is not None:
-                gens.append(mapping)
+            perm = _match(g, cv, g, _individualize(c, w))
+            if perm is not None:
+                gens.append(perm)
                 orbit = _orbit(v, gens)
     return len(orbit) * stab
 
 
 def isomorphism(g1, g2):
     """A witness vertex bijection preserving edges both ways, or None."""
-    return _match(g1, dict.fromkeys(g1.vertices, 0), g2, dict.fromkeys(g2.vertices, 0))
+    perm = _match(
+        (_neighbour_lists(g1), g1.masks),
+        [0] * len(g1.order),
+        (_neighbour_lists(g2), g2.masks),
+        [0] * len(g2.order),
+    )
+    if perm is None:
+        return None
+    return {v: g2.order[perm[g1.index[v]]] for v in g1.vertices}
 
 
 def count_isomorphisms(g1, g2):
@@ -384,7 +427,8 @@ def count_isomorphisms(g1, g2):
 
 def automorphism_group_order(g):
     """|Aut(g)|, by colour refinement and orbit-stabilizer."""
-    return _aut_order(g, _refine([(g, dict.fromkeys(g.vertices, 0))])[0], [])
+    nbrs = _neighbour_lists(g)
+    return _aut_order((nbrs, g.masks), _refine([(nbrs, [0] * len(g.order))])[0], [])
 
 
 def is_isomorphism(g1, g2, mapping):

@@ -9,9 +9,10 @@ inversions, so its order is 2^|V| * |Aut|.
 
 Both questions go to one engine in ``graphs``: joint colour refinement to
 the coarsest equitable colouring, with individualization of one vertex at
-a time, finds the isomorphism witness (checked with ``is_isomorphism``),
-and |Aut| is computed as |orbit(v)| * |Stab(v)| down a stabilizer chain,
-without listing the automorphisms.
+a time, finds the isomorphism witness (a leaf is accepted only if it maps
+every neighbour mask onto the image vertex's mask), and |Aut| is computed
+as |orbit(v)| * |Stab(v)| down a stabilizer chain, without listing the
+automorphisms.
 """
 
 import json
@@ -196,7 +197,7 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
     atomic = atomic_report.is_atomic
 
     def s_tight():
-        cap = max_cycle_len or len(g.vertices)
+        cap = len(g.vertices) if max_cycle_len is None else max_cycle_len
         cycles = cy.tight_cycles(g, cap)
         by_len = {}
         for c in cycles:
@@ -230,7 +231,7 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
         def s_taut():
             # lifted cycles need only the identity fundamental domain
             ball = fs.build_ball(g, dg.DEFAULT_LIFT_RADIUS)
-            cap = max_cycle_len or len(g.vertices)
+            cap = len(g.vertices) if max_cycle_len is None else max_cycle_len
             checked = 0
             all_taut = True
             single_cell = True

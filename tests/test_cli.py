@@ -103,6 +103,31 @@ def test_diagram_and_taut(capsys, pentagon_file):
     assert data["tight_in_graph"] and data["taut_in_flat_space"] and data["core_single_cell"]
 
 
+@pytest.mark.parametrize("command", ["taut", "diagram"])
+@pytest.mark.parametrize("radius", ["0", "1"])
+def test_lifted_cycle_commands_reject_small_radius(capsys, pentagon_file, command, radius):
+    # an explicit radius below 2 is an error, not a request for the default
+    code, out, err = run(capsys, command, pentagon_file, "--cycle", "a,b,c,d,e", "--radius", radius, "--json")
+    assert code == 2 and out == ""
+    assert "radius must be at least 2" in err
+
+
+@pytest.mark.parametrize("max_len", ["2", "0", "-3"])
+def test_cycle_commands_reject_caps_below_3(capsys, pentagon_file, max_len):
+    code, out, err = run(capsys, "tight-cycles", pentagon_file, "--max-len", max_len)
+    assert code == 2 and out == ""
+    assert "max_len must be at least 3" in err
+    code, out, err = run(capsys, "whitehead", pentagon_file, "--vertex", "a", "--max-len", max_len, "--json")
+    assert code == 2 and out == ""
+    assert "max_len must be at least 3" in err
+    code, out, _ = run(capsys, "report", pentagon_file, "--max-len", max_len)
+    assert code == 0
+    sections = json.loads(out)["sections"]
+    for name in ("tight_cycles", "taut_verification"):
+        assert sections[name] == {"ok": False, "error": "max_len must be at least 3"}
+    assert sections["whitehead"]["ok"] and sections["out_group"]["ok"]
+
+
 def test_lifted_cycle_commands_build_no_large_ball(capsys, monkeypatch, pentagon_file, tmp_path):
     class SmallBall(FS.FlatBall):
         def __init__(self, graph, radius):

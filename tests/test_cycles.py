@@ -233,3 +233,15 @@ def test_tight_cycle_cache_is_bounded():
         C.tight_cycles(G.cycle_graph(5, prefix="bound%d_" % i))
     info = C._tight_cycles.cache_info()
     assert info.maxsize == 256 and info.currsize <= info.maxsize
+
+
+def test_tight_cycles_rejects_caps_below_3(pentagon):
+    for cap in (2, 0, -3):
+        with pytest.raises(GraphError, match="max_len must be at least 3"):
+            C.tight_cycles(pentagon, cap)
+        with pytest.raises(GraphError, match="max_len must be at least 3"):
+            C.whitehead_graph(pentagon, "a", cap)
+    assert len(C.tight_cycles(pentagon, 3)) == 0
+    assert len(C.tight_cycles(pentagon)) == 1
+    # a graph too small for any cycle still has an empty default scan
+    assert C.tight_cycles(DefiningGraph(["a", "b"], [("a", "b")])) == []

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ import raagqi as rq
 import raagqi.cycles as C
 import raagqi.diagrams as D
 import raagqi.flatspace as FS
-from raagqi.graphs import DefiningGraph, GraphError, InsufficientRadius, InvariantError
+from raagqi.graphs import DefiningGraph, GraphError, InsufficientRadius, InvariantError, cycle_graph
 from raagqi.words import (
     cone_key,
     flat_key,
@@ -402,3 +403,116 @@ def test_quasicut_search_matches_reference_on_golden_cycles():
             assert got == reference_quasicut(cyc)
             found += got is not None
     assert found >= 2
+
+
+# ---------------------------------------------------------------------------
+# region typing against the per-edge scan it replaced
+# ---------------------------------------------------------------------------
+
+def reference_block_across(ball, x, h):
+    """The scan over every edge at x, each edge's hyperplane root read from
+    the root array."""
+    root = ball.hyperplanes()[0]
+    hits = {other for eid, other in ball.incident_edges(x) if int(root[eid]) == h}
+    if not hits:
+        raise InsufficientRadius("insufficient radius: hyperplane missing at a region vertex")
+    if len(hits) != 1:
+        raise InvariantError("hyperplane crosses a block star more than once")
+    return hits.pop()
+
+
+def reference_diagram(ball, cycle):
+    with mock.patch.object(D, "_block_across", reference_block_across):
+        return D.build_diagram(ball, cycle)
+
+
+def assert_diagram_matches_reference(ball, cycle):
+    got = D.build_diagram(ball, cycle)
+    ref = reference_diagram(ball, cycle)
+    assert got.signature() == ref.signature()
+    assert got.to_json_obj() == ref.to_json_obj()
+    return got
+
+
+GOLDEN_CYCLES = (
+    (rq.pentagon, "a,b,c,d,e"),
+    (rq.dodecahedron, "i3,i1,i9,i7,o7,o6,o5,i5"),
+    (rq.dodecahedron, "o6,o7,i7,i9,o9,o0,i0,i8,i6"),
+    (rq.dodecahedron, "o4,i4,i6,o6,o5"),
+    (rq.dodecahedron_double, "i0,i8,i6,i4,o4#1,o3#1,o2#1,o1#1,o0#1"),
+)
+
+
+def test_region_typing_matches_reference_on_golden_and_tight_lifts(pentagon, dodeca, dodeca_double):
+    for make, names in GOLDEN_CYCLES:
+        graph = make()
+        assert_diagram_matches_reference(FS.build_ball(graph, 2), D.lift_cycle(graph, names.split(",")))
+    checked = 0
+    for graph in (pentagon, dodeca, dodeca_double):
+        # one ball, so the hyperplane map is shared by all its lifts
+        ball = FS.build_ball(graph, D.DEFAULT_LIFT_RADIUS)
+        for gamma in C.tight_cycles(graph, 10):
+            assert_diagram_matches_reference(ball, D.lift_cycle(graph, gamma))
+            checked += 1
+    assert checked == 54
+
+
+def test_region_typing_matches_reference_on_translated_lifts(pentagon, dodeca, pentagon_ball6):
+    # lifts moved off the identity cone by one letter, in radius-4 balls
+    for graph in (pentagon, dodeca):
+        ball = FS.build_ball(graph, 4)
+        small = FS.build_ball(graph, 2)
+        for gamma in C.tight_cycles(graph, 10)[:6]:
+            lift = D.lift_cycle(graph, gamma)
+            for v in graph.order[:3]:
+                for s in (1, -1):
+                    moved = translated(lift, normal_form(graph, [(v, s)]))
+                    assert len(assert_diagram_matches_reference(ball, moved).core) == 1
+                    with pytest.raises(InsufficientRadius):
+                        D.build_diagram(small, moved)
+    # multi-cell cores: regions typed by propagation across inner arcs
+    for cyc in eight_cycle_fixtures(pentagon_ball6, limit=4):
+        assert len(assert_diagram_matches_reference(pentagon_ball6, cyc).core) > 1
+
+
+def test_block_across_matches_reference_at_every_vertex(pentagon):
+    # every (vertex, hyperplane) pair of a ball: the unique block across, or
+    # InsufficientRadius where the hyperplane does not meet the vertex's star
+    ball = FS.build_ball(pentagon, 4)
+    hyperplanes = sorted(set(ball.hyperplanes()[0].tolist()))
+    missing = 0
+    for x in range(ball.nvertices):
+        for h in hyperplanes:
+            try:
+                expect = reference_block_across(ball, x, h)
+            except InsufficientRadius:
+                with pytest.raises(InsufficientRadius):
+                    D._block_across(ball, x, h)
+                missing += 1
+            else:
+                assert D._block_across(ball, x, h) == expect
+    assert 0 < missing < ball.nvertices * len(hyperplanes)
+
+
+def test_arc_coarse_length_matches_direct_sum(pentagon, pentagon_ball6):
+    def direct(cycle, p, q):
+        n = len(cycle)
+        return sum(cycle._legal[(p + k) % n] for k in range(1, (q - p - 1) % n + 1)) + 1
+
+    rng = random.Random(7)
+    cycles = eight_cycle_fixtures(pentagon_ball6, limit=3)
+    for n in range(3, 13):
+        graph = cycle_graph(n)
+        lift = D.lift_cycle(graph, graph.vertices)
+        # lifted graph cycles turn legally everywhere; other patterns are
+        # set on fresh lifts before the running counts are first read
+        cycles.append(lift)
+        for _ in range(3):
+            other = D.lift_cycle(graph, graph.vertices)
+            other.__dict__["_legal"] = [rng.random() < 0.5 for _ in range(n)]
+            cycles.append(other)
+    for cycle in cycles:
+        n = len(cycle)
+        for p in range(n):
+            for q in range(n):
+                assert cycle.arc_coarse_length(p, q) == direct(cycle, p, q)

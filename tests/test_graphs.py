@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -390,3 +391,161 @@ def test_json_integer_vertices_become_strings():
     g = DefiningGraph.from_json('{"vertices": [2, 10, "a"], "edges": [[2, 10], ["a", 2]]}')
     assert g.order == ("10", "2", "a")
     assert g.edges == (("10", "2"), ("2", "a"))
+
+
+# -- the isomorphism engine against its name-keyed form -----------------------
+
+def _refine_reference(sides):
+    ncolours = len({x for _, c in sides for x in c.values()})
+    while True:
+        sigs = [{v: (c[v], tuple(sorted(c[u] for u in g.neighbors(v)))) for v in g.vertices} for g, c in sides]
+        rank = {sig: i for i, sig in enumerate(sorted({sig for s in sigs for sig in s.values()}))}
+        colourings = [{v: rank[sig] for v, sig in s.items()} for s in sigs]
+        sizes = Counter(colourings[0].values())
+        if any(Counter(c.values()) != sizes for c in colourings[1:]):
+            return None
+        if len(rank) == ncolours:
+            return colourings
+        ncolours = len(rank)
+        sides = [(g, c) for (g, _), c in zip(sides, colourings)]
+
+
+def _target_cell_reference(c):
+    cells = {}
+    for v, x in c.items():
+        cells.setdefault(x, []).append(v)
+    big = [(len(vs), x) for x, vs in cells.items() if len(vs) > 1]
+    if not big:
+        return None
+    x = min(big)[1]
+    return x, sorted(cells[x])
+
+
+def _match_reference(g1, c1, g2, c2):
+    refined = _refine_reference([(g1, c1), (g2, c2)])
+    if refined is None:
+        return None
+    c1, c2 = refined
+    cell = _target_cell_reference(c1)
+    if cell is None:
+        image = {x: w for w, x in c2.items()}
+        mapping = {v: image[x] for v, x in c1.items()}
+        return mapping if G.is_isomorphism(g1, g2, mapping) else None
+    x, (v, *_) = cell
+    for w in sorted(u for u, y in c2.items() if y == x):
+        mapping = _match_reference(g1, {**c1, v: -1}, g2, {**c2, w: -1})
+        if mapping is not None:
+            return mapping
+    return None
+
+
+def _aut_order_reference(g, c, gens):
+    cell = _target_cell_reference(c)
+    if cell is None:
+        return 1
+    _, (v, *rest) = cell
+
+    def orbit():
+        seen, stack = {v}, [v]
+        while stack:
+            x = stack.pop()
+            for m in gens:
+                if m[x] not in seen:
+                    seen.add(m[x])
+                    stack.append(m[x])
+        return seen
+
+    stab = _aut_order_reference(g, _refine_reference([(g, {**c, v: -1})])[0], gens)
+    seen = orbit()
+    for w in rest:
+        if w not in seen:
+            mapping = _match_reference(g, {**c, v: -1}, g, {**c, w: -1})
+            if mapping is not None:
+                gens.append(mapping)
+                seen = orbit()
+    return len(seen) * stab
+
+
+def assert_isomorphism_matches_reference(g1, g2):
+    ref = _match_reference(g1, dict.fromkeys(g1.vertices, 0), g2, dict.fromkeys(g2.vertices, 0))
+    got = G.isomorphism(g1, g2)
+    # the same witness, key order included
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert list(got.items()) == list(ref.items())
+    order = G.automorphism_group_order(g1)
+    assert order == _aut_order_reference(g1, _refine_reference([(g1, dict.fromkeys(g1.vertices, 0))])[0], [])
+    assert G.count_isomorphisms(g1, g2) == (0 if ref is None else order)
+
+
+def _relabelled(g, rng, prefix):
+    """g under fresh shuffled names, declared in a shuffled order."""
+    names = ["%s%d" % (prefix, i) for i in range(len(g.vertices))]
+    rng.shuffle(names)
+    new = dict(zip(g.vertices, names))
+    verts = list(new.values())
+    rng.shuffle(verts)
+    return DefiningGraph(verts, [(new[a], new[b]) for a, b in g.edges])
+
+
+def _one_edge_moved(g, rng):
+    """g with one edge deleted and one non-edge added, or None if g is
+    complete or empty."""
+    non_edges = [e for e in itertools.combinations(g.order, 2) if not g.has_edge(*e)]
+    if not g.edges or not non_edges:
+        return None
+    edges = list(g.edges)
+    edges.remove(rng.choice(edges))
+    return DefiningGraph(g.vertices, edges + [rng.choice(non_edges)])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["pentagon", "petersen", "dodecahedron", "dd", "heawood", "tutte_coxeter", "hoffman_singleton", "double", "glue3"],
+)
+def test_isomorphism_engine_matches_reference_on_named_graphs(name, request):
+    g = {
+        "pentagon": G.pentagon,
+        "petersen": _petersen,
+        "dodecahedron": G.dodecahedron,
+        "dd": G.dodecahedron_double,
+        "heawood": _heawood,
+        "tutte_coxeter": lambda: request.getfixturevalue("tutte_coxeter"),
+        "hoffman_singleton": lambda: request.getfixturevalue("hoffman_singleton"),
+        "double": lambda: G.double_along_closed_star(G.pentagon(), "c"),
+        "glue3": lambda: G.glue_k_copies_along_star(G.dodecahedron(), "i3", 3),
+    }[name]()
+    rng = random.Random(name)
+    assert_isomorphism_matches_reference(g, g)
+    assert_isomorphism_matches_reference(g, _relabelled(g, rng, "n"))
+    assert_isomorphism_matches_reference(_relabelled(g, rng, "m"), g)
+    if len(g.vertices) <= 20:
+        moved = _one_edge_moved(g, rng)
+        assert_isomorphism_matches_reference(g, moved)
+        assert_isomorphism_matches_reference(moved, g)
+
+
+def test_isomorphism_engine_matches_reference_on_the_random_corpus():
+    gs = corpus(12, seed=11)
+    rng = random.Random(11)
+    for g, h in zip(gs, gs[1:] + gs[:1]):
+        assert_isomorphism_matches_reference(g, _relabelled(g, rng, "x"))
+        assert_isomorphism_matches_reference(g, h)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_isomorphism_engine_matches_reference(seed):
+    # relabelled copies, one-edge changes (often non-isomorphic with equal
+    # degree sequences) and graphs of a different size
+    rng = random.Random(seed)
+    verts = rng.sample(["v%d" % i for i in range(12)], rng.randint(1, 9))
+    p = rng.choice((0.2, 0.35, 0.5, 0.7))
+    g = DefiningGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+    assert_isomorphism_matches_reference(g, _relabelled(g, rng, "w"))
+    moved = _one_edge_moved(g, rng)
+    if moved is not None:
+        assert_isomorphism_matches_reference(g, moved)
+    bigger = DefiningGraph(list(g.vertices) + ["extra"], list(g.edges))
+    assert_isomorphism_matches_reference(g, bigger)
+    assert_isomorphism_matches_reference(bigger, g)
