@@ -1,4 +1,4 @@
-"""Hot inner loops: word rewriting, cycle search and hyperplane union-find.
+"""Hot inner loops: word rewriting and cycle search.
 
 Words are lists of letter codes.  A letter is ``2*g + s + 1`` where ``g`` is
 the generator index and ``s`` is 0 for the generator, 1 for its inverse.
@@ -9,11 +9,9 @@ Commutation and adjacency data are lists of int bitmasks: ``comm[g]`` has bit
 Two letters may swap iff their generators are equal or adjacent.  Masks are
 Python ints, so there is no limit on the number of generators.
 
-Each kernel has one plain-Python implementation; union-find alone works on
-numpy arrays, since its inputs are the edge arrays of a flat-space ball.
+Each kernel has one plain-Python implementation and needs no third-party
+package.
 """
-
-import numpy as np
 
 
 def letter(gen_index, sign):
@@ -214,39 +212,3 @@ def enumerate_cycle_lists(adj, max_len, tight_only=False):
                     nbrs ^= low
                     stack.append((low.bit_length() - 1, depth + 1))
     return out
-
-
-# ---------------------------------------------------------------------------
-# union-find over edge pairs (hyperplane components)
-# ---------------------------------------------------------------------------
-
-def union_find(n, pairs):
-    """Component roots of 0..n-1 under a (k, 2) int array of unions: each
-    element maps to the least member of its component.
-
-    Min-label propagation with pointer jumping: every root hooks onto the
-    least root across one of its pairs, then every label jumps to its root;
-    this repeats until the two ends of every pair share a root.  One scratch
-    buffer serves both steps, so the working set stays near the inputs.
-    """
-    root = np.arange(n, dtype=np.int64)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    k = pairs.shape[0]
-    if k == 0:
-        return root
-    scratch = np.empty(max(2 * k, n), dtype=np.int64)
-    ends = scratch[: 2 * k].reshape(k, 2)
-    hop = scratch[:n]
-    while True:
-        np.take(root, pairs, out=ends)
-        ra, rb = ends[:, 0], ends[:, 1]
-        if np.array_equal(ra, rb):
-            return root
-        # ra, rb are roots here; hooking a root only ever lowers its label
-        np.minimum.at(root, ra, rb)
-        np.minimum.at(root, rb, ra)
-        while True:
-            np.take(root, root, out=hop)
-            if np.array_equal(hop, root):
-                break
-            root[:] = hop

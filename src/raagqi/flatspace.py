@@ -33,7 +33,9 @@ defining graph that join two flats at a given coarse length;
 ``coarse_distance``, ``same_parallel_set`` and the cut searches of
 ``diagrams`` are loops over it, and the stripping and factoring of
 ``words`` behind it each make one pass over a normal form.  The ball hosts
-cell-level queries (links, squares, hyperplanes, diagrams).
+cell-level queries (links, squares, hyperplanes, diagrams).  It names the
+hyperplane dual to the edge (g, g<u>) by algebra, as (u, g<lk u>), and
+numbers it by its least edge (``FlatBall.hyperplanes``).
 """
 
 import functools
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .graphs import GraphError, InvariantError, orthogonal_complement
 from .words import CosetKey, _factors_by_masks, _in_mask, context_for, syllable_ball
 
@@ -303,27 +304,62 @@ class FlatBall:
     # -- hyperplanes ----------------------------------------------------------
 
     def hyperplanes(self):
-        """(edge -> component root) array plus the set of crossing component
-        pairs; computed from square opposite-edge identifications."""
+        """(edge -> hyperplane id) array plus the set of crossing id pairs.
+
+        A square (g, g<u>, g<u,w>, g<w>) makes (g, g<u>) parallel to
+        (g<w>, g<u,w>); as w is in lk u, both are dual to the hyperplane
+        labelled (u, g<lk u>).  Deleting the right-movable lk(u)-letters of g
+        one generator at a time walks through cones of the ball and parallel
+        edges to (P, P<u>), P the stripped representative of g<lk u>; so the
+        labels are exactly the hyperplanes of the ball.
+
+        The id of (u, P) is the edge id of (P, P<u>), the least edge of its
+        class.  Proof: let Q be P without its right-movable u-letters, so
+        Q<u> = P<u>.  Q has no right-movable letter of st(u), so it is the
+        unique shortest element of Q<st u>, which holds the representative of
+        every cell on the class.  Cells are numbered by (cone, slot), cones by
+        (length, codes) and flat slots after singular ones.  So the lower end
+        of (P, P<u>) is the cone P if Q = P, else the singular Q<u>, and no
+        other edge of the class reaches down to it: the cone Q and the
+        singular Q<u> lie on (P, P<u>) alone, and the class's other cells at
+        cone Q are flats, or singulars g<w> (g in P<lk u>, w in lk u) that
+        strip to Q only if Q = P.
+
+        ``lab[c, u]``, the cone of c<lk u>, follows c to the cone of c<x> for
+        right-movable lk(u)-generators x, by pointer jumping.
+        """
         if self._hyperplanes is not None:
             return self._hyperplanes
-        sq = self.squares
-        e_cs1 = self._edge_ids(sq[:, 0], sq[:, 1])
-        e_cs2 = self._edge_ids(sq[:, 0], sq[:, 3])
-        e_s1f = self._edge_ids(sq[:, 1], sq[:, 2])
-        e_s2f = self._edge_ids(sq[:, 3], sq[:, 2])
-        pairs = np.concatenate(
-            [
-                np.stack([e_cs1, e_s2f], axis=1),
-                np.stack([e_cs2, e_s1f], axis=1),
-            ]
-        )
-        root = _kernels.union_find(self.nedges, pairs)
-        cross = set()
-        ra = root[e_cs1]
-        rb = root[e_cs2]
-        for a, b in zip(ra.tolist(), rb.tolist()):
-            cross.add((a, b) if a < b else (b, a))
+        n = len(self.ctx.generators)
+        eu, ew = self._edge_gens
+        cell = self._cell
+        cones = np.arange(cell.shape[0])
+        rep = self._cell_cone[cell[:, 1 : 1 + n]]
+        moved = rep != cones[:, None]
+        lab = np.repeat(cones[:, None], n, axis=1)
+        for u, x in zip(np.r_[eu, ew].tolist(), np.r_[ew, eu].tolist()):
+            lab[moved[:, x], u] = rep[moved[:, x], x]
+        nxt = np.take_along_axis(lab, lab, axis=0)
+        while not np.array_equal(nxt, lab):
+            lab, nxt = nxt, np.take_along_axis(nxt, nxt, axis=0)
+        hid = np.take_along_axis(self._edge_ids(cell[:, :1], cell[:, 1 : 1 + n]), lab, axis=0)
+
+        # crossed[s, t]: the generator crossed by an edge from slot s up to
+        # slot t; each edge reads its id at the cone of its lower end, slot s
+        flats = np.arange(1 + n, len(self._slot_gens))
+        crossed = np.zeros((1 + n, len(self._slot_gens)), dtype=np.int64)
+        crossed[0, 1 : 1 + n] = np.arange(n)
+        crossed[1 + eu, flats] = ew
+        crossed[1 + ew, flats] = eu
+        lo, hi = np.divmod(self._edge_enc, self.nvertices)
+        s_lo, s_hi = self._cell_slot[lo], self._cell_slot[hi]
+        cone = self._cell_cone[np.where(s_lo < s_hi, lo, hi)]
+        del lo, hi
+        root = hid[cone, crossed[np.minimum(s_lo, s_hi), np.maximum(s_lo, s_hi)]]
+        del s_lo, s_hi, cone
+
+        a, b = hid[:, eu].ravel(), hid[:, ew].ravel()
+        cross = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
         self._hyperplanes = (root, cross)
         return self._hyperplanes
 
@@ -334,7 +370,7 @@ class FlatBall:
         pos = np.searchsorted(self._edge_enc, enc)
         pos = np.minimum(pos, self._edge_enc.shape[0] - 1)
         if not np.all(self._edge_enc[pos] == enc):
-            raise GraphError("square edge missing from ball edge set")
+            raise GraphError("edge missing from ball edge set")
         return pos
 
     @functools.cached_property
@@ -360,7 +396,8 @@ class FlatBall:
     def blocks_across(self, vi):
         """{hyperplane id: other ends of the edges at vertex vi dual to that
         hyperplane}, built on first use per vertex and kept with the ball.
-        The id is the edge-class root of ``hyperplanes``."""
+        The id is the one ``hyperplanes`` gives: the least edge id of the
+        hyperplane's class, read off its label (u, g<lk u>)."""
         got = self._across.get(vi)
         if got is None:
             lo, hi = self._incident(vi)

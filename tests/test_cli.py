@@ -229,11 +229,12 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def fresh_process(argv):
-    """Exit code and stdout of ``raagqi.cli`` run in a new interpreter."""
+def fresh_process(argv, entry=("-m", "raagqi.cli")):
+    """Exit code and stdout of ``python <entry> <argv>`` in a new interpreter
+    that imports this checkout's raagqi; ``entry`` defaults to the CLI."""
     src = str(pathlib.Path(rq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "raagqi.cli"] + argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *entry] + argv, capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout
 
 
@@ -255,3 +256,32 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, pentagon_file):
             with contextlib.redirect_stdout(out):
                 code = main(list(argv))
             assert (code, out.getvalue()) == expect[tuple(argv)]
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from raagqi.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_file):
+    # only the flat-space layer needs numpy; the last command builds a ball
+    # and shows that the probe sees the import
+    calls = [
+        ["check-atomic", pentagon_file],
+        ["tight-cycles", pentagon_file],
+        ["whitehead", pentagon_file, "--vertex", "a"],
+        ["classify-qi", pentagon_file, doubled_file],
+        ["out-group", pentagon_file],
+        ["construct", "double", "--graph", pentagon_file, "--vertex", "a"],
+        ["normal-form", pentagon_file, "--word", "a b a^-1 c"],
+        ["flat-ball", pentagon_file, "--radius", "2"],
+    ]
+    code, out = fresh_process([json.dumps(calls)], entry=("-c", NUMPY_PROBE))
+    assert code == 0
+    assert json.loads(out) == [[0, False]] * (len(calls) - 1) + [[0, True]]

@@ -494,6 +494,18 @@ def test_block_across_matches_reference_at_every_vertex(pentagon):
     assert 0 < missing < ball.nvertices * len(hyperplanes)
 
 
+def test_block_across_rejects_two_blocks_across_one_hyperplane(pentagon):
+    # a vertex meets each hyperplane in at most one edge; a map with two
+    # other ends for one id is a broken invariant, not a missing cell
+    ball = FS.build_ball(pentagon, 2)
+    x = int(ball._cell[0, 0])
+    (h, (y,)), *_ = ball.blocks_across(x).items()
+    assert D._block_across(ball, x, h) == y
+    with mock.patch.object(ball, "blocks_across", lambda vi: {h: [y, y + 1]}):
+        with pytest.raises(InvariantError):
+            D._block_across(ball, x, h)
+
+
 def test_arc_coarse_length_matches_direct_sum(pentagon, pentagon_ball6):
     def direct(cycle, p, q):
         n = len(cycle)

@@ -379,6 +379,92 @@ def test_structure_check_on_a_one_vertex_graph():
     }
 
 
+# ---------------------------------------------------------------------------
+# hyperplanes: the algebraic labels against a union-find over the squares
+# ---------------------------------------------------------------------------
+
+def _uf_core(parent, pairs):
+    """Reference union-find: sequential unions by least root, then full
+    path compression."""
+    for k in range(pairs.shape[0]):
+        a = pairs[k, 0]
+        b = pairs[k, 1]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+    for i in range(parent.shape[0]):
+        r = i
+        while parent[r] != r:
+            r = parent[r]
+        while parent[i] != r:
+            nxt = parent[i]
+            parent[i] = r
+            i = nxt
+    return 0
+
+
+def assert_hyperplanes_match_union_find(ball):
+    # each square (c, s1, f, s2) makes (c, s1) parallel to (s2, f) and (c, s2)
+    # to (s1, f); its crossing pair is the classes of (c, s1) and (c, s2)
+    sq = ball.squares
+    cs1, cs2, s1f, s2f = (ball._edge_ids(sq[:, i], sq[:, j]) for i, j in ((0, 1), (0, 3), (1, 2), (3, 2)))
+    expect = np.arange(ball.nedges, dtype=np.int64)
+    _uf_core(expect, np.concatenate([np.stack([cs1, s2f], axis=1), np.stack([cs2, s1f], axis=1)]))
+    expect_cross = {(min(a, b), max(a, b)) for a, b in zip(expect[cs1].tolist(), expect[cs2].tolist())}
+    root, cross = ball.hyperplanes()
+    assert root.dtype == np.int64
+    assert np.array_equal(root, expect)
+    assert cross == expect_cross
+    # each id is the least edge id of its class
+    assert (root <= np.arange(ball.nedges)).all() and (root[root] == root).all()
+
+
+@pytest.mark.parametrize(
+    "graph, radius",
+    [
+        (G.pentagon(), 6),
+        (G.pentagon(), 8),
+        (G.dodecahedron(), 4),
+        (G.dodecahedron(), 6),
+        (G.dodecahedron_double(), 4),
+        (G.dodecahedron_double(), 6),
+        (DefiningGraph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]), 4),
+        (DefiningGraph(["a"], []), 2),
+        (DefiningGraph(["a"], []), 6),
+    ],
+    ids=["pentagon-r6", "pentagon-r8", "dodecahedron-r4", "dodecahedron-r6", "dd-r4", "dd-r6",
+         "triangle-pendant-r4", "vertex-r2", "vertex-r6"],
+)
+def test_hyperplanes_match_union_find(graph, radius):
+    assert_hyperplanes_match_union_find(FS.build_ball(graph, radius))
+
+
+@st.composite
+def small_connected_graphs(draw):
+    # a random tree on 1..7 vertices plus random extra edges: pendant
+    # vertices, triangles and larger cliques all occur
+    verts = ["v%d" % i for i in range(draw(st.integers(1, 7)))]
+    edges = {(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, len(verts))}
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return DefiningGraph(verts, sorted(edges))
+
+
+@given(small_connected_graphs(), st.integers(2, 6))
+@settings(max_examples=200, deadline=None)
+def test_hyperplanes_match_union_find_on_random_graphs(graph, radius):
+    assert_hyperplanes_match_union_find(FS.build_ball(graph, radius))
+
+
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_link_short_cycle_check_matches_girth(pairs):
