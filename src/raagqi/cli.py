@@ -116,16 +116,31 @@ def _print_ball_dot(ball):
     print("\n".join(lines))
 
 
-def cmd_diagram(args):
+def _lifted_cycle(args):
+    """The graph, the cycle and its lift through the identity fundamental
+    domain, for ``taut`` and ``diagram``."""
     from .cycles import EmbeddedCycle
-    from .diagrams import DEFAULT_LIFT_RADIUS, build_diagram, lift_cycle, shell_report
-    from .flatspace import build_ball
+    from .diagrams import lift_cycle
 
     g = _load_graph(args.graph)
     gamma = EmbeddedCycle(g, _parse_cycle(g, args.cycle))
-    ball = build_ball(g, DEFAULT_LIFT_RADIUS if args.radius is None else args.radius)
-    cyc = lift_cycle(g, gamma)
-    d = build_diagram(ball, cyc)
+    if args.radius is not None and args.radius < 2:
+        raise GraphError("radius must be at least 2")
+    if len(gamma) == 3:
+        # three pairwise-crossing hyperplanes: no square complex holds them
+        raise GraphError(
+            "cycle %s is a triangle: the defining graph is the link of every cone, "
+            "so the flat space is not CAT(0) there and the lift has no disk diagram"
+            % ",".join(gamma.vertices)
+        )
+    return g, gamma, lift_cycle(g, gamma)
+
+
+def cmd_diagram(args):
+    from .diagrams import IdentityStar, build_diagram, shell_report
+
+    g, _, cyc = _lifted_cycle(args)
+    d = build_diagram(IdentityStar(g), cyc)
     if args.dot:
         print(_diagram_dot(d), end="")
         return 0
@@ -151,19 +166,10 @@ def _diagram_dot(d):
 
 
 def cmd_taut(args):
-    from .cycles import EmbeddedCycle, is_tight
-    from .diagrams import (
-        DEFAULT_LIFT_RADIUS,
-        build_diagram,
-        find_icut,
-        find_quasicut,
-        lift_cycle,
-    )
-    from .flatspace import build_ball
+    from .cycles import is_tight
+    from .diagrams import IdentityStar, build_diagram, find_icut, find_quasicut
 
-    g = _load_graph(args.graph)
-    gamma = EmbeddedCycle(g, _parse_cycle(g, args.cycle))
-    cyc = lift_cycle(g, gamma)
+    g, gamma, cyc = _lifted_cycle(args)
     # the cut searches are algebraic and need no ball; each runs once, and
     # tautness (no 1-cut, 2-cut or quasi-cut) is read off their results
     cuts = {
@@ -179,8 +185,7 @@ def cmd_taut(args):
         **cuts,
     }
     if taut:
-        ball = build_ball(g, DEFAULT_LIFT_RADIUS if args.radius is None else args.radius)
-        obj["core_single_cell"] = len(build_diagram(ball, cyc).core) == 1
+        obj["core_single_cell"] = len(build_diagram(IdentityStar(g), cyc).core) == 1
     _emit(args, obj, "taut" if taut else "not taut")
     return 0
 
@@ -247,6 +252,12 @@ def cmd_report(args):
     return 0
 
 
+RADIUS_HELP = (
+    "at least 2; a lifted cycle's diagram lies in the radius-2 identity star, "
+    "so a larger radius gives the same answer"
+)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
@@ -281,13 +292,13 @@ def build_parser():
     p = add("diagram", cmd_diagram)
     p.add_argument("graph")
     p.add_argument("--cycle", required=True, help="comma-separated vertex cycle")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=int, default=None, help=RADIUS_HELP)
     p.add_argument("--dot", action="store_true")
 
     p = add("taut", cmd_taut)
     p.add_argument("graph")
     p.add_argument("--cycle", required=True)
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=int, default=None, help=RADIUS_HELP)
 
     p = add("classify-qi", cmd_classify_qi)
     p.add_argument("graph1")

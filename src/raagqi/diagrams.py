@@ -14,13 +14,16 @@ domain needs no more than that domain: each boundary edge is dual to the
 hyperplane (v_j, <lk v_j>) through the identity cone's closed star, so the
 reduced diagram is the cone over the cycle (arc j pairs boundary positions
 2j and 2j-3 mod 2n, n crossings, and one core region, the identity cone).
-``DEFAULT_LIFT_RADIUS`` is therefore 2.  Any other cycle needs an explicit
-ball, and a ball too small for it raises ``InsufficientRadius``.  Hyperplane
-ids in a diagram are edge ids of its ball, local to that ball.
+``DEFAULT_LIFT_RADIUS`` is therefore 2, and ``IdentityStar`` is that ball
+without numpy: the hyperplane (v, <lk v>) is numbered by the index of v,
+which is its least edge id in every ball of radius >= 2, and two of them
+cross exactly when their vertices are adjacent.  Any other cycle needs an
+explicit ``FlatBall``, and a ball too small for it raises
+``InsufficientRadius``; its hyperplane ids are edge ids of that ball.
 
 Cuts and quasi-cuts are short coarse connections between flats of a cycle,
 so ``find_icut`` and ``find_quasicut`` are loops over the one connection
-search, ``flatspace._connections``, whose product factors (each found in one
+search, ``words._connections``, whose product factors (each found in one
 pass) seed the quasi-cut witness.  A cycle computes its legal turns once,
 and arc coarse lengths are sums over them.
 """
@@ -28,10 +31,16 @@ and arc coarse lengths are sums over them.
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
-from .graphs import GraphError, InsufficientRadius, InvariantError
+from .graphs import GraphError, InsufficientRadius, InvariantError, is_connected
 from . import _kernels
-from .words import CosetKey, GroupElement, _factors_by_masks
-from .flatspace import _connections, singular_contained_in_flat, stabilizers_equal
+from .words import (
+    CosetKey,
+    GroupElement,
+    _connections,
+    _factors_by_masks,
+    singular_contained_in_flat,
+    stabilizers_equal,
+)
 
 __all__ = [
     "FullEdgeCycle",
@@ -45,6 +54,7 @@ __all__ = [
     "is_taut",
     "verify_taut_diagram_lemma",
     "DEFAULT_LIFT_RADIUS",
+    "IdentityStar",
 ]
 
 # A lifted cycle's diagram is the cone over it at the identity cone: every
@@ -124,6 +134,70 @@ def lift_cycle(graph, gamma):
     flats = [flat_key(e, vs[i], vs[(i + 1) % n]) for i in range(n)]
     sings = [singular_key(e, vs[(i + 1) % n]) for i in range(n)]
     return FullEdgeCycle(flats, sings)
+
+
+class IdentityStar:
+    """The closed star of the identity cone, numbered as ``build_ball(graph,
+    2)`` numbers it, in plain Python: the ball a lifted cycle's diagram
+    needs, answering the queries ``build_diagram`` makes of a ball.
+
+    Cell 0 is the identity cone, cell 1 + i the singular <order[i]> and cell
+    1 + n + k the flat of ``graph.edges[k]``.  Edges are numbered in (lower
+    end, upper end) order, so (1, 1<v>) is edge ``index[v]``.  The edge
+    (1, 1<v>) and the edges (1<w>, 1<v,w>), w in lk v, are dual to the
+    hyperplane (v, <lk v>), whose id is therefore ``index[v]``: its least
+    edge, here and in every larger ball.  Two such hyperplanes cross in the
+    square of an edge of the graph.
+    """
+
+    def __init__(self, graph):
+        if not is_connected(graph):
+            raise GraphError("a lifted-cycle diagram requires a connected graph")
+        n = len(graph.order)
+        index = graph.index
+        pairs = [(index[a], index[b]) for a, b in graph.edges]
+        self.nvertices = 1 + n + len(pairs)
+        self._slot_of = {(): 0}
+        self._slot_of.update(((v,), 1 + i) for i, v in enumerate(graph.order))
+        self._slot_of.update((e, 1 + n + k) for k, e in enumerate(graph.edges))
+        self._n = n
+        # (lower end, upper end, crossed generator) of every edge
+        ends = [(0, 1 + i, i) for i in range(n)]
+        for k, (u, w) in enumerate(pairs):
+            ends += [(1 + u, 1 + n + k, w), (1 + w, 1 + n + k, u)]
+        ends.sort()
+        self._edge_id = {(lo, hi): e for e, (lo, hi, _) in enumerate(ends)}
+        self._root = [h for _, _, h in ends]
+        self._crossings = set(pairs)
+        # per vertex, its edges as the lower end and then as the upper end,
+        # each in edge id order, as a ball lists them
+        self._across = [{} for _ in range(self.nvertices)]
+        for lo, hi, h in ends:
+            self._across[lo].setdefault(h, []).append(hi)
+        for lo, hi, h in ends:
+            self._across[hi].setdefault(h, []).append(lo)
+
+    def find(self, key):
+        """Index of a CosetKey in the star, or -1."""
+        slot = self._slot_of.get(key.gens)
+        return -1 if slot is None or key.rep.codes else slot
+
+    def edge_id(self, i, j):
+        e = self._edge_id.get((i, j) if i < j else (j, i))
+        if e is None:
+            raise GraphError("edge not present in the identity star")
+        return e
+
+    def hyperplanes(self):
+        """(edge -> hyperplane id) list plus the set of crossing id pairs."""
+        return self._root, self._crossings
+
+    def blocks_across(self, vi):
+        """{hyperplane id: other ends of the edges at vertex vi dual to it}."""
+        return self._across[vi]
+
+    def kind_of(self, i):
+        return "cone" if i == 0 else "singular" if i <= self._n else "flat"
 
 
 # ---------------------------------------------------------------------------
@@ -330,80 +404,86 @@ def _arrangement_faces(nb, arcs, crossings):
 
     arc_nodes = {}
     for i in range(len(arcs)):
-        nodes = [("b", arcs[i][0])]
+        path = [("b", arcs[i][0])]
         for j in order_on(i):
-            nodes.append(("x", min(i, j), max(i, j)))
-        nodes.append(("b", arcs[i][1]))
-        arc_nodes[i] = nodes
+            path.append(("x", min(i, j), max(i, j)))
+        path.append(("b", arcs[i][1]))
+        arc_nodes[i] = path
 
-    adj = {}
+    # Nodes are numbered as they first appear and edges as they are added.
+    # Half-edge 2e runs along edge e from its first end to its second, 2e + 1
+    # back; out[u] lists the half-edges leaving node u in the order they
+    # were added, which is the order faces are traced in.
+    node_id = {}
+    nodes = []
+    out = []
+    labels = []
+    head = []  # head node of each half-edge
 
-    def add_edge(u, v, label):
-        adj.setdefault(u, []).append((v, label))
-        adj.setdefault(v, []).append((u, label))
+    def add_edge(a, b, label):
+        for x in (a, b):
+            if x not in node_id:
+                node_id[x] = len(nodes)
+                nodes.append(x)
+                out.append([])
+        ia, ib = node_id[a], node_id[b]
+        out[ia].append(len(head))
+        out[ib].append(len(head) + 1)
+        head.extend((ib, ia))
+        labels.append(label)
 
     for k in range(nb):
         add_edge(("b", k), ("b", (k + 1) % nb), ("seg", k))
-    for i, nodes in arc_nodes.items():
-        for t in range(len(nodes) - 1):
-            add_edge(nodes[t], nodes[t + 1], ("arc", i, t))
+    for i, path in arc_nodes.items():
+        for t in range(len(path) - 1):
+            add_edge(path[t], path[t + 1], ("arc", i, t))
 
-    def anchor(u, v, lab):
-        # boundary position that the ray u -> v points toward
-        if lab[0] == "seg":
-            return v[1]
-        i = lab[1]
-        nodes = arc_nodes[i]
-        ui, vi = nodes.index(u), nodes.index(v)
-        return arcs[i][1] if vi > ui else arcs[i][0]
+    def anchor(h):
+        # the boundary position a chord piece points toward; a chord is
+        # added from its first end, so even half-edges run toward its second
+        lab = labels[h >> 1]
+        return arcs[lab[1]][1 - (h & 1)], nodes[head[h]], lab
 
-    rotations = {}
-    for u, nbrs in adj.items():
-        if u[0] == "b":
-            k = u[1]
-            ordered = []
-            for v, lab in nbrs:
-                if lab[0] == "seg":
-                    rank = 0 if v == ("b", (k + 1) % nb) else 2
-                else:
-                    rank = 1
-                ordered.append((rank, v, lab))
-            ordered.sort(key=lambda t: t[0])
-            rotations[u] = [(v, lab) for _, v, lab in ordered]
+    # the rotation at each node, and each half-edge's position in the
+    # rotation at its tail
+    pos = [0] * len(head)
+    rotations = []
+    for u, hs in enumerate(out):
+        if nodes[u][0] == "b":
+            # the segment on, the chord, the segment back
+            after = node_id.get(("b", (nodes[u][1] + 1) % nb))
+            rot = sorted(hs, key=lambda h: 1 if labels[h >> 1][0] != "seg" else 0 if head[h] == after else 2)
         else:
-            ks = sorted(((anchor(u, v, lab), v, lab) for v, lab in nbrs))
-            rotations[u] = [(v, lab) for _, v, lab in ks]
-
-    next_he = {}
-    for u, nbrs in adj.items():
-        for v, lab in nbrs:
-            rot = rotations[v]
-            idx = rot.index((u, lab))
-            w, lab2 = rot[(idx - 1) % len(rot)]
-            next_he[(u, v, lab)] = (v, w, lab2)
+            # only chords meet at a crossing
+            rot = sorted(hs, key=anchor)
+        for idx, h in enumerate(rot):
+            pos[h] = idx
+        rotations.append(rot)
+    # the half-edge u -> v continues along the half-edge before v -> u in
+    # the rotation at v
+    nxt = [rotations[head[h]][pos[h ^ 1] - 1] for h in range(len(head))]
 
     faces = []
-    face_of_he = {}
-    for he in list(next_he):
-        if he in face_of_he:
-            continue
-        fid = len(faces)
-        walk = []
-        cur = he
-        while cur not in face_of_he:
-            face_of_he[cur] = fid
-            walk.append(cur)
-            cur = next_he[cur]
-        if cur != he:
-            raise InvariantError("face tracing failed to close")
-        faces.append(walk)
+    face_of = [-1] * len(nxt)
+    for hs in out:
+        for he in hs:
+            if face_of[he] >= 0:
+                continue
+            fid = len(faces)
+            walk = []
+            cur = he
+            while face_of[cur] < 0:
+                face_of[cur] = fid
+                walk.append(cur)
+                cur = nxt[cur]
+            if cur != he:
+                raise InvariantError("face tracing failed to close")
+            faces.append(walk)
 
-    nverts = len(adj)
-    nedges = sum(len(x) for x in adj.values()) // 2
-    if nverts - nedges + len(faces) != 2:
+    if len(nodes) - len(labels) + len(faces) != 2:
         raise InvariantError("arrangement failed the Euler check")
 
-    outer = face_of_he[(("b", 1 % nb), ("b", 0), ("seg", 0))]
+    outer = face_of[1]  # the half-edge b_1 -> b_0 along segment 0
     seg_face = {}
     edge_faces = {}
     face_edges = {}
@@ -411,9 +491,9 @@ def _arrangement_faces(nb, arcs, crossings):
     for fid, walk in enumerate(faces):
         if fid == outer:
             continue
-        labs = [lab for _, _, lab in walk]
+        labs = [labels[h >> 1] for h in walk]
         face_edges[fid] = labs
-        face_nodes[fid] = [u for u, _, _ in walk]
+        face_nodes[fid] = [nodes[head[h ^ 1]] for h in walk]
         for lab in labs:
             edge_faces.setdefault(lab, []).append(fid)
             if lab[0] == "seg":
@@ -659,7 +739,7 @@ def _is_ladder(diagram, core):
 def find_icut(cycle, i):
     """An i-cut: flat vertices v, w on the cycle joined by a full-edge path
     of coarse length i while both cycle arcs have coarse length > i.  The
-    connections of ``flatspace._connections`` are exact, so None means
+    connections of ``words._connections`` are exact, so None means
     there is no i-cut."""
     if i not in (1, 2):
         raise GraphError("only 1-cuts and 2-cuts are meaningful")

@@ -12,7 +12,8 @@ moves u^k with |k| <= (radius-2)//2, together with all edges and squares
 among those cells.  Radius 2 is exactly one fundamental domain, the closed
 star of the identity cone (1 + |V| + |E| cells); it holds the whole dual
 disk diagram of a cycle lifted through that domain, so the ``diagram`` and
-``taut`` commands build nothing larger unless asked to.
+``taut`` commands build no ball at all: they read that star from
+``diagrams.IdentityStar``, which numbers it as this module does.
 
 A ball names each cell by the pair (cone, slot).  The slot is one of the
 1 + |V| + |E| special subgroups (trivial, one generator, one edge); the
@@ -28,8 +29,8 @@ demand.
 
 Turn, coarse-distance and parallel-set queries take coset keys and no ball:
 they are answered algebraically, and exactly, from membership in products
-of star subgroups.  One search, ``_connections``, finds the walks of the
-defining graph that join two flats at a given coarse length;
+of star subgroups.  One search, ``words._connections``, finds the walks of
+the defining graph that join two flats at a given coarse length;
 ``coarse_distance``, ``same_parallel_set`` and the cut searches of
 ``diagrams`` are loops over it, and the stripping and factoring of
 ``words`` behind it each make one pass over a normal form.  The ball hosts
@@ -44,7 +45,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphError, InvariantError, orthogonal_complement
-from .words import CosetKey, _factors_by_masks, _in_mask, context_for, syllable_ball
+from .words import (
+    CosetKey,
+    _check_key,
+    _connections,
+    _in_mask,
+    context_for,
+    singular_contained_in_flat,
+    stabilizers_equal,
+    syllable_ball,
+)
 
 __all__ = [
     "FlatBall",
@@ -522,32 +532,6 @@ def verify_ball_structure(ball):
 # turns, paths, parallel sets
 # ---------------------------------------------------------------------------
 
-def _check_key(kind, key):
-    if not isinstance(key, CosetKey) or key.kind != kind:
-        raise GraphError("expected a %s coset key" % kind)
-
-
-def singular_contained_in_flat(s, f):
-    """Coset containment g<u> <= h<x,y>."""
-    _check_key("singular", s)
-    _check_key("flat", f)
-    if s.gens[0] not in f.gens:
-        return False
-    return _in_mask((f.rep.inverse() * s.rep).codes, f.rep.ctx.gen_mask(f.gens))
-
-
-def stabilizers_equal(s1, s2):
-    """Whether two singular cosets have the same infinite-cyclic stabilizer:
-    same generator u and representatives in the same coset of the centralizer
-    of u, the star subgroup C(u) of u and its neighbours."""
-    _check_key("singular", s1)
-    _check_key("singular", s2)
-    if s1.gens != s2.gens:
-        return False
-    ctx = s1.rep.ctx
-    return _in_mask((s2.rep.inverse() * s1.rep).codes, ctx.star_masks[ctx.index[s1.gens[0]]])
-
-
 class FullEdgePath:
     """Alternating flat, singular, flat, ... , flat key sequence."""
 
@@ -600,35 +584,6 @@ def coarse_length(path):
     return sum(1 for t in path.turns() if t == "legal") + 1
 
 
-def _connections(f1, f2, m):
-    """The full-edge connections of coarse length m between two flats.
-
-    Flats f1 and f2 are joined by a full-edge path of coarse length m iff
-    some walk t_1 .. t_m in the defining graph (consecutive vertices
-    adjacent, hence distinct), with t_1 a generator of f1 and t_m one of f2,
-    has rep(f1)^-1 rep(f2) in the product C(t_1) C(t_2) ... C(t_m) of star
-    subgroups.  This is exact and needs no ball.
-
-    Yields each such walk as a tuple, with the factors a_1 .. a_m of
-    ``subgroup_product_factors`` (a_j in C(t_j)) as normal-form code
-    tuples, in sorted walk order: t_1 runs over f1.gens and each next vertex
-    over the sorted neighbours.
-    """
-    ctx = f1.rep.ctx
-    walks = [(t,) for t in f1.gens]
-    for _ in range(m - 1):
-        walks = [wk + (t,) for wk in walks for t in sorted(ctx.graph.neighbors(wk[-1]))]
-    w = None
-    for wk in walks:
-        if wk[-1] not in f2.gens:
-            continue
-        if w is None:
-            w = (f1.rep.inverse() * f2.rep).codes
-        factors = _factors_by_masks(ctx, w, [ctx.star_masks[ctx.index[t]] for t in wk])
-        if factors is not None:
-            yield wk, factors
-
-
 def same_parallel_set(f1, f2):
     """Whether two distinct standard flats lie in a common parallel set:
     a connection of coarse length 1."""
@@ -651,7 +606,7 @@ class CoarseDistance:
 
 def coarse_distance(f1, f2, max_search=6):
     """Minimal coarse length of a full-edge path between two flat vertices:
-    the least m with a connection (see ``_connections``).  Exact;
+    the least m with a connection (see ``words._connections``).  Exact;
     ``unknown`` is only returned past ``max_search``.
     """
     _check_key("flat", f1)

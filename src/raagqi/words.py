@@ -11,6 +11,11 @@ stripping caches.  ``context_for`` hands out one context per graph (equal
 graphs share it) and holds it weakly: a context lives as long as some
 element, coset key or ball uses it, so a long session keeps only the
 contexts in use.
+
+The coset algebra of the flat space lives here too, on normal forms and
+bitmasks alone: containment of a singular coset in a flat, equality of
+singular stabilizers, and ``_connections``, the one search for full-edge
+connections between two flats behind turns, coarse distances and cuts.
 """
 
 import weakref
@@ -34,6 +39,8 @@ __all__ = [
     "cone_key",
     "singular_key",
     "flat_key",
+    "singular_contained_in_flat",
+    "stabilizers_equal",
     "parse_word",
     "cayley_ball",
     "syllable_ball",
@@ -365,6 +372,65 @@ def singular_key(x, u):
 
 def flat_key(x, u, w):
     return coset_key(x, "flat", (u, w))
+
+
+# ---------------------------------------------------------------------------
+# coset algebra: containment, stabilizers, connections between flats
+# ---------------------------------------------------------------------------
+
+def _check_key(kind, key):
+    if not isinstance(key, CosetKey) or key.kind != kind:
+        raise GraphError("expected a %s coset key" % kind)
+
+
+def singular_contained_in_flat(s, f):
+    """Coset containment g<u> <= h<x,y>."""
+    _check_key("singular", s)
+    _check_key("flat", f)
+    if s.gens[0] not in f.gens:
+        return False
+    return _in_mask((f.rep.inverse() * s.rep).codes, f.rep.ctx.gen_mask(f.gens))
+
+
+def stabilizers_equal(s1, s2):
+    """Whether two singular cosets have the same infinite-cyclic stabilizer:
+    same generator u and representatives in the same coset of the centralizer
+    of u, the star subgroup C(u) of u and its neighbours."""
+    _check_key("singular", s1)
+    _check_key("singular", s2)
+    if s1.gens != s2.gens:
+        return False
+    ctx = s1.rep.ctx
+    return _in_mask((s2.rep.inverse() * s1.rep).codes, ctx.star_masks[ctx.index[s1.gens[0]]])
+
+
+def _connections(f1, f2, m):
+    """The full-edge connections of coarse length m between two flats.
+
+    Flats f1 and f2 are joined by a full-edge path of coarse length m iff
+    some walk t_1 .. t_m in the defining graph (consecutive vertices
+    adjacent, hence distinct), with t_1 a generator of f1 and t_m one of f2,
+    has rep(f1)^-1 rep(f2) in the product C(t_1) C(t_2) ... C(t_m) of star
+    subgroups.  This is exact and needs no ball.
+
+    Yields each such walk as a tuple, with the factors a_1 .. a_m of
+    ``subgroup_product_factors`` (a_j in C(t_j)) as normal-form code
+    tuples, in sorted walk order: t_1 runs over f1.gens and each next vertex
+    over the sorted neighbours.
+    """
+    ctx = f1.rep.ctx
+    walks = [(t,) for t in f1.gens]
+    for _ in range(m - 1):
+        walks = [wk + (t,) for wk in walks for t in sorted(ctx.graph.neighbors(wk[-1]))]
+    w = None
+    for wk in walks:
+        if wk[-1] not in f2.gens:
+            continue
+        if w is None:
+            w = (f1.rep.inverse() * f2.rep).codes
+        factors = _factors_by_masks(ctx, w, [ctx.star_masks[ctx.index[t]] for t in wk])
+        if factors is not None:
+            yield wk, factors
 
 
 # ---------------------------------------------------------------------------

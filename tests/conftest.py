@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 import raagqi as rq
 from raagqi import graphs as G
@@ -121,3 +122,15 @@ def random_corpus_graph(rng):
 def corpus(n, seed=20260809):
     rng = random.Random(seed)
     return [random_corpus_graph(rng) for _ in range(n)]
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random tree on 1..7 vertices plus random extra edges: pendant
+    vertices, triangles and larger cliques all occur."""
+    verts = ["v%d" % i for i in range(draw(st.integers(1, 7)))]
+    edges = {(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, len(verts))}
+    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return G.DefiningGraph(verts, sorted(edges))

@@ -128,26 +128,55 @@ def test_cycle_commands_reject_caps_below_3(capsys, pentagon_file, max_len):
     assert sections["whitehead"]["ok"] and sections["out_group"]["ok"]
 
 
-def test_lifted_cycle_commands_build_no_large_ball(capsys, monkeypatch, pentagon_file, tmp_path):
-    class SmallBall(FS.FlatBall):
-        def __init__(self, graph, radius):
-            assert radius <= 2, "built a radius-%d ball" % radius
-            super().__init__(graph, radius)
-
-    monkeypatch.setattr(FS, "FlatBall", SmallBall)
+@pytest.fixture()
+def dodeca_eight(tmp_path):
+    """A dodecahedron file and one of its 8-cycles, whose lift is not taut."""
     dodeca = rq.dodecahedron()
     path = tmp_path / "dodecahedron.json"
     path.write_text(dodeca.to_json())
-    eight = ",".join(next(c for c in C.enumerate_cycles(dodeca, 8) if len(c) == 8).vertices)
+    return str(path), ",".join(next(c for c in C.enumerate_cycles(dodeca, 8) if len(c) == 8).vertices)
+
+
+def test_lifted_cycle_commands_build_no_large_ball(capsys, monkeypatch, pentagon_file, dodeca_eight):
+    # a lift's diagram is read from the identity star: no ball at all
+    built = []
+
+    class CountedBall(FS.FlatBall):
+        def __init__(self, graph, radius):
+            built.append(radius)
+            super().__init__(graph, radius)
+
+    monkeypatch.setattr(FS, "FlatBall", CountedBall)
+    path, eight = dodeca_eight
 
     code, out, _ = run(capsys, "taut", pentagon_file, "--cycle", "a,b,c,d,e", "--json")
     assert code == 0 and json.loads(out)["core_single_cell"]
-    code, out, _ = run(capsys, "taut", str(path), "--cycle", eight, "--json")
+    code, out, _ = run(capsys, "taut", path, "--cycle", eight, "--json")
     assert code == 0
     data = json.loads(out)
     assert not data["taut_in_flat_space"] and "core_single_cell" not in data
     code, out, _ = run(capsys, "diagram", pentagon_file, "--cycle", "a,b,c,d,e", "--json")
     assert code == 0 and json.loads(out)["core_size"] == 1
+    code, out, _ = run(capsys, "diagram", path, "--cycle", eight, "--radius", "6", "--json")
+    assert code == 0 and json.loads(out)["core_size"] == 1
+    assert built == []
+
+
+@pytest.fixture()
+def triangle_file(tmp_path):
+    # a triangle a,b,c with a pendant vertex d
+    path = tmp_path / "triangle.json"
+    path.write_text(rq.DefiningGraph("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]).to_json())
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["taut", "diagram"])
+@pytest.mark.parametrize("cycle", ["a,b,c", "c,b,a"])
+def test_lifted_cycle_commands_reject_a_triangle(capsys, triangle_file, command, cycle):
+    # a precondition (exit 2), not an internal error
+    code, out, err = run(capsys, command, triangle_file, "--cycle", cycle, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cycle a,b,c is a triangle")
 
 
 def test_classify_and_out_group(capsys, pentagon_file, doubled_file):
@@ -263,15 +292,17 @@ import contextlib, io, json, sys
 from raagqi.cli import main
 seen = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([main(argv), "numpy" in sys.modules])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        seen.append([main(argv), "numpy" in sys.modules, out.getvalue()])
 print(json.dumps(seen))
 """
 
 
-def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_file):
+def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_file, dodeca_eight):
     # only the flat-space layer needs numpy; the last command builds a ball
     # and shows that the probe sees the import
+    path, eight = dodeca_eight
     calls = [
         ["check-atomic", pentagon_file],
         ["tight-cycles", pentagon_file],
@@ -280,8 +311,16 @@ def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_
         ["out-group", pentagon_file],
         ["construct", "double", "--graph", pentagon_file, "--vertex", "a"],
         ["normal-form", pentagon_file, "--word", "a b a^-1 c"],
+        ["taut", pentagon_file, "--cycle", "a,b,c,d,e"],
+        ["taut", path, "--cycle", eight],
+        ["diagram", pentagon_file, "--cycle", "a,b,c,d,e", "--radius", "4"],
         ["flat-ball", pentagon_file, "--radius", "2"],
     ]
     code, out = fresh_process([json.dumps(calls)], entry=("-c", NUMPY_PROBE))
     assert code == 0
-    assert json.loads(out) == [[0, False]] * (len(calls) - 1) + [[0, True]]
+    seen = json.loads(out)
+    assert [s[:2] for s in seen] == [[0, False]] * (len(calls) - 1) + [[0, True]]
+    assert [s[2] for s in seen[7:9]] == ["taut\n", "not taut\n"]
+    assert json.loads(seen[9][2])["core_size"] == 1
+    code, out = fresh_process([], entry=("-c", "import sys, raagqi.diagrams; print('numpy' in sys.modules)"))
+    assert (code, out) == (0, "False\n")

@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ import raagqi.flatspace as FS
 from raagqi.graphs import DefiningGraph, GraphError, InsufficientRadius, InvariantError, cycle_graph
 from raagqi.words import (
     cone_key,
+    coset_key,
     flat_key,
     generator,
     identity,
@@ -19,6 +21,8 @@ from raagqi.words import (
     singular_key,
     subgroup_product_factors,
 )
+
+from conftest import small_connected_graphs
 
 
 def eight_cycle_fixtures(ball, limit=12):
@@ -151,38 +155,37 @@ def test_broken_arrangement_is_an_invariant_error():
     assert not isinstance(err.value, GraphError)
 
 
-def _renumbered(signature):
-    """A diagram signature with hyperplane ids renumbered by the first
-    boundary position they are crossed at; raw ids are ball edge ids."""
-    arcs, crossings, regions = signature
-    first = {}
-    for _, _, h in arcs:
-        first.setdefault(h, len(first))
-    return tuple((a, b, first[h]) for a, b, h in arcs), crossings, regions
-
-
 def test_lifted_cycle_diagrams_are_cones_in_the_fundamental_domain(
     pentagon, dodeca, dodeca_double, pentagon_ball6, dd_ball6
 ):
     # the default lift radius is 2 because a lifted cycle's diagram is the
-    # cone over it at the identity cone; pin that on every embedded cycle
+    # cone over it at the identity cone; pin that on every embedded cycle,
+    # and that the identity star and balls of radius 2, 4 and 6 give the same
+    # diagram, hyperplane ids (the crossed vertices' indices) and region
+    # vertices included
     assert D.DEFAULT_LIFT_RADIUS == 2
     checked = 0
     for g, max_len, big in ((pentagon, 10, pentagon_ball6), (dodeca, 10, None), (dodeca_double, 9, dd_ball6)):
+        star = D.IdentityStar(g)
         small = FS.build_ball(g, D.DEFAULT_LIFT_RADIUS)
-        assert small.nvertices == 1 + len(g.vertices) + len(g.edges)
+        balls = [small, FS.build_ball(g, 4)] + ([big] if big is not None else [])
+        assert star.nvertices == small.nvertices == 1 + len(g.vertices) + len(g.edges)
         for gamma in C.enumerate_cycles(g, max_len):
             cyc = D.lift_cycle(g, gamma)
             n = len(cyc)
-            d = D.build_diagram(small, cyc)
+            d = D.build_diagram(star, cyc)
             spans = {frozenset((a, b)) for a, b, _ in d.arcs}
             assert len(d.arcs) == n
             assert spans == {frozenset((2 * j % (2 * n), (2 * j - 3) % (2 * n))) for j in range(n)}
+            assert sorted(h for _, _, h in d.arcs) == sorted(g.index[v] for v in gamma.vertices)
             assert len(d.crossings) == n
             assert len(d.core) == 1
             assert small.key_of(d.core_regions()[0].vertex) == cone_key(identity(g))
-            if big is not None:
-                assert _renumbered(d.signature()) == _renumbered(D.build_diagram(big, cyc).signature())
+            for ball in balls:
+                other = D.build_diagram(ball, cyc)
+                assert other.to_json_obj() == d.to_json_obj()
+                assert other.signature() == d.signature()
+                assert [r.vertex for r in other.regions] == [r.vertex for r in d.regions]
             checked += 1
     assert checked == 227
 
@@ -528,3 +531,233 @@ def test_arc_coarse_length_matches_direct_sum(pentagon, pentagon_ball6):
         for p in range(n):
             for q in range(n):
                 assert cycle.arc_coarse_length(p, q) == direct(cycle, p, q)
+
+
+# ---------------------------------------------------------------------------
+# the identity star against the radius-2 ball
+# ---------------------------------------------------------------------------
+
+def assert_star_matches_ball(graph):
+    ball = FS.build_ball(graph, 2)
+    star = D.IdentityStar(graph)
+    nv = ball.nvertices
+    assert star.nvertices == nv
+    letters = [generator(graph, v, s) for v in graph.order for s in (1, -1)]
+    outside = 0
+    for i in range(nv):
+        key = ball.key_of(i)
+        assert star.find(key) == i
+        assert star.kind_of(i) == ball.kind_of(i)
+        # the same ids in the same order, so a scan of either map agrees
+        assert list(star.blocks_across(i).items()) == list(ball.blocks_across(i).items())
+        for x in letters:
+            moved = coset_key(x * key.rep, key.kind, key.gens)
+            assert star.find(moved) == ball.find(moved)
+            outside += star.find(moved) == -1
+        for j in range(nv):
+            try:
+                expect = ball.edge_id(i, j)
+            except GraphError:
+                with pytest.raises(GraphError):
+                    star.edge_id(i, j)
+            else:
+                assert star.edge_id(i, j) == expect
+    root, crossings = star.hyperplanes()
+    ball_root, ball_crossings = ball.hyperplanes()
+    assert list(root) == ball_root.tolist()
+    assert crossings == ball_crossings
+    # the hyperplane dual to (1, 1<v>) is numbered by v's index, and two
+    # hyperplanes cross exactly along the edges of the graph
+    assert [root[star.edge_id(0, 1 + k)] for k in range(len(graph.order))] == list(range(len(graph.order)))
+    assert crossings == {(graph.index[a], graph.index[b]) for a, b in graph.edges}
+    # a translated cone is always outside; a coset can absorb the letter
+    assert outside >= len(letters)
+
+
+@pytest.mark.parametrize("make", [rq.pentagon, rq.dodecahedron, rq.dodecahedron_double])
+def test_identity_star_matches_radius_2_ball(make):
+    assert_star_matches_ball(make())
+
+
+@given(small_connected_graphs())
+@settings(max_examples=100, deadline=None)
+def test_identity_star_matches_radius_2_ball_on_random_graphs(graph):
+    assert_star_matches_ball(graph)
+
+
+def test_identity_star_requires_a_connected_graph():
+    with pytest.raises(GraphError):
+        D.IdentityStar(DefiningGraph(["a", "b"], []))
+
+
+# ---------------------------------------------------------------------------
+# the face tracer against its tuple-keyed form
+# ---------------------------------------------------------------------------
+
+def reference_arrangement_faces(nb, arcs, crossings):
+    """The face tracer on node, label and half-edge tuples, with ``index``
+    lookups into each rotation and arc."""
+    per_arc = {i: [] for i in range(len(arcs))}
+    for i, j in crossings:
+        per_arc[i].append(j)
+        per_arc[j].append(i)
+
+    def inside(chord, pos):
+        a, b = arcs[chord][:2]
+        return a < pos < b
+
+    def order_on(i):
+        # chords crossing arc i are pairwise disjoint (no arc triangles), so
+        # "y lies beyond x as seen from the start of i" is a total order
+        a1 = arcs[i][0]
+
+        def cmp(x, y):
+            if x == y:
+                return 0
+            return -1 if inside(x, arcs[y][0]) != inside(x, a1) else 1
+
+        return sorted(per_arc[i], key=cmp_to_key(cmp))
+
+    arc_nodes = {}
+    for i in range(len(arcs)):
+        nodes = [("b", arcs[i][0])]
+        for j in order_on(i):
+            nodes.append(("x", min(i, j), max(i, j)))
+        nodes.append(("b", arcs[i][1]))
+        arc_nodes[i] = nodes
+
+    adj = {}
+
+    def add_edge(u, v, label):
+        adj.setdefault(u, []).append((v, label))
+        adj.setdefault(v, []).append((u, label))
+
+    for k in range(nb):
+        add_edge(("b", k), ("b", (k + 1) % nb), ("seg", k))
+    for i, nodes in arc_nodes.items():
+        for t in range(len(nodes) - 1):
+            add_edge(nodes[t], nodes[t + 1], ("arc", i, t))
+
+    def anchor(u, v, lab):
+        # boundary position that the ray u -> v points toward
+        if lab[0] == "seg":
+            return v[1]
+        i = lab[1]
+        nodes = arc_nodes[i]
+        ui, vi = nodes.index(u), nodes.index(v)
+        return arcs[i][1] if vi > ui else arcs[i][0]
+
+    rotations = {}
+    for u, nbrs in adj.items():
+        if u[0] == "b":
+            k = u[1]
+            ordered = []
+            for v, lab in nbrs:
+                if lab[0] == "seg":
+                    rank = 0 if v == ("b", (k + 1) % nb) else 2
+                else:
+                    rank = 1
+                ordered.append((rank, v, lab))
+            ordered.sort(key=lambda t: t[0])
+            rotations[u] = [(v, lab) for _, v, lab in ordered]
+        else:
+            ks = sorted(((anchor(u, v, lab), v, lab) for v, lab in nbrs))
+            rotations[u] = [(v, lab) for _, v, lab in ks]
+
+    next_he = {}
+    for u, nbrs in adj.items():
+        for v, lab in nbrs:
+            rot = rotations[v]
+            idx = rot.index((u, lab))
+            w, lab2 = rot[(idx - 1) % len(rot)]
+            next_he[(u, v, lab)] = (v, w, lab2)
+
+    faces = []
+    face_of_he = {}
+    for he in list(next_he):
+        if he in face_of_he:
+            continue
+        fid = len(faces)
+        walk = []
+        cur = he
+        while cur not in face_of_he:
+            face_of_he[cur] = fid
+            walk.append(cur)
+            cur = next_he[cur]
+        if cur != he:
+            raise InvariantError("face tracing failed to close")
+        faces.append(walk)
+
+    nverts = len(adj)
+    nedges = sum(len(x) for x in adj.values()) // 2
+    if nverts - nedges + len(faces) != 2:
+        raise InvariantError("arrangement failed the Euler check")
+
+    outer = face_of_he[(("b", 1 % nb), ("b", 0), ("seg", 0))]
+    seg_face = {}
+    edge_faces = {}
+    face_edges = {}
+    face_nodes = {}
+    for fid, walk in enumerate(faces):
+        if fid == outer:
+            continue
+        labs = [lab for _, _, lab in walk]
+        face_edges[fid] = labs
+        face_nodes[fid] = [u for u, _, _ in walk]
+        for lab in labs:
+            edge_faces.setdefault(lab, []).append(fid)
+            if lab[0] == "seg":
+                if lab[1] in seg_face:
+                    raise GraphError("cycle required: a region meets the boundary twice")
+                seg_face[lab[1]] = fid
+    inner = [fid for fid in range(len(faces)) if fid != outer]
+    return inner, face_edges, seg_face, edge_faces, face_nodes
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (GraphError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_faces_match_reference(nb, arcs, crossings):
+    got = outcome(D._arrangement_faces, nb, arcs, crossings)
+    assert got == outcome(reference_arrangement_faces, nb, arcs, crossings)
+    if isinstance(got[0], list):
+        # the same dict orders too: faces are numbered and typed in them
+        for a, b in zip(got[1:], reference_arrangement_faces(nb, arcs, crossings)[1:]):
+            assert list(a.items()) == list(b.items())
+    return got
+
+
+def test_arrangement_faces_match_reference_on_diagrams(pentagon, dodeca, dodeca_double, pentagon_ball6):
+    diagrams = []
+    for g, max_len in ((pentagon, 10), (dodeca, 10), (dodeca_double, 9)):
+        star = D.IdentityStar(g)
+        diagrams += [D.build_diagram(star, D.lift_cycle(g, gamma)) for gamma in C.enumerate_cycles(g, max_len)]
+    # multi-cell cores
+    diagrams += [D.build_diagram(pentagon_ball6, cyc) for cyc in eight_cycle_fixtures(pentagon_ball6, limit=12)]
+    for d in diagrams:
+        assert isinstance(assert_faces_match_reference(2 * len(d.cycle), d.arcs, d.crossings)[0], list)
+    assert len(diagrams) == 239
+    assert_faces_match_reference(4, [(0, 2, 0), (1, 3, 1)], set())
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_arrangement_faces_match_reference_on_random_chords(seed):
+    # random perfect matchings of 2..16 boundary points, crossing where the
+    # chords interleave, some with one crossing dropped or a false one added
+    rng = random.Random(seed)
+    points = list(range(2 * rng.randint(1, 8)))
+    rng.shuffle(points)
+    arcs = sorted((min(a, b), max(a, b), rng.randrange(4)) for a, b in zip(points[::2], points[1::2]))
+    pairs = [(i, j) for i in range(len(arcs)) for j in range(i + 1, len(arcs))]
+    crossings = {(i, j) for i, j in pairs if D._interleaved(arcs[i][:2], arcs[j][:2])}
+    edit = rng.random()
+    if edit < 0.1 and crossings:
+        crossings.discard(rng.choice(sorted(crossings)))
+    elif edit < 0.2 and pairs:
+        crossings.add(rng.choice(pairs))
+    assert_faces_match_reference(len(points), arcs, crossings)

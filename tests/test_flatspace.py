@@ -12,6 +12,8 @@ import raagqi.words as W
 from raagqi.graphs import DefiningGraph, GraphError, star_graph
 from raagqi.words import flat_key, identity, normal_form, singular_key
 
+from conftest import small_connected_graphs
+
 
 def test_radius_validation(pentagon):
     with pytest.raises(GraphError):
@@ -447,18 +449,6 @@ def test_hyperplanes_match_union_find(graph, radius):
     assert_hyperplanes_match_union_find(FS.build_ball(graph, radius))
 
 
-@st.composite
-def small_connected_graphs(draw):
-    # a random tree on 1..7 vertices plus random extra edges: pendant
-    # vertices, triangles and larger cliques all occur
-    verts = ["v%d" % i for i in range(draw(st.integers(1, 7)))]
-    edges = {(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, len(verts))}
-    pairs = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
-    if pairs:
-        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-    return DefiningGraph(verts, sorted(edges))
-
-
 @given(small_connected_graphs(), st.integers(2, 6))
 @settings(max_examples=200, deadline=None)
 def test_hyperplanes_match_union_find_on_random_graphs(graph, radius):
@@ -682,3 +672,10 @@ def test_interior_flag(pentagon_ball6):
     assert ints
     for i in ints:
         assert len(b.rep_of(i)) == 0
+
+
+def test_coset_algebra_keeps_its_flatspace_names():
+    # the coset algebra lives in words, where diagrams imports it without
+    # numpy; flatspace uses the same functions under the same names
+    for name in ("_check_key", "singular_contained_in_flat", "stabilizers_equal", "_connections"):
+        assert getattr(FS, name) is getattr(W, name)
