@@ -9,6 +9,11 @@ Commutation and adjacency data are lists of int bitmasks: ``comm[g]`` has bit
 Two letters may swap iff their generators are equal or adjacent.  Masks are
 Python ints, so there is no limit on the number of generators.
 
+The normal form is one left-to-right pass that inserts or cancels each
+letter locally (the step of Crisp-Godelle-Wiest's linear-time word problem),
+so extending a normal form by one letter scans only the letters that commute
+with it.  Coset stripping takes a normal form and does not renormalize.
+
 Each kernel has one plain-Python implementation and needs no third-party
 package.
 """
@@ -37,57 +42,59 @@ def letter_inv(code):
 
 def normal_form_codes(w, comm):
     """Shortlex normal form of the letter-code list ``w``, computed in place;
-    returns ``w``."""
-    # Phase 1: cancel x ... x^-1 pairs whenever everything between commutes
-    # with x.  Same-generator letters always commute, so the scan only stops
-    # at a genuinely blocking letter.
-    changed = True
-    while changed:
-        changed = False
-        n = len(w)
-        for i in range(n):
-            x = w[i]
-            gx = (x - 1) >> 1
-            cx = comm[gx]
-            xinv = ((x - 1) ^ 1) + 1
-            for j in range(i + 1, n):
-                y = w[j]
-                gy = (y - 1) >> 1
-                if gx != gy and not (cx >> gy) & 1:
-                    break
-                if y == xinv:
-                    del w[j]
-                    del w[i]
-                    changed = True
-                    break
-            if changed:
+    returns ``w``.
+
+    One left-to-right pass appends the letters of ``w`` to a normal form
+    ``out``.  For each letter x it scans ``out`` backwards while the letters
+    commute with x (the commuting tail): it stops at a letter equal to x,
+    cancels the first x^-1 it finds, and otherwise inserts x before the
+    leftmost tail letter greater than x, or at the end if there is none.
+
+    Why ``out`` stays the shortlex normal form: the least order of a
+    reduced word's letters is the greedy one, which takes at each step the
+    least letter that no untaken letter blocks.  Let ``out`` be that order.
+
+    - Neither x nor x^-1 in the tail: ``out`` x is reduced.  x becomes
+      available just after the last letter that blocks it and blocks
+      nothing, so the greedy order of ``out`` x is the old order with x
+      taken at the first later step where it is smaller: before the
+      leftmost greater tail letter.
+    - x in the tail: left of it the tail has no letter greater than x (x
+      would move before it, giving a smaller word) and no x^-1 (the pair
+      would cancel), so stopping there finds the same leftmost greater
+      letter; right of it there is no x^-1 either, so ``out`` x is reduced.
+    - x^-1 in the tail: it is right-movable, so ``out`` x equals ``out``
+      with that letter deleted, which is reduced, and deleting a letter
+      that blocks nothing after it leaves the greedy order of the rest.
+    """
+    out = []
+    for x in w:
+        g = (x - 1) >> 1
+        star = comm[g] | (1 << g)
+        xinv = ((x - 1) ^ 1) + 1
+        pos = i = len(out)
+        while i:
+            i -= 1
+            y = out[i]
+            if y == x or not (star >> ((y - 1) >> 1)) & 1:
                 break
-    # Phase 2: greedy shortlex.  Repeatedly move the smallest front-movable
-    # letter to the front.  Reducedness is preserved: commutation moves never
-    # create a cancellable pair that phase 1 missed.
-    n = len(w)
-    for pos in range(n):
-        best = pos
-        x = w[pos]
-        bg = (x - 1) >> 1
-        blocked = ~comm[bg] & ~(1 << bg)
-        for i in range(pos + 1, n):
-            y = w[i]
-            g = (y - 1) >> 1
-            if not (blocked >> g) & 1 and y < x:
-                best = i
-                x = y
-            blocked |= ~comm[g] & ~(1 << g)
-        if best != pos:
-            del w[best]
-            w.insert(pos, x)
+            if y == xinv:
+                del out[i]
+                pos = -1
+                break
+            if y > x:
+                pos = i
+        if pos >= 0:
+            out.insert(pos, x)
+    w[:] = out
     return w
 
 
 def strip_coset_codes(w, comm, strip_mask):
-    """Canonical coset representative of the letter-code list ``w`` (which
-    it may change): the normal form with its right-movable letters over
-    ``strip_mask`` generators deleted.
+    """Canonical coset representative of the normal form ``w`` (a list of
+    letter codes, which it may change): ``w`` with its right-movable letters
+    over ``strip_mask`` generators deleted.  ``w`` must already be a normal
+    form; this is not checked.
 
     One right-to-left pass drops each mask letter that commutes with every
     kept later letter.  The dropped letters form the largest suffix of the
@@ -97,7 +104,6 @@ def strip_coset_codes(w, comm, strip_mask):
     letters leaves the shortlex-least order of the rest, so there is no
     renormalize loop.
     """
-    normal_form_codes(w, comm)
     blocked = 0
     for i in range(len(w) - 1, -1, -1):
         g = (w[i] - 1) >> 1

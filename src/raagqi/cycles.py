@@ -68,13 +68,12 @@ class EmbeddedCycle:
 
 
 def _canonical(vs):
-    n = len(vs)
-    best = None
-    for rot in range(n):
-        for seq in (vs[rot:] + vs[:rot], (vs[rot:] + vs[:rot])[:1] + tuple(reversed((vs[rot:] + vs[:rot])[1:]))):
-            if best is None or seq < best:
-                best = seq
-    return best
+    """Least rotation or reflection of a cycle of distinct vertices: it
+    starts at the least vertex and goes on to the smaller of its two
+    neighbours on the cycle."""
+    i = vs.index(min(vs))
+    r = vs[i:] + vs[:i]
+    return r if r[1] < r[-1] else r[:1] + r[:0:-1]
 
 
 def enumerate_cycles(graph, max_len):

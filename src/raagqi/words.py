@@ -118,17 +118,9 @@ class GroupElement:
         return GroupElement(self.ctx, inv)
 
     def __pow__(self, k):
-        # repeated squaring: about 2 log2|k| products, each normalized once
-        out = GroupElement(self.ctx, (), _canonical=True)
-        base = self if k > 0 else self.inverse()
-        k = abs(k)
-        while k:
-            if k & 1:
-                out = base if out.is_identity else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        # one normalization: the kernel inserts or cancels letter by letter
+        base = self if k >= 0 else self.inverse()
+        return GroupElement(self.ctx, base.codes * abs(k))
 
     # -- structure ----------------------------------------------------------
 

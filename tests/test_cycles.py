@@ -57,6 +57,25 @@ def test_canonical_form_is_rotation_reflection_invariant(pentagon):
         assert C.EmbeddedCycle(pentagon, tuple(reversed(seq))) == C.EmbeddedCycle(pentagon, base)
 
 
+def canonical_reference(vs):
+    """Least of all 2n rotations and reflections of the cycle."""
+    n = len(vs)
+    best = None
+    for rot in range(n):
+        for seq in (vs[rot:] + vs[:rot], (vs[rot:] + vs[:rot])[:1] + tuple(reversed((vs[rot:] + vs[:rot])[1:]))):
+            if best is None or seq < best:
+                best = seq
+    return best
+
+
+@given(st.lists(st.text("abcxyz0123", min_size=1, max_size=3), min_size=3, max_size=12, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_canonical_rotation_matches_all_rotations_search(names):
+    vs = tuple(names)
+    assert C._canonical(vs) == canonical_reference(vs)
+    assert C._canonical(tuple(reversed(vs))) == canonical_reference(vs)
+
+
 def test_cycle_validation(pentagon):
     with pytest.raises(GraphError):
         C.EmbeddedCycle(pentagon, ("a", "b", "c"))  # c not adjacent to a

@@ -167,8 +167,8 @@ def test_multiply(pentagon):
     assert a * c != c * a
 
 
-def test_power_by_repeated_squaring(pentagon):
-    # a^400 takes about 2 log2(400) normalized products, not 399 growing ones
+def test_power_is_one_normalization(pentagon):
+    # a^400 is one normalization of 400 letters, not 399 growing products
     a = W.generator(pentagon, "a")
     cache = W.context_for(pentagon)._nf_cache
     before = len(cache)
@@ -176,6 +176,37 @@ def test_power_by_repeated_squaring(pentagon):
     assert x.letters() == [("a", 1)] * 400
     assert len(cache) - before <= 20
     assert x * a ** -400 == W.identity(pentagon)
+
+
+# ---------------------------------------------------------------------------
+# long words: the insertion pass is about linear where the two-phase kernel
+# was quadratic
+# ---------------------------------------------------------------------------
+
+def test_long_power_of_a_generator_is_its_own_normal_form(pentagon):
+    assert W.normal_form(pentagon, "a^20000").letters() == [("a", 1)] * 20000
+
+
+def test_long_power_equals_repeated_product(pentagon):
+    x = W.normal_form(pentagon, "a b c")
+    product = W.identity(pentagon)
+    for _ in range(300):
+        product = product * x
+    assert x ** 300 == product
+    assert len(product) == 900
+
+
+def test_long_power_of_commuting_letters_sorts_them(pentagon):
+    ab = W.normal_form(pentagon, "a b")
+    assert (ab ** 500).letters() == [("a", 1)] * 500 + [("b", 1)] * 500
+
+
+def test_long_nested_cancellation_is_the_identity(pentagon):
+    # (a c)^600 (a c)^-600: a and c do not commute, so every cancellation
+    # is nested inside the next
+    word = " ".join(["a c"] * 600 + ["c^-1 a^-1"] * 600)
+    assert len(W.parse_word(pentagon, word)) == 2400
+    assert W.normal_form(pentagon, word).is_identity
 
 
 def test_multiply_rejects_graph_mismatch(pentagon):
@@ -251,6 +282,96 @@ def test_subgroup_product_membership_vs_bruteforce(pentagon):
             W.in_special_subgroup(alpha.inverse() * w, B) for alpha in sub_a if len(alpha) <= len(w)
         )
         assert W.in_subgroup_product(w, [A, B]) == brute
+
+
+# ---------------------------------------------------------------------------
+# the insertion pass against the two-phase kernel it replaced
+# ---------------------------------------------------------------------------
+
+def normal_form_reference(w, comm):
+    """Shortlex normal form of the letter-code list ``w``, computed in place;
+    returns ``w``."""
+    # Phase 1: cancel x ... x^-1 pairs whenever everything between commutes
+    # with x.  Same-generator letters always commute, so the scan only stops
+    # at a genuinely blocking letter.
+    changed = True
+    while changed:
+        changed = False
+        n = len(w)
+        for i in range(n):
+            x = w[i]
+            gx = (x - 1) >> 1
+            cx = comm[gx]
+            xinv = ((x - 1) ^ 1) + 1
+            for j in range(i + 1, n):
+                y = w[j]
+                gy = (y - 1) >> 1
+                if gx != gy and not (cx >> gy) & 1:
+                    break
+                if y == xinv:
+                    del w[j]
+                    del w[i]
+                    changed = True
+                    break
+            if changed:
+                break
+    # Phase 2: greedy shortlex.  Repeatedly move the smallest front-movable
+    # letter to the front.  Reducedness is preserved: commutation moves never
+    # create a cancellable pair that phase 1 missed.
+    n = len(w)
+    for pos in range(n):
+        best = pos
+        x = w[pos]
+        bg = (x - 1) >> 1
+        blocked = ~comm[bg] & ~(1 << bg)
+        for i in range(pos + 1, n):
+            y = w[i]
+            g = (y - 1) >> 1
+            if not (blocked >> g) & 1 and y < x:
+                best = i
+                x = y
+            blocked |= ~comm[g] & ~(1 << g)
+        if best != pos:
+            del w[best]
+            w.insert(pos, x)
+    return w
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_insertion_pass_matches_two_phase_kernel(seed):
+    # graphs on 2..8 vertices with dense random edges, so that cliques
+    # occur; words of up to 60 letters built from single letters, long
+    # same-letter runs and nested w w^-1 blocks
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    density = rng.uniform(0.3, 0.9)
+    comm = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                comm[i] |= 1 << j
+                comm[j] |= 1 << i
+    letters = range(1, 2 * n + 1)
+
+    def nested(depth):
+        outer = [rng.choice(letters) for _ in range(rng.randint(1, 4))]
+        inner = nested(depth - 1) if depth else []
+        return outer + inner + [K.letter_inv(c) for c in reversed(outer)]
+
+    for _ in range(20):
+        size = rng.randint(0, 60)
+        w = []
+        while len(w) < size:
+            kind = rng.random()
+            if kind < 0.25:
+                w += [rng.choice(letters)] * rng.randint(2, 12)
+            elif kind < 0.5:
+                w += nested(rng.randint(0, 3))
+            else:
+                w.append(rng.choice(letters))
+        w = w[:60]
+        assert K.normal_form_codes(list(w), comm) == normal_form_reference(list(w), comm)
 
 
 # ---------------------------------------------------------------------------
