@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .graphs import (
     DefiningGraph,
     GraphError,
-    InsufficientRadius,
     InvariantError,
     AtomicityReport,
     check_atomic,

@@ -9,7 +9,7 @@ import functools
 import json
 import sys
 
-from .graphs import DefiningGraph, GraphError
+from .graphs import DefiningGraph, GraphError, is_connected
 
 
 class InputError(Exception):
@@ -124,8 +124,6 @@ def _lifted_cycle(args):
 
     g = _load_graph(args.graph)
     gamma = EmbeddedCycle(g, _parse_cycle(g, args.cycle))
-    if args.radius is not None and args.radius < 2:
-        raise GraphError("radius must be at least 2")
     if len(gamma) == 3:
         # three pairwise-crossing hyperplanes: no square complex holds them
         raise GraphError(
@@ -133,14 +131,16 @@ def _lifted_cycle(args):
             "so the flat space is not CAT(0) there and the lift has no disk diagram"
             % ",".join(gamma.vertices)
         )
+    if not is_connected(g):
+        raise GraphError("a lifted-cycle diagram requires a connected graph")
     return g, gamma, lift_cycle(g, gamma)
 
 
 def cmd_diagram(args):
-    from .diagrams import IdentityStar, build_diagram, shell_report
+    from .diagrams import build_diagram, shell_report
 
-    g, _, cyc = _lifted_cycle(args)
-    d = build_diagram(IdentityStar(g), cyc)
+    _, _, cyc = _lifted_cycle(args)
+    d = build_diagram(cyc)
     if args.dot:
         print(_diagram_dot(d), end="")
         return 0
@@ -167,7 +167,7 @@ def _diagram_dot(d):
 
 def cmd_taut(args):
     from .cycles import is_tight
-    from .diagrams import IdentityStar, build_diagram, find_icut, find_quasicut
+    from .diagrams import build_diagram, find_icut, find_quasicut
 
     g, gamma, cyc = _lifted_cycle(args)
     # the cut searches are algebraic and need no ball; each runs once, and
@@ -185,7 +185,7 @@ def cmd_taut(args):
         **cuts,
     }
     if taut:
-        obj["core_single_cell"] = len(build_diagram(IdentityStar(g), cyc).core) == 1
+        obj["core_single_cell"] = len(build_diagram(cyc).core) == 1
     _emit(args, obj, "taut" if taut else "not taut")
     return 0
 
@@ -252,12 +252,6 @@ def cmd_report(args):
     return 0
 
 
-RADIUS_HELP = (
-    "at least 2; a lifted cycle's diagram lies in the radius-2 identity star, "
-    "so a larger radius gives the same answer"
-)
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
@@ -292,13 +286,11 @@ def build_parser():
     p = add("diagram", cmd_diagram)
     p.add_argument("graph")
     p.add_argument("--cycle", required=True, help="comma-separated vertex cycle")
-    p.add_argument("--radius", type=int, default=None, help=RADIUS_HELP)
     p.add_argument("--dot", action="store_true")
 
     p = add("taut", cmd_taut)
     p.add_argument("graph")
     p.add_argument("--cycle", required=True)
-    p.add_argument("--radius", type=int, default=None, help=RADIUS_HELP)
 
     p = add("classify-qi", cmd_classify_qi)
     p.add_argument("graph1")

@@ -9,17 +9,21 @@ two arcs exactly when their positions interleave, and read the regions off
 the chord arrangement.  Regions map to vertices of the flat space (blocks);
 the core is the set of regions not touching the boundary circle.
 
-The lift of a graph cycle v_0 ... v_{n-1} through the identity fundamental
-domain needs no more than that domain: each boundary edge is dual to the
-hyperplane (v_j, <lk v_j>) through the identity cone's closed star, so the
-reduced diagram is the cone over the cycle (arc j pairs boundary positions
-2j and 2j-3 mod 2n, n crossings, and one core region, the identity cone).
-``DEFAULT_LIFT_RADIUS`` is therefore 2, and ``IdentityStar`` is that ball
-without numpy: the hyperplane (v, <lk v>) is numbered by the index of v,
-which is its least edge id in every ball of radius >= 2, and two of them
-cross exactly when their vertices are adjacent.  Any other cycle needs an
-explicit ``FlatBall``, and a ball too small for it raises
-``InsufficientRadius``; its hyperplane ids are edge ids of that ball.
+The diagram needs no ball: its three questions are coset algebra on
+``(gens, codes)`` cell keys and generator bitmasks.  The hyperplane dual to
+the edge from a cone g to the singular g<v>, and to the edge from a
+singular h<u> to the flat h<u,v>, is labelled (v, g<lk v>) (resp.
+(v, h<lk v>)), stored as v's index and the stripped representative.  Two
+hyperplanes (u, P) and (w, Q) cross iff u ~ w and P^-1 Q is in
+<lk u><lk w>, and the block across (u, P) from a cell is read off the
+factoring of the cell's representative against P in <u><lk u>
+(``_block_across``).  A hyperplane is numbered index(u) + |V| k, k the
+shortlex rank of P among the diagram's representatives.  The lift of a
+graph cycle v_0 ... v_{n-1} through the identity fundamental domain
+crosses the hyperplanes (v_j, <lk v_j>), numbered by the indices of the
+v_j, and its reduced diagram is the cone over the cycle (arc j pairs
+boundary positions 2j and 2j-3 mod 2n, n crossings, and one core region,
+the identity cone).
 
 Cuts and quasi-cuts are short coarse connections between flats of a cycle,
 so ``find_icut`` and ``find_quasicut`` are loops over the one connection
@@ -31,13 +35,16 @@ and arc coarse lengths are sums over them.
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
-from .graphs import GraphError, InsufficientRadius, InvariantError, is_connected
+from .graphs import GraphError, InvariantError
 from . import _kernels
 from .words import (
+    _KINDS,
     CosetKey,
     GroupElement,
     _connections,
     _factors_by_masks,
+    _in_mask,
+    _inverse_codes,
     singular_contained_in_flat,
     stabilizers_equal,
 )
@@ -53,14 +60,7 @@ __all__ = [
     "find_quasicut",
     "is_taut",
     "verify_taut_diagram_lemma",
-    "DEFAULT_LIFT_RADIUS",
-    "IdentityStar",
 ]
-
-# A lifted cycle's diagram is the cone over it at the identity cone: every
-# hyperplane it crosses meets the identity cone's closed star, which is the
-# radius-2 ball (1 + |V| + |E| cells), so nothing outside that ball is read.
-DEFAULT_LIFT_RADIUS = 2
 
 
 class FullEdgeCycle:
@@ -136,70 +136,6 @@ def lift_cycle(graph, gamma):
     return FullEdgeCycle(flats, sings)
 
 
-class IdentityStar:
-    """The closed star of the identity cone, numbered as ``build_ball(graph,
-    2)`` numbers it, in plain Python: the ball a lifted cycle's diagram
-    needs, answering the queries ``build_diagram`` makes of a ball.
-
-    Cell 0 is the identity cone, cell 1 + i the singular <order[i]> and cell
-    1 + n + k the flat of ``graph.edges[k]``.  Edges are numbered in (lower
-    end, upper end) order, so (1, 1<v>) is edge ``index[v]``.  The edge
-    (1, 1<v>) and the edges (1<w>, 1<v,w>), w in lk v, are dual to the
-    hyperplane (v, <lk v>), whose id is therefore ``index[v]``: its least
-    edge, here and in every larger ball.  Two such hyperplanes cross in the
-    square of an edge of the graph.
-    """
-
-    def __init__(self, graph):
-        if not is_connected(graph):
-            raise GraphError("a lifted-cycle diagram requires a connected graph")
-        n = len(graph.order)
-        index = graph.index
-        pairs = [(index[a], index[b]) for a, b in graph.edges]
-        self.nvertices = 1 + n + len(pairs)
-        self._slot_of = {(): 0}
-        self._slot_of.update(((v,), 1 + i) for i, v in enumerate(graph.order))
-        self._slot_of.update((e, 1 + n + k) for k, e in enumerate(graph.edges))
-        self._n = n
-        # (lower end, upper end, crossed generator) of every edge
-        ends = [(0, 1 + i, i) for i in range(n)]
-        for k, (u, w) in enumerate(pairs):
-            ends += [(1 + u, 1 + n + k, w), (1 + w, 1 + n + k, u)]
-        ends.sort()
-        self._edge_id = {(lo, hi): e for e, (lo, hi, _) in enumerate(ends)}
-        self._root = [h for _, _, h in ends]
-        self._crossings = set(pairs)
-        # per vertex, its edges as the lower end and then as the upper end,
-        # each in edge id order, as a ball lists them
-        self._across = [{} for _ in range(self.nvertices)]
-        for lo, hi, h in ends:
-            self._across[lo].setdefault(h, []).append(hi)
-        for lo, hi, h in ends:
-            self._across[hi].setdefault(h, []).append(lo)
-
-    def find(self, key):
-        """Index of a CosetKey in the star, or -1."""
-        slot = self._slot_of.get(key.gens)
-        return -1 if slot is None or key.rep.codes else slot
-
-    def edge_id(self, i, j):
-        e = self._edge_id.get((i, j) if i < j else (j, i))
-        if e is None:
-            raise GraphError("edge not present in the identity star")
-        return e
-
-    def hyperplanes(self):
-        """(edge -> hyperplane id) list plus the set of crossing id pairs."""
-        return self._root, self._crossings
-
-    def blocks_across(self, vi):
-        """{hyperplane id: other ends of the edges at vertex vi dual to it}."""
-        return self._across[vi]
-
-    def kind_of(self, i):
-        return "cone" if i == 0 else "singular" if i <= self._n else "flat"
-
-
 # ---------------------------------------------------------------------------
 # diagram construction
 # ---------------------------------------------------------------------------
@@ -208,7 +144,7 @@ class IdentityStar:
 class Region:
     face_id: int
     kind: str = "?"
-    vertex: int = -1
+    vertex: tuple = None  # the (gens, codes) key of its flat-space cell
     boundary_segment: int = -1
     sides: tuple = ()
     in_core: bool = False
@@ -284,38 +220,41 @@ def _matching_choices(by_class):
     return choices
 
 
-def build_diagram(ball, cycle):
+def build_diagram(cycle):
     """The reduced dual disk diagram of an embedded full-edge cycle.
 
-    Raises ``InsufficientRadius`` when the cycle's cells or their hyperplane
-    data are not contained in the ball, and ``InvariantError`` when the
-    assembled diagram breaks the square-complex structure.
+    Raises ``InvariantError`` when the assembled diagram breaks the
+    square-complex structure.
     """
     n = len(cycle)
+    ctx = cycle.flats[0].rep.ctx
     # boundary edge at position 2i: (f_i, s_i); at 2i+1: (s_i, f_{i+1})
-    pos_edges = []
+    labels = []
     for i in range(n):
-        fi = ball.find(cycle.flats[i])
-        si = ball.find(cycle.singulars[i])
-        fj = ball.find(cycle.flats[(i + 1) % n])
-        if fi < 0 or si < 0 or fj < 0:
-            raise InsufficientRadius("insufficient radius: cycle cell missing from ball")
-        try:
-            pos_edges.append(ball.edge_id(fi, si))
-            pos_edges.append(ball.edge_id(si, fj))
-        except GraphError:
-            raise InsufficientRadius("insufficient radius: cycle edge missing from ball") from None
-    root, cross_classes = ball.hyperplanes()
-    classes = [int(root[e]) for e in pos_edges]
+        s = (cycle.singulars[i].gens, cycle.singulars[i].rep.codes)
+        labels.append(_edge_label(ctx, s, cycle.flats[i].gens))
+        labels.append(_edge_label(ctx, s, cycle.flats[(i + 1) % n].gens))
+    reps = sorted({p for _, p in labels}, key=lambda p: (len(p), p))
+    rank = {p: k for k, p in enumerate(reps)}
+    number = {lab: lab[0] + len(ctx.generators) * rank[lab[1]] for lab in labels}
+    label_of = {h: lab for lab, h in number.items()}
+    classes = [number[lab] for lab in labels]
 
     by_class = {}
     for p, h in enumerate(classes):
         by_class.setdefault(h, []).append(p)
     for h, ps in by_class.items():
         if len(ps) % 2:
-            raise InsufficientRadius("insufficient radius: hyperplane crossed an odd number of times")
+            raise InvariantError("a closed cycle crosses a hyperplane an odd number of times")
 
     choices = _matching_choices(by_class)
+    hs = sorted(label_of)
+    cross_classes = {
+        (h1, h2)
+        for k, h1 in enumerate(hs)
+        for h2 in hs[k + 1 :]
+        if _crosses(ctx, label_of[h1], label_of[h2])
+    }
 
     def consistent(arcs):
         for i in range(len(arcs)):
@@ -342,7 +281,7 @@ def build_diagram(ball, cycle):
 
     arcs = assemble(0, [])
     if arcs is None:
-        raise InsufficientRadius("insufficient radius: no consistent dual diagram pairing")
+        raise InvariantError("no consistent dual diagram pairing")
     arcs.sort()
     crossings = set()
     for i in range(len(arcs)):
@@ -360,7 +299,7 @@ def build_diagram(ball, cycle):
         2 * n, arcs, crossings
     )
     regions, core, adjacency = _type_regions(
-        ball, cycle, arcs, faces, face_edges, seg_face, edge_faces
+        ctx, cycle, [label_of[h] for _, _, h in arcs], faces, face_edges, seg_face, edge_faces
     )
     diagram = DiskDiagram(
         cycle=cycle,
@@ -504,7 +443,7 @@ def _arrangement_faces(nb, arcs, crossings):
     return inner, face_edges, seg_face, edge_faces, face_nodes
 
 
-def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces):
+def _type_regions(ctx, cycle, arc_labels, faces, face_edges, seg_face, edge_faces):
     n = len(cycle)
     nb = 2 * n
     # boundary faces carry the vertex of their boundary segment: between
@@ -516,15 +455,16 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces):
             raise InvariantError("boundary segment lost its region")
         i, odd = divmod(k, 2)
         key = cycle.singulars[i] if not odd else cycle.flats[(i + 1) % n]
-        vi = ball.find(key)
-        if fid in vertex_of and vertex_of[fid] != vi:
+        x = (key.gens, key.rep.codes)
+        if fid in vertex_of and vertex_of[fid] != x:
             raise GraphError("cycle required: boundary region is not a single block")
-        vertex_of[fid] = vi
-
-    arc_class = {i: arcs[i][2] for i in range(len(arcs))}
+        vertex_of[fid] = x
 
     from collections import deque
 
+    # crossing a hyperplane back returns to the same cell, so each piece of
+    # an arc is computed once, from the side reached first
+    across = {}
     pending = deque(fid for fid in faces if fid in vertex_of)
     while pending:
         fid = pending.popleft()
@@ -536,7 +476,10 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces):
             if len(both) != 2:
                 continue
             other = both[0] if both[1] == fid else both[1]
-            y = _block_across(ball, x, arc_class[lab[1]])
+            y = across.pop((lab, fid), None)
+            if y is None:
+                y = _block_across(ctx, x, arc_labels[lab[1]])
+                across[lab, other] = x
             if other in vertex_of:
                 if vertex_of[other] != y:
                     raise InvariantError("region propagation conflict: diagram is inconsistent")
@@ -550,14 +493,14 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces):
     for fid in faces:
         if fid not in vertex_of:
             raise InvariantError("region not reached by propagation")
-        vi = vertex_of[fid]
+        x = vertex_of[fid]
         segs = [lab[1] for lab in face_edges[fid] if lab[0] == "seg"]
         in_core = not segs
         regions.append(
             Region(
                 face_id=fid,
-                kind=ball.kind_of(vi),
-                vertex=vi,
+                kind=_KINDS[len(x[0])],
+                vertex=x,
                 boundary_segment=segs[0] if segs else -1,
                 sides=tuple(face_edges[fid]),
                 in_core=in_core,
@@ -578,15 +521,82 @@ def _type_regions(ball, cycle, arcs, faces, face_edges, seg_face, edge_faces):
     return regions, core, adjacency
 
 
-def _block_across(ball, x, h):
-    """The unique ball vertex adjacent to x through an edge of hyperplane
-    class h, read from the ball's per-vertex hyperplane map."""
-    hits = ball.blocks_across(x).get(h)
-    if not hits:
-        raise InsufficientRadius("insufficient radius: hyperplane missing at a region vertex")
-    if len(hits) != 1:
-        raise InvariantError("hyperplane crosses a block star more than once")
-    return hits[0]
+# ---------------------------------------------------------------------------
+# hyperplanes by coset algebra
+# ---------------------------------------------------------------------------
+
+def _edge_label(ctx, x, up):
+    """The hyperplane dual to the edge from the cell x = (gens, h) up to the
+    cell with generators ``up``, one generator v more: (index of v,
+    stripped representative of h<lk v>).  The generators of x are in lk v,
+    so any representative h of x names that coset."""
+    gens, h = x
+    v = ctx.index[up[0] if up[0] not in gens else up[-1]]
+    return v, ctx.strip(h, ctx.comm_masks[v])
+
+
+def _crosses(ctx, a, b):
+    """Whether the hyperplanes labelled a = (u, P) and b = (w, Q) cross: some
+    square (g, g<u>, g<u,w>, g<w>) has g in P<lk u> and in Q<lk w>, that is,
+    u ~ w and P^-1 Q is in <lk u><lk w>."""
+    (u, p), (w, q) = a, b
+    comm = ctx.comm_masks
+    if not comm[u] >> w & 1:
+        return False
+    if p == q:
+        return True
+    return _factors_by_masks(ctx, ctx.nf(_inverse_codes(p) + q), [comm[u], comm[w]]) is not None
+
+
+def _u_factor(ctx, g, label):
+    """The <u> factor a of g^-1 P = a l in <u><lk u>, for the label (u, P),
+    or None: g a is the cone of g<u> whose edge to g<u> is dual to (u, P).
+    <u><lk u> is the direct product <st u>, so g^-1 P is in it iff its
+    letters are in st u, and a is then its u-letters."""
+    u, p = label
+    if g == p:
+        return ()
+    w = ctx.nf(_inverse_codes(g) + p)
+    if not _in_mask(w, ctx.star_masks[u]):
+        return None
+    return tuple(c for c in w if _kernels.letter_gen(c) == u)
+
+
+def _block_across(ctx, x, label):
+    """The cell across the hyperplane labelled (u, P) from the cell x, a
+    (gens, codes) key whose star the hyperplane meets:
+
+    - cone g: the singular g<u>, iff g<lk u> = P<lk u>;
+    - singular g<u>: the cone g a, a the <u> factor of g^-1 P in <u><lk u>;
+    - singular g<v>, v in lk u: the flat g<u,v>, iff g<lk u> = P<lk u>;
+    - flat g<u,v>: the singular (g a)<v>, a as for g<u>.
+
+    Two cosets of <lk u> are equal iff their stripped representatives are.
+    Any other case is an ``InvariantError``: the diagram's region typing
+    only asks across a hyperplane that bounds the region.
+    """
+    gens, g = x
+    u, p = label
+    comm = ctx.comm_masks
+    name = ctx.generators[u]
+    if not gens:
+        if ctx.strip(g, comm[u]) == p:
+            return (name,), ctx.strip(g, 1 << u)
+    elif len(gens) == 1:
+        v = ctx.index[gens[0]]
+        if v == u:
+            a = _u_factor(ctx, g, label)
+            if a is not None:
+                return (), ctx.nf(g + a)
+        elif comm[u] >> v & 1 and ctx.strip(g, comm[u]) == p:
+            pair = (name, gens[0]) if u < v else (gens[0], name)
+            return pair, ctx.strip(g, 1 << u | 1 << v)
+    elif name in gens:
+        other = gens[1] if gens[0] == name else gens[0]
+        a = _u_factor(ctx, g, label)
+        if a is not None:
+            return (other,), ctx.strip(ctx.nf(g + a), 1 << ctx.index[other])
+    raise InvariantError("the hyperplane does not meet the star of the region's vertex")
 
 
 def _check_diagram_observations(diagram, face_nodes):
@@ -873,9 +883,9 @@ def is_taut(cycle):
     )
 
 
-def verify_taut_diagram_lemma(ball, cycle):
+def verify_taut_diagram_lemma(cycle):
     """For a taut cycle, the diagram core must be a single cell."""
     if not is_taut(cycle):
         raise GraphError("verify_taut_diagram_lemma requires a taut cycle")
-    d = build_diagram(ball, cycle)
+    d = build_diagram(cycle)
     return len(d.core) == 1

@@ -10,10 +10,10 @@ for every power of its generator), so finite balls are built from a budget:
 vertex reachable from the identity by at most ``(radius-2)//2`` syllable
 moves u^k with |k| <= (radius-2)//2, together with all edges and squares
 among those cells.  Radius 2 is exactly one fundamental domain, the closed
-star of the identity cone (1 + |V| + |E| cells); it holds the whole dual
-disk diagram of a cycle lifted through that domain, so the ``diagram`` and
-``taut`` commands build no ball at all: they read that star from
-``diagrams.IdentityStar``, which numbers it as this module does.
+star of the identity cone (1 + |V| + |E| cells).  Dual disk diagrams need
+no ball: ``diagrams.build_diagram`` names, crosses and walks across
+hyperplanes by coset algebra, so the ``diagram`` and ``taut`` commands
+build none.
 
 A ball names each cell by the pair (cone, slot).  The slot is one of the
 1 + |V| + |E| special subgroups (trivial, one generator, one edge); the
@@ -34,7 +34,7 @@ the defining graph that join two flats at a given coarse length;
 ``coarse_distance``, ``same_parallel_set`` and the cut searches of
 ``diagrams`` are loops over it, and the stripping and factoring of
 ``words`` behind it each make one pass over a normal form.  The ball hosts
-cell-level queries (links, squares, hyperplanes, diagrams).  It names the
+cell-level queries (links, squares, hyperplanes).  It names the
 hyperplane dual to the edge (g, g<u>) by algebra, as (u, g<lk u>), and
 numbers it by its least edge (``FlatBall.hyperplanes``).
 """
@@ -46,6 +46,7 @@ import numpy as np
 
 from .graphs import GraphError, InvariantError, orthogonal_complement
 from .words import (
+    _KINDS,
     CosetKey,
     _check_key,
     _connections,
@@ -70,10 +71,6 @@ __all__ = [
     "FullEdgePath",
 ]
 
-# a cell's kind, indexed by the number of generators in its key
-_KINDS = ("cone", "singular", "flat")
-
-
 class FlatBall:
     """A finite, deterministic chunk of the flat space around the identity.
 
@@ -95,7 +92,6 @@ class FlatBall:
         self.ctx = context_for(graph)
         self._build()
         self._hyperplanes = None
-        self._across = {}
 
     # -- construction -------------------------------------------------------
 
@@ -314,7 +310,7 @@ class FlatBall:
     # -- hyperplanes ----------------------------------------------------------
 
     def hyperplanes(self):
-        """(edge -> hyperplane id) array plus the set of crossing id pairs.
+        """The (edge -> hyperplane id) array, computed once per ball.
 
         A square (g, g<u>, g<u,w>, g<w>) makes (g, g<u>) parallel to
         (g<w>, g<u,w>); as w is in lk u, both are dual to the hyperplane
@@ -336,7 +332,9 @@ class FlatBall:
         strip to Q only if Q = P.
 
         ``lab[c, u]``, the cone of c<lk u>, follows c to the cone of c<x> for
-        right-movable lk(u)-generators x, by pointer jumping.
+        right-movable lk(u)-generators x, by pointer jumping.  Which
+        hyperplanes cross is not stored: ``diagrams`` decides it by algebra
+        for the few hyperplanes a diagram meets.
         """
         if self._hyperplanes is not None:
             return self._hyperplanes
@@ -367,11 +365,8 @@ class FlatBall:
         del lo, hi
         root = hid[cone, crossed[np.minimum(s_lo, s_hi), np.maximum(s_lo, s_hi)]]
         del s_lo, s_hi, cone
-
-        a, b = hid[:, eu].ravel(), hid[:, ew].ravel()
-        cross = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-        self._hyperplanes = (root, cross)
-        return self._hyperplanes
+        self._hyperplanes = root
+        return root
 
     def _edge_ids(self, ii, jj):
         lo = np.minimum(ii, jj)
@@ -392,32 +387,12 @@ class FlatBall:
         order = np.argsort(ends, kind="stable")
         return ends[order], others[order], eids[order]
 
-    def _incident(self, vi):
-        """Slice bounds of vertex vi in the CSR arrays."""
-        ends = self._csr[0]
-        return int(np.searchsorted(ends, vi, side="left")), int(np.searchsorted(ends, vi, side="right"))
-
     def incident_edges(self, vi):
         """(edge_id, other_endpoint) pairs at a vertex, via a lazy CSR."""
-        lo, hi = self._incident(vi)
-        _, others, eids = self._csr
+        ends, others, eids = self._csr
+        lo = int(np.searchsorted(ends, vi, side="left"))
+        hi = int(np.searchsorted(ends, vi, side="right"))
         return list(zip(eids[lo:hi].tolist(), others[lo:hi].tolist()))
-
-    def blocks_across(self, vi):
-        """{hyperplane id: other ends of the edges at vertex vi dual to that
-        hyperplane}, built on first use per vertex and kept with the ball.
-        The id is the one ``hyperplanes`` gives: the least edge id of the
-        hyperplane's class, read off its label (u, g<lk u>)."""
-        got = self._across.get(vi)
-        if got is None:
-            lo, hi = self._incident(vi)
-            _, others, eids = self._csr
-            root = self.hyperplanes()[0]
-            got = {}
-            for h, other in zip(root[eids[lo:hi]].tolist(), others[lo:hi].tolist()):
-                got.setdefault(h, []).append(other)
-            self._across[vi] = got
-        return got
 
     # -- summary ------------------------------------------------------------
 

@@ -20,7 +20,6 @@ from . import _kernels
 __all__ = [
     "DefiningGraph",
     "GraphError",
-    "InsufficientRadius",
     "InvariantError",
     "AtomicityReport",
     "check_atomic",
@@ -44,10 +43,6 @@ __all__ = [
 
 class GraphError(ValueError):
     """Invalid graph input or violated precondition."""
-
-
-class InsufficientRadius(GraphError):
-    """A computation needs cells beyond the radius of the given ball."""
 
 
 class InvariantError(Exception):

@@ -229,8 +229,6 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
     if atomic:
 
         def s_taut():
-            # lifted cycles need only the identity fundamental domain
-            star = dg.IdentityStar(g)
             cap = len(g.vertices) if max_cycle_len is None else max_cycle_len
             checked = 0
             all_taut = True
@@ -240,7 +238,7 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
                 taut = dg.is_taut(lift)
                 all_taut = all_taut and taut
                 if taut:
-                    single_cell = single_cell and len(dg.build_diagram(star, lift).core) == 1
+                    single_cell = single_cell and len(dg.build_diagram(lift).core) == 1
                 checked += 1
             return {"cycles_checked": checked, "all_tight_lifts_taut": all_taut, "cores_single_cell": single_cell}
 

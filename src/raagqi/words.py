@@ -114,8 +114,7 @@ class GroupElement:
         return GroupElement(self.ctx, self.codes + other.codes)
 
     def inverse(self):
-        inv = [_kernels.letter_inv(c) for c in reversed(self.codes)]
-        return GroupElement(self.ctx, inv)
+        return GroupElement(self.ctx, _inverse_codes(self.codes))
 
     def __pow__(self, k):
         # one normalization: the kernel inserts or cancels letter by letter
@@ -163,16 +162,21 @@ class GroupElement:
         return "<%s>" % self.word_str()
 
 
+def _inverse_codes(codes):
+    """The inverse of a normal form: reduced codes, not always shortlex."""
+    return tuple(_kernels.letter_inv(c) for c in reversed(codes))
+
+
 def parse_word(graph, text):
     """Parse whitespace-separated letters, e.g. ``"a b^-1 c^3"``."""
     ctx = context_for(graph)
     out = []
     for tok in text.split():
-        name, _, exp = tok.partition("^")
+        name, caret, exp = tok.partition("^")
         if name not in ctx.index:
             raise GraphError("unknown generator %r" % (name,))
         try:
-            k = int(exp) if exp else 1
+            k = int(exp) if caret else 1
         except ValueError:
             raise GraphError("bad exponent in token %r" % (tok,)) from None
         code = _kernels.letter(ctx.index[name], 1 if k > 0 else -1)
@@ -287,7 +291,9 @@ def in_subgroup_product(x, gen_sets):
 # coset keys
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {"cone": 0, "singular": 1, "flat": 2}
+# a cell's kind, indexed by the number of generators in its key
+_KINDS = ("cone", "singular", "flat")
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 
 class CosetKey:

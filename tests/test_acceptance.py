@@ -135,7 +135,7 @@ def test_criterion_05_gauss_bonnet_shells(pentagon, dd, pentagon_ball6, dd_ball6
     with Timer("criterion 5: shell inequality over the diagram corpus", None):
         cases = set()
         for ball, cyc in _diagram_corpus(pentagon, dd, pentagon_ball6, dd_ball6):
-            d = D.build_diagram(ball, cyc)
+            d = D.build_diagram(cyc)
             rep = D.shell_report(d)
             assert rep.total_score >= 4
             assert rep.case in ("single_cell", "two_1shells", "one_1shell_two_2shells", "four_2shells")
@@ -161,7 +161,7 @@ def test_criterion_06_tight_iff_taut(pentagon, dd, pentagon_ball6, dd_ball6):
                 taut = D.is_taut(lift)
                 assert tight == taut, gamma
                 if taut:
-                    assert D.verify_taut_diagram_lemma(ball, lift), gamma
+                    assert D.verify_taut_diagram_lemma(lift), gamma
 
 
 BASE = 11

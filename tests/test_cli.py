@@ -106,10 +106,24 @@ def test_diagram_and_taut(capsys, pentagon_file):
 @pytest.mark.parametrize("command", ["taut", "diagram"])
 @pytest.mark.parametrize("radius", ["0", "1"])
 def test_lifted_cycle_commands_reject_small_radius(capsys, pentagon_file, command, radius):
-    # an explicit radius below 2 is an error, not a request for the default
-    code, out, err = run(capsys, command, pentagon_file, "--cycle", "a,b,c,d,e", "--radius", radius, "--json")
+    # the diagram is built by coset algebra, with no ball, so these commands
+    # take no --radius: any radius, a small one included, is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([command, pentagon_file, "--cycle", "a,b,c,d,e", "--radius", radius, "--json"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --radius" in out.err
+
+
+@pytest.mark.parametrize("command", ["taut", "diagram"])
+def test_lifted_cycle_commands_require_a_connected_graph(capsys, tmp_path, command):
+    # a pentagon plus an isolated vertex: the cycle is fine, the graph is not
+    path = tmp_path / "pentagon_plus.json"
+    pentagon = rq.pentagon()
+    path.write_text(rq.DefiningGraph(list(pentagon.vertices) + ["f"], pentagon.edges).to_json())
+    code, out, err = run(capsys, command, str(path), "--cycle", "a,b,c,d,e", "--json")
     assert code == 2 and out == ""
-    assert "radius must be at least 2" in err
+    assert "requires a connected graph" in err
 
 
 @pytest.mark.parametrize("max_len", ["2", "0", "-3"])
@@ -138,7 +152,7 @@ def dodeca_eight(tmp_path):
 
 
 def test_lifted_cycle_commands_build_no_large_ball(capsys, monkeypatch, pentagon_file, dodeca_eight):
-    # a lift's diagram is read from the identity star: no ball at all
+    # a lift's diagram is built by coset algebra: no ball at all
     built = []
 
     class CountedBall(FS.FlatBall):
@@ -157,7 +171,7 @@ def test_lifted_cycle_commands_build_no_large_ball(capsys, monkeypatch, pentagon
     assert not data["taut_in_flat_space"] and "core_single_cell" not in data
     code, out, _ = run(capsys, "diagram", pentagon_file, "--cycle", "a,b,c,d,e", "--json")
     assert code == 0 and json.loads(out)["core_size"] == 1
-    code, out, _ = run(capsys, "diagram", path, "--cycle", eight, "--radius", "6", "--json")
+    code, out, _ = run(capsys, "diagram", path, "--cycle", eight, "--json")
     assert code == 0 and json.loads(out)["core_size"] == 1
     assert built == []
 
@@ -208,6 +222,12 @@ def test_normal_form(capsys, pentagon_file):
     assert code == 0 and out.strip() == "b c"
     code, _, err = run(capsys, "normal-form", pentagon_file, "--word", "zz")
     assert code == 2
+
+
+def test_normal_form_rejects_an_empty_exponent(capsys, pentagon_file):
+    code, out, err = run(capsys, "normal-form", pentagon_file, "--word", "a^")
+    assert code == 2 and out == ""
+    assert "bad exponent" in err
 
 
 def test_report_deterministic(capsys, pentagon_file):
@@ -313,7 +333,7 @@ def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_
         ["normal-form", pentagon_file, "--word", "a b a^-1 c"],
         ["taut", pentagon_file, "--cycle", "a,b,c,d,e"],
         ["taut", path, "--cycle", eight],
-        ["diagram", pentagon_file, "--cycle", "a,b,c,d,e", "--radius", "4"],
+        ["diagram", pentagon_file, "--cycle", "a,b,c,d,e"],
         ["flat-ball", pentagon_file, "--radius", "2"],
     ]
     code, out = fresh_process([json.dumps(calls)], entry=("-c", NUMPY_PROBE))

@@ -415,16 +415,15 @@ def _uf_core(parent, pairs):
 
 def assert_hyperplanes_match_union_find(ball):
     # each square (c, s1, f, s2) makes (c, s1) parallel to (s2, f) and (c, s2)
-    # to (s1, f); its crossing pair is the classes of (c, s1) and (c, s2)
+    # to (s1, f); which hyperplanes cross is checked by the coset-algebra
+    # oracle of test_diagrams
     sq = ball.squares
     cs1, cs2, s1f, s2f = (ball._edge_ids(sq[:, i], sq[:, j]) for i, j in ((0, 1), (0, 3), (1, 2), (3, 2)))
     expect = np.arange(ball.nedges, dtype=np.int64)
     _uf_core(expect, np.concatenate([np.stack([cs1, s2f], axis=1), np.stack([cs2, s1f], axis=1)]))
-    expect_cross = {(min(a, b), max(a, b)) for a, b in zip(expect[cs1].tolist(), expect[cs2].tolist())}
-    root, cross = ball.hyperplanes()
+    root = ball.hyperplanes()
     assert root.dtype == np.int64
     assert np.array_equal(root, expect)
-    assert cross == expect_cross
     # each id is the least edge id of its class
     assert (root <= np.arange(ball.nedges)).all() and (root[root] == root).all()
 

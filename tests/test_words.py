@@ -469,6 +469,13 @@ def test_word_parsing(pentagon):
         W.parse_word(pentagon, "a^x")
 
 
+@pytest.mark.parametrize("text", ["a^", "b a^", "a^ b"])
+def test_word_parsing_rejects_an_empty_exponent(pentagon, text):
+    # a caret promises an exponent; "a^" is not read as "a"
+    with pytest.raises(GraphError, match="bad exponent"):
+        W.parse_word(pentagon, text)
+
+
 # ---------------------------------------------------------------------------
 # context lifetime
 # ---------------------------------------------------------------------------
