@@ -31,17 +31,14 @@ from .words import (
     coset_key,
 )
 
-# the flat-space layer needs numpy, so it is loaded on first use (PEP 562)
-_FLATSPACE = {
-    "FlatBall", "build_ball", "classify_turn", "coarse_length", "coarse_distance",
-    "same_parallel_set", "parallel_set_slice", "classify_parallel_intersection",
-    "quarter_plane_case",
-}
-
-
-def __getattr__(name):
-    if name in _FLATSPACE:
-        from . import flatspace
-
-        return getattr(flatspace, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+from .flatspace import (
+    FlatBall,
+    build_ball,
+    classify_turn,
+    coarse_length,
+    coarse_distance,
+    same_parallel_set,
+    parallel_set_slice,
+    classify_parallel_intersection,
+    quarter_plane_case,
+)

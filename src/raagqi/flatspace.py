@@ -21,11 +21,16 @@ cone is the coset's stripped representative, which is always a cone of the
 ball: stripping deletes the right-movable letters over the slot's
 generators, and since a reduced word is a subword of every word for its
 element, what is left is again a product of at most ``budget`` syllables
-u^k with |k| <= budget.  So a ball is int arrays indexed by cone and slot,
-built with one right-to-left scan per cone and no coset-stripping call;
-``find(key)`` is one cone lookup plus arithmetic, and the ``(gens, codes)``
-key of ``vkeys[i]`` and the ``CosetKey`` of ``key_of(i)`` are built on
-demand.
+u^k with |k| <= budget.  So a ball is a table of cell ids indexed by cone
+and slot, kept in stdlib ``array('i')`` integers and built with one
+right-to-left scan per cone and no coset-stripping call.  A cone keeps
+every slot that its right-movable letters do not move: those cells get the
+next ids in one bulk fill, and only the few moved slots are copied one by
+one from the row of the cone that represents them.  ``find(key)`` is one
+cone lookup plus arithmetic; ``stats()`` counts edges without listing them,
+and the sorted edge list, the ``(gens, codes)`` keys of ``vkeys`` and the
+``CosetKey`` of ``key_of(i)`` are built on demand.  The module needs only
+the standard library.
 
 Turn, coarse-distance and parallel-set queries take coset keys and no ball:
 they are answered algebraically, and exactly, from membership in products
@@ -40,9 +45,9 @@ numbers it by its least edge (``FlatBall.hyperplanes``).
 """
 
 import functools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import GraphError, InvariantError, orthogonal_complement
 from .words import (
@@ -71,6 +76,7 @@ __all__ = [
     "FullEdgePath",
 ]
 
+
 class FlatBall:
     """A finite, deterministic chunk of the flat space around the identity.
 
@@ -78,8 +84,12 @@ class FlatBall:
     subgroup of slot ``_cell_slot[i]``: slot 0 is the trivial subgroup,
     slots ``1..|V|`` the generators and the remaining ``|E|`` slots the
     edges of the defining graph, all in sorted generator order.  The cone
-    is the coset's stripped representative, and ``_cell[c, s]`` is the id
-    of the coset of cone ``c`` in slot ``s``.
+    is the coset's stripped representative, and ``_cell[c * nslots + s]``
+    is the id of the coset of cone ``c`` in slot ``s``.  All three are
+    ``array('i')``.  ``squares`` is the flat ``array('i')`` of the square
+    rows (cone, s1, flat, s2), |E| rows per cone in cone order: row ``r`` is
+    ``squares[4 * r : 4 * r + 4]``.  The edges are listed only when first
+    asked for.
     """
 
     def __init__(self, graph, radius):
@@ -102,15 +112,13 @@ class FlatBall:
         # the edges are sorted pairs of names, so their index pairs are
         # sorted too
         edge_pairs = [(ctx.index[a], ctx.index[b]) for a, b in self.graph.edges]
-        nslots = 1 + n + len(edge_pairs)
-        eu = np.array([u for u, _ in edge_pairs], dtype=np.int64)
-        ew = np.array([w for _, w in edge_pairs], dtype=np.int64)
-        self._edge_gens = (eu, ew)
+        self._nslots = nslots = 1 + n + len(edge_pairs)
+        self._edge_gens = (tuple(u for u, _ in edge_pairs), tuple(w for _, w in edge_pairs))
         self._slot_gens = [()] + [(v,) for v in gens] + [(gens[u], gens[w]) for u, w in edge_pairs]
         self._slot_of = {g: s for s, g in enumerate(self._slot_gens)}
-        self._slot_kind = np.array([len(g) for g in self._slot_gens], dtype=np.int8)
+        self._slot_kind = bytes(len(g) for g in self._slot_gens)
         # the flat slots at each generator, with the other end of their edge
-        flats_at = [[] for _ in range(n)]
+        self._flats_at = flats_at = [[] for _ in range(n)]
         for k, (u, w) in enumerate(edge_pairs):
             flats_at[u].append((1 + n + k, w))
             flats_at[w].append((1 + n + k, u))
@@ -130,14 +138,40 @@ class FlatBall:
                 raise InvariantError("a stripped coset representative is not a cone of the ball")
             return c
 
-        # rep[c, s] is the cone that represents the coset of cone c in slot s.
-        # Coset stripping deletes the right-movable letters over the slot's
-        # generators.  They all commute with those generators, so deleting
-        # them unblocks no other letter (one pass is the fixpoint), and the
-        # result is still in shortlex normal form: no normal form call.
+        def layout(tail):
+            # the slots that a tail (the generators of a cone's right-movable
+            # letters) moves to other cones, in increasing order; the slots
+            # the cone keeps; and the singular-flat edges that the moved
+            # singulars take along
+            moved = {1 + x for x in tail} | {slot for x in tail for slot, _ in flats_at[x]}
+            own = array("i", range(nslots))
+            for s in sorted(moved, reverse=True):
+                del own[s]
+            return tuple(sorted(moved)), own, sum(len(flats_at[x]) for x in tail)
+
+        layouts = {}
+
+        # The coset of cone c in slot s is represented by the cone without
+        # its right-movable letters over the slot's generators.  They all
+        # commute with those generators, so deleting them unblocks no other
+        # letter (one pass is the fixpoint), and the result is still in
+        # shortlex normal form: no normal form call.  Cones come sorted by
+        # (length, codes) and a representative is never longer than its
+        # cone, so every cell first appears at its own representative: the
+        # cells a cone keeps get the next ids in slot order, and a moved
+        # slot copies the id from the row of an earlier cone.  A cell is
+        # interior if its cone has at most budget - 2 syllables; `interior`
+        # maps each interior cell to the cones of its coset.
         star = ctx.star_masks
-        syllables = []
-        rows, cols, reps = [], [], []
+        lim = max(0, self.budget - 2)
+        cell, cell_cone, cell_slot = array("i"), array("i"), array("i")
+        tails = []
+        interior = {}
+        # Each cone has |V| cone-singular edges, and one singular-flat edge
+        # per flat at each singular it keeps (an edge is listed at the cone
+        # that represents its singular): a moved singular x takes deg(x).
+        nsingular = ncones * n
+        nedges = ncones * (n + 2 * len(edge_pairs))
         for c, g in enumerate(cones):
             codes = g.codes
             later = 0
@@ -152,75 +186,66 @@ class FlatBall:
                 if not later & ~star[x]:
                     tail.setdefault(x, []).append(i)
                 later |= 1 << x
-            syllables.append(count)
-            for x, drop in tail.items():
-                r = cone_without(codes, drop)
-                rows.append(c)
-                cols.append(1 + x)
-                reps.append(r)
-                for slot, y in flats_at[x]:
-                    if y in tail:
-                        if y < x:
-                            continue
-                        r_flat = cone_without(codes, drop + tail[y])
-                    else:
-                        r_flat = r
-                    rows.append(c)
-                    cols.append(slot)
-                    reps.append(r_flat)
-        self._syllables = np.array(syllables, dtype=np.int64)
-        rep = np.repeat(np.arange(ncones, dtype=np.int64), nslots).reshape(ncones, nslots)
-        rep[rows, cols] = reps
+            key = tuple(sorted(tail))
+            lay = layouts.get(key)
+            if lay is None:
+                lay = layouts[key] = layout(key)
+            moved, own, degrees = lay
+            tails.append(key)
+            base = len(cell_cone)
+            nown = len(own)
+            row = list(range(base, base + nown))
+            if tail:
+                reps = {}
+                for x, drop in tail.items():
+                    r = reps[1 + x] = cone_without(codes, drop)
+                    for slot, y in flats_at[x]:
+                        if y in tail:
+                            if y < x:
+                                continue
+                            reps[slot] = cone_without(codes, drop + tail[y])
+                        else:
+                            reps[slot] = r
+                for s in moved:
+                    r = reps[s]
+                    v = cell[r * nslots + s]
+                    if cell_cone[v] != r:
+                        raise InvariantError("a coset representative does not represent itself")
+                    row.insert(s, v)
+                    at = interior.get(v)
+                    if at is not None:
+                        at.append(c)
+                nsingular -= len(key)
+                nedges -= degrees
+            if count <= lim:
+                for v in range(base + 1, base + nown):
+                    interior[v] = [c]
+            cell.fromlist(row)
+            cell_slot.extend(own)
+            cell_cone.fromlist([c] * nown)
+        self._cell, self._cell_cone, self._cell_slot = cell, cell_cone, cell_slot
+        self._tails = tails
+        self._interior = interior
+        self.nvertices = len(cell_cone)
+        self._nsingular = nsingular
+        self.nedges = nedges
 
-        # Cones come sorted by (length, codes) and a representative is never
-        # longer than its cone, so every cell first appears at its own
-        # representative: in row-major order, cell ids count the positions
-        # where rep[c, s] == c.
-        own = rep == np.arange(ncones)[:, None]
-        slots = np.arange(nslots)
-        if not own[rep, slots].all():
-            raise InvariantError("a coset representative does not represent itself")
-        first = np.cumsum(own, dtype=np.int64).reshape(ncones, nslots)
-        first -= 1
-        cell = first[rep, slots]
-        del first, rep
-        cone_of, slot_of = np.nonzero(own)
-        self._cell = cell
-        self._cell_cone = cone_of.astype(np.int32)
-        self._cell_slot = slot_of.astype(np.int32)
-        self.nvertices = nv = cone_of.shape[0]
-        del cone_of, slot_of
+    def _row(self, c):
+        return self._cell[c * self._nslots : (c + 1) * self._nslots]
 
-        cone = cell[:, 0]
-        sing = cell[:, 1 : 1 + n]
-        flat = cell[:, 1 + n :]
-        # every cone-singular edge is new; a singular-flat edge is listed
-        # once, at the cone that represents the singular
-        mu, mw = own[:, 1 + eu], own[:, 1 + ew]
-
-        def edge_ends():
-            yield np.repeat(cone, n), sing.ravel()
-            for side, m in ((eu, mu), (ew, mw)):
-                yield sing[:, side][m], flat[m]
-
-        enc = np.empty(sing.size + int(mu.sum()) + int(mw.sum()), dtype=np.int64)
-        at = 0
-        for a, b in edge_ends():
-            part = enc[at : at + a.size]
-            np.minimum(a, b, out=part)
-            part *= nv
-            part += np.maximum(a, b)
-            at += a.size
-        del a, b, mu, mw, own
-        enc.sort()
-        self._edge_enc = enc
-        self.nedges = enc.shape[0]
-        squares = np.empty((ncones, len(edge_pairs), 4), dtype=np.int64)
-        squares[:, :, 0] = cone[:, None]
-        squares[:, :, 1] = sing[:, eu]
-        squares[:, :, 2] = flat
-        squares[:, :, 3] = sing[:, ew]
-        self.squares = squares.reshape(-1, 4)
+    @functools.cached_property
+    def squares(self):
+        """Square rows (cone, s1, flat, s2), one per cone and edge (u, w) of
+        the defining graph, flattened: row ``c * |E| + k`` is
+        ``squares[4 * row : 4 * row + 4]``.  Corner j of edge k's rows, over
+        all cones, is one column of the cell table."""
+        eu, ew = self._edge_gens
+        n, nE, nslots = len(self.ctx.generators), len(eu), self._nslots
+        out = array("i", bytes(16 * len(self.cones) * nE))
+        for k, corners in enumerate(zip([0] * nE, [1 + u for u in eu], range(1 + n, nslots), [1 + w for w in ew])):
+            for j, s in enumerate(corners):
+                out[4 * k + j :: 4 * nE] = self._cell[s::nslots]
+        return out
 
     # -- vertex/edge lookups ------------------------------------------------
 
@@ -228,19 +253,64 @@ class FlatBall:
     def vkeys(self):
         """Each cell's ``(gens, codes)`` key, built on first use."""
         cones, slot_gens = self.cones, self._slot_gens
-        return [
-            (slot_gens[s], cones[c].codes)
-            for c, s in zip(self._cell_cone.tolist(), self._cell_slot.tolist())
-        ]
+        return [(slot_gens[s], cones[c].codes) for c, s in zip(self._cell_cone, self._cell_slot)]
+
+    @functools.cached_property
+    def _edges(self):
+        """The edges sorted by (lo, hi), as codes lo * nvertices + hi in an
+        ``array('q')``, and the hyperplane label of each edge (see
+        ``hyperplanes``).  Every cone-singular edge is listed at its cone; a
+        singular-flat edge is listed once, at the cone that keeps the
+        singular."""
+        n = len(self.ctx.generators)
+        nv = self.nvertices
+        scale = len(self.cones) * n
+        at_kept = {}  # tail -> (singular slot, flat slot, generator crossed)
+        packed = []
+        for c, (tail, lab) in enumerate(zip(self._tails, self._labels())):
+            flat_edges = at_kept.get(tail)
+            if flat_edges is None:
+                flat_edges = at_kept[tail] = [
+                    (1 + u, slot, w) for u in range(n) if u not in tail for slot, w in self._flats_at[u]
+                ]
+            row = self._row(c).tolist()
+            cone = row[0]
+            ids = [p * n + u for u, p in enumerate(lab)]
+            packed += [(cone * nv + s if cone < s else s * nv + cone) * scale + i for s, i in zip(row[1 : 1 + n], ids)]
+            packed += [
+                (row[a] * nv + row[b] if row[a] < row[b] else row[b] * nv + row[a]) * scale + ids[w]
+                for a, b, w in flat_edges
+            ]
+        packed.sort()
+        return array("q", [x // scale for x in packed]), array("i", [x % scale for x in packed])
+
+    def _labels(self):
+        """``labels[c][u]``: the cone of c<lk u>.  The right-movable
+        lk(u)-letters x of c are deleted one generator at a time, and the
+        cone of c<x> comes earlier, so one pass in cone order suffices."""
+        n = len(self.ctx.generators)
+        nbrs = [[u for _, u in at] for at in self._flats_at]
+        nslots, cell, cell_cone = self._nslots, self._cell, self._cell_cone
+        labels = []
+        for c, tail in enumerate(self._tails):
+            lab = [c] * n
+            for x in tail:
+                up = labels[cell_cone[cell[c * nslots + 1 + x]]]
+                for u in nbrs[x]:
+                    lab[u] = up[u]
+            labels.append(lab)
+        return labels
 
     @functools.cached_property
     def edge_lo(self):
         """Lower endpoint of each edge; edges are sorted by (lo, hi)."""
-        return self._edge_enc // self.nvertices
+        nv = self.nvertices
+        return array("i", [e // nv for e in self._edges[0]])
 
     @functools.cached_property
     def edge_hi(self):
-        return self._edge_enc % self.nvertices
+        nv = self.nvertices
+        return array("i", [e % nv for e in self._edges[0]])
 
     def kind_of(self, i):
         return _KINDS[self._slot_kind[self._cell_slot[i]]]
@@ -261,7 +331,7 @@ class FlatBall:
         c = self._cone_id.get(key.rep.codes)
         if slot is None or c is None:
             return -1
-        i = int(self._cell[c, slot])
+        i = self._cell[c * self._nslots + slot]
         return i if self._cell_cone[i] == c else -1
 
     def __contains__(self, key):
@@ -270,38 +340,39 @@ class FlatBall:
     def edge_id(self, i, j):
         lo, hi = (i, j) if i < j else (j, i)
         enc = lo * self.nvertices + hi
-        p = int(np.searchsorted(self._edge_enc, enc))
-        if p >= self._edge_enc.shape[0] or self._edge_enc[p] != enc:
+        codes = self._edges[0]
+        p = bisect_left(codes, enc)
+        if p >= len(codes) or codes[p] != enc:
             raise GraphError("edge not present in ball")
         return p
 
     def vertices_by_kind(self, kind):
         k = _KINDS.index(kind)
-        return np.flatnonzero(self._slot_kind[self._cell_slot] == k).tolist()
+        slot_kind = self._slot_kind
+        return [i for i, s in enumerate(self._cell_slot) if slot_kind[s] == k]
 
     def is_interior(self, i):
         """Conservative interior flag: the cells this vertex's link needs are
         guaranteed present."""
-        if self._cell_slot[i] == 0:
-            return True
-        return bool(self._syllables[self._cell_cone[i]] <= max(0, self.budget - 2))
+        return self._cell_slot[i] == 0 or i in self._interior
 
     # -- links --------------------------------------------------------------
 
     def squares_at_cone(self, ci):
+        """The square rows at a cone vertex, as 4-tuples."""
         if not 0 <= ci < self.nvertices or self._cell_slot[ci] != 0:
             raise GraphError("not a cone vertex of this ball")
         per_cone = len(self._edge_gens[0])
-        start = int(self._cell_cone[ci]) * per_cone
-        return self.squares[start : start + per_cone]
+        start = 4 * self._cell_cone[ci] * per_cone
+        sq = self.squares
+        return [tuple(sq[r : r + 4]) for r in range(start, start + 4 * per_cone, 4)]
 
     def cone_link_graph(self, ci):
         """Barycentric-subdivision-shaped boundary of the cone star: singular
         and flat cells at the cone, with their incidences."""
         nodes = set()
         edges = set()
-        for row in self.squares_at_cone(ci):
-            _, s1, f, s2 = (int(x) for x in row)
+        for _, s1, f, s2 in self.squares_at_cone(ci):
             nodes.update((s1, f, s2))
             edges.add((min(s1, f), max(s1, f)))
             edges.add((min(s2, f), max(s2, f)))
@@ -310,102 +381,58 @@ class FlatBall:
     # -- hyperplanes ----------------------------------------------------------
 
     def hyperplanes(self):
-        """The (edge -> hyperplane id) array, computed once per ball.
+        """The (edge -> hyperplane id) ``array('i')``, computed once per ball.
 
         A square (g, g<u>, g<u,w>, g<w>) makes (g, g<u>) parallel to
         (g<w>, g<u,w>); as w is in lk u, both are dual to the hyperplane
         labelled (u, g<lk u>).  Deleting the right-movable lk(u)-letters of g
         one generator at a time walks through cones of the ball and parallel
         edges to (P, P<u>), P the stripped representative of g<lk u>; so the
-        labels are exactly the hyperplanes of the ball.
-
-        The id of (u, P) is the edge id of (P, P<u>), the least edge of its
-        class.  Proof: let Q be P without its right-movable u-letters, so
-        Q<u> = P<u>.  Q has no right-movable letter of st(u), so it is the
-        unique shortest element of Q<st u>, which holds the representative of
-        every cell on the class.  Cells are numbered by (cone, slot), cones by
-        (length, codes) and flat slots after singular ones.  So the lower end
-        of (P, P<u>) is the cone P if Q = P, else the singular Q<u>, and no
-        other edge of the class reaches down to it: the cone Q and the
-        singular Q<u> lie on (P, P<u>) alone, and the class's other cells at
-        cone Q are flats, or singulars g<w> (g in P<lk u>, w in lk u) that
-        strip to Q only if Q = P.
-
-        ``lab[c, u]``, the cone of c<lk u>, follows c to the cone of c<x> for
-        right-movable lk(u)-generators x, by pointer jumping.  Which
+        labels are exactly the hyperplanes of the ball.  An edge is labelled
+        at the cone of its lower-dimensional end, by the generator it
+        crosses, and a hyperplane's id is the least id of its edges.  Which
         hyperplanes cross is not stored: ``diagrams`` decides it by algebra
         for the few hyperplanes a diagram meets.
         """
-        if self._hyperplanes is not None:
-            return self._hyperplanes
-        n = len(self.ctx.generators)
-        eu, ew = self._edge_gens
-        cell = self._cell
-        cones = np.arange(cell.shape[0])
-        rep = self._cell_cone[cell[:, 1 : 1 + n]]
-        moved = rep != cones[:, None]
-        lab = np.repeat(cones[:, None], n, axis=1)
-        for u, x in zip(np.r_[eu, ew].tolist(), np.r_[ew, eu].tolist()):
-            lab[moved[:, x], u] = rep[moved[:, x], x]
-        nxt = np.take_along_axis(lab, lab, axis=0)
-        while not np.array_equal(nxt, lab):
-            lab, nxt = nxt, np.take_along_axis(nxt, nxt, axis=0)
-        hid = np.take_along_axis(self._edge_ids(cell[:, :1], cell[:, 1 : 1 + n]), lab, axis=0)
-
-        # crossed[s, t]: the generator crossed by an edge from slot s up to
-        # slot t; each edge reads its id at the cone of its lower end, slot s
-        flats = np.arange(1 + n, len(self._slot_gens))
-        crossed = np.zeros((1 + n, len(self._slot_gens)), dtype=np.int64)
-        crossed[0, 1 : 1 + n] = np.arange(n)
-        crossed[1 + eu, flats] = ew
-        crossed[1 + ew, flats] = eu
-        lo, hi = np.divmod(self._edge_enc, self.nvertices)
-        s_lo, s_hi = self._cell_slot[lo], self._cell_slot[hi]
-        cone = self._cell_cone[np.where(s_lo < s_hi, lo, hi)]
-        del lo, hi
-        root = hid[cone, crossed[np.minimum(s_lo, s_hi), np.maximum(s_lo, s_hi)]]
-        del s_lo, s_hi, cone
-        self._hyperplanes = root
-        return root
-
-    def _edge_ids(self, ii, jj):
-        lo = np.minimum(ii, jj)
-        hi = np.maximum(ii, jj)
-        enc = lo * self.nvertices + hi
-        pos = np.searchsorted(self._edge_enc, enc)
-        pos = np.minimum(pos, self._edge_enc.shape[0] - 1)
-        if not np.all(self._edge_enc[pos] == enc):
-            raise GraphError("edge missing from ball edge set")
-        return pos
+        if self._hyperplanes is None:
+            labels = self._edges[1]
+            first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+            self._hyperplanes = array("i", map(first.__getitem__, labels))
+        return self._hyperplanes
 
     @functools.cached_property
-    def _csr(self):
-        """Edge ends sorted by vertex: (ends, other ends, edge ids)."""
-        ends = np.concatenate([self.edge_lo, self.edge_hi])
-        others = np.concatenate([self.edge_hi, self.edge_lo])
-        eids = np.concatenate([np.arange(self.nedges), np.arange(self.nedges)])
-        order = np.argsort(ends, kind="stable")
-        return ends[order], others[order], eids[order]
+    def _by_hi(self):
+        """Edge ids sorted by upper end, stably."""
+        return sorted(range(self.nedges), key=self.edge_hi.__getitem__)
 
     def incident_edges(self, vi):
-        """(edge_id, other_endpoint) pairs at a vertex, via a lazy CSR."""
-        ends, others, eids = self._csr
-        lo = int(np.searchsorted(ends, vi, side="left"))
-        hi = int(np.searchsorted(ends, vi, side="right"))
-        return list(zip(eids[lo:hi].tolist(), others[lo:hi].tolist()))
+        """(edge_id, other_endpoint) pairs at a vertex: the edges it is the
+        lower end of, then those it is the upper end of, each by edge id."""
+        nv = self.nvertices
+        codes, lo, hi = self._edges[0], self.edge_lo, self.edge_hi
+        start = bisect_left(codes, vi * nv)
+        out = [(e, hi[e]) for e in range(start, bisect_left(codes, (vi + 1) * nv))]
+        by_hi = self._by_hi
+        p = bisect_left(by_hi, vi, key=hi.__getitem__)
+        while p < len(by_hi) and hi[by_hi[p]] == vi:
+            out.append((by_hi[p], lo[by_hi[p]]))
+            p += 1
+        return out
 
     # -- summary ------------------------------------------------------------
 
     def stats(self):
-        counts = np.bincount(self._slot_kind[self._cell_slot], minlength=len(_KINDS))
+        ncones = len(self.cones)
         return {
             "radius": self.radius,
             "complete_radius": self.complete_radius,
             "budget": self.budget,
             "vertices": self.nvertices,
-            "vertices_by_type": dict(zip(_KINDS, counts.tolist())),
-            "edges": int(self.nedges),
-            "squares": int(self.squares.shape[0]),
+            "vertices_by_type": dict(
+                zip(_KINDS, (ncones, self._nsingular, self.nvertices - ncones - self._nsingular))
+            ),
+            "edges": self.nedges,
+            "squares": ncones * len(self._edge_gens[0]),
         }
 
 
@@ -429,60 +456,102 @@ def _has_loop_or_triangle(edges):
     return any(adj[a] & adj[b] for a, b in edges)
 
 
+def _square_rows_ok(ball, c, sq):
+    """(typed, cone link is the subdivision) for the square rows at cone c.
+
+    Row k is read as (cone, s1, f, s2).  The columns must hold a cone, a
+    singular, a flat and a singular.  The flats' edges must be a permutation
+    of the graph's edges, each flat's edge must join the generators of its
+    row's singulars, and each singular must be the coset of cone c in its
+    slot.
+    """
+    n = len(ball.graph.vertices)
+    eu, ew = ball._edge_gens
+    nE = len(eu)
+    slot, kind = ball._cell_slot, ball._slot_kind
+    row = ball._row(c)
+    typed = linked = True
+    seen = []
+    for r in range(4 * c * nE, 4 * (c + 1) * nE, 4):
+        cone, s1, f, s2 = sq[r : r + 4]
+        if kind[slot[cone]] != 0:
+            typed = False
+        if (kind[slot[s1]], kind[slot[f]], kind[slot[s2]]) != (1, 2, 1):
+            typed = linked = False
+            continue
+        u1, u2, k = slot[s1] - 1, slot[s2] - 1, slot[f] - 1 - n
+        if (u1, u2) not in ((eu[k], ew[k]), (ew[k], eu[k])) or row[1 + u1] != s1 or row[1 + u2] != s2:
+            linked = False
+        seen.append(k)
+    return typed, linked and sorted(seen) == list(range(nE))
+
+
 def verify_ball_structure(ball):
     """Structural checks of a ball: square typing, cone links isomorphic to
     the barycentric subdivision of the defining graph, and interior vertex
     links of girth >= 4, i.e. with no loop and no triangle.  Returns a report
-    dict with an overall flag."""
-    n = len(ball.graph.vertices)
-    slot = ball._cell_slot
-    kinds = ball._slot_kind[slot]
-    sq = ball.squares
-    squares_typed = bool(
-        (kinds[sq[:, 0]] == 0).all()
-        and (kinds[sq[:, 1]] == 1).all()
-        and (kinds[sq[:, 2]] == 2).all()
-        and (kinds[sq[:, 3]] == 1).all()
-    )
+    dict with an overall flag.
 
-    # every cone link must be the barycentric subdivision of the graph: one
-    # singular per vertex, one flat per edge, incidences matching.  Row k of
-    # a cone's squares is read as (cone, s1, f, s2).
+    The square rows are first compared in bulk with the cell table: column
+    j of the rows of edge k, across all cones, with the table's column of
+    the slot that the corner names.  Where they agree and every table entry
+    lies in its own slot, the rows are typed and each cone link is the
+    subdivision; the rows of any other cone are checked one by one.  The
+    link of an interior cell is read from the rows at the cones of its
+    coset, at the corner where a cell of its slot lies.
+    """
+    n = len(ball.graph.vertices)
     eu, ew = ball._edge_gens
-    ncones, nE = len(ball.cones), len(eu)
-    rows = sq.reshape(ncones, nE, 4)
-    s1, f, s2 = rows[:, :, 1], rows[:, :, 2], rows[:, :, 3]
-    typed = (kinds[s1] == 1) & (kinds[f] == 2) & (kinds[s2] == 1)
-    u1 = np.where(typed, slot[s1] - 1, 0)
-    u2 = np.where(typed, slot[s2] - 1, 0)
-    k = np.where(typed, slot[f] - 1 - n, 0)
-    ok = (typed & (((u1 == eu[k]) & (u2 == ew[k])) | ((u1 == ew[k]) & (u2 == eu[k])))).all(axis=1)
-    ok &= (np.sort(k, axis=1) == np.arange(nE)).all(axis=1)
-    # each generator names one singular cell per cone, the coset of the cone
-    # in its slot; this also holds on a graph with no edges
-    cone = np.arange(ncones)[:, None]
-    sing = ball._cell[:, 1 : 1 + n]
-    ok &= (sing[cone, u1] == s1).all(axis=1) & (sing[cone, u2] == s2).all(axis=1)
-    bad_cones = int(ncones - ok.sum())
+    ncones, nE, nslots = len(ball.cones), len(eu), ball._nslots
+    cell, slot = ball._cell, ball._cell_slot
+    sq = ball.squares
+
+    # cones whose table row or square rows are not the ones the table makes
+    suspect = set()
+    chunk = max(1, (1 << 16) // nslots)  # table rows per pass
+    in_order = list(range(nslots)) * chunk
+    for c0 in range(0, ncones, chunk):
+        got = [slot[v] for v in cell[c0 * nslots : (c0 + chunk) * nslots]]
+        if got != in_order[: len(got)]:
+            suspect.update(c0 + i // nslots for i, s in enumerate(got) if s != i % nslots)
+    for k in range(nE):
+        for j, s in enumerate((0, 1 + eu[k], 1 + n + k, 1 + ew[k])):
+            col, want = sq[4 * k + j :: 4 * nE], cell[s::nslots]
+            if col != want:
+                suspect.update(c for c in range(ncones) if col[c] != want[c])
+    squares_typed = True
+    ok = [True] * ncones
+    for c in suspect:
+        typed, ok[c] = _square_rows_ok(ball, c, sq)
+        squares_typed &= typed
+    bad_cones = ncones - sum(ok)
     cone_links_ok = bad_cones == 0
 
-    # interior vertex links, from the square rows at interior vertices only:
-    # a square with v in column j joins the cells in columns j - 1 and j + 1
-    lim = max(0, ball.budget - 2)
-    interior = np.flatnonzero((kinds > 0) & (ball._syllables <= lim)[ball._cell_cone])
-    inside = np.zeros(ball.nvertices, dtype=bool)
-    inside[interior] = True
-    links = {v: set() for v in interior.tolist()}
-    for j in range(4):
-        hit = sq[inside[sq[:, j]]]
-        for v, a, b in zip(hit[:, j].tolist(), hit[:, j - 1].tolist(), hit[:, (j + 1) % 4].tolist()):
-            links[v].add((a, b) if a < b else (b, a))
-    bad_links = sum(1 for edges in links.values() if _has_loop_or_triangle(edges))
+    # interior vertex links, from the square rows at the cones of each
+    # interior cell: a square with v in column j joins the cells in columns
+    # j - 1 and j + 1.  corners[s] lists (j, j - 1, j + 1) as offsets into a
+    # cone's rows, for each row column where a cell of slot s lies.
+    corners = [[] for _ in range(nslots)]
+    for k in range(nE):
+        r = 4 * k
+        corners[1 + eu[k]].append((r + 1, r, r + 2))
+        corners[1 + n + k].append((r + 2, r + 1, r + 3))
+        corners[1 + ew[k]].append((r + 3, r + 2, r))
+    bad_links = 0
+    for v, at in ball._interior.items():
+        edges = set()
+        for c in at:
+            base = 4 * nE * c
+            for j, i, k in corners[slot[v]]:
+                if sq[base + j] == v:
+                    a, b = sq[base + i], sq[base + k]
+                    edges.add((a, b) if a < b else (b, a))
+        bad_links += _has_loop_or_triangle(edges)
     # every subdivided cone link is the same graph, so one check serves them
     cone_girth_checked = min(50, ncones)
     subdivision_short = None
     for c in range(cone_girth_checked):
-        ci = int(ball._cell[c, 0])
+        ci = cell[c * nslots]
         if not ok[c]:
             short = _has_loop_or_triangle(ball.cone_link_graph(ci)[1])
         else:
@@ -497,7 +566,7 @@ def verify_ball_structure(ball):
         "squares_typed": squares_typed,
         "cone_links_isomorphic": cone_links_ok,
         "bad_cones": bad_cones,
-        "interior_links_checked": len(links) + cone_girth_checked,
+        "interior_links_checked": len(ball._interior) + cone_girth_checked,
         "links_girth_ok": links_girth_ok,
         "bad_links": bad_links,
     }
@@ -600,10 +669,12 @@ def parallel_set_slice(ball, s):
     _check_key("singular", s)
     u = s.gens[0]
     star = ball.ctx.star_masks[ball.ctx.index[u]]
-    slots = [k for k, gens in enumerate(ball._slot_gens) if len(gens) == 2 and u in gens]
+    slots = {k for k, gens in enumerate(ball._slot_gens) if len(gens) == 2 and u in gens}
     inv = s.rep.inverse()
     out = []
-    for i in np.flatnonzero(np.isin(ball._cell_slot, slots)).tolist():
+    for i, slot in enumerate(ball._cell_slot):
+        if slot not in slots:
+            continue
         f = ball.key_of(i)
         if _in_mask((inv * f.rep).codes, star):
             out.append(f)
@@ -623,8 +694,8 @@ def stalling_reachable_flats(ball, f):
     sq = ball.squares
     by_flat = {}
     by_sing = {}
-    for r in range(sq.shape[0]):
-        s1, fi, s2 = int(sq[r, 1]), int(sq[r, 2]), int(sq[r, 3])
+    for r in range(0, len(sq), 4):
+        s1, fi, s2 = sq[r + 1 : r + 4]
         by_flat.setdefault(fi, set()).update((s1, s2))
         by_sing.setdefault(s1, set()).add(fi)
         by_sing.setdefault(s2, set()).add(fi)

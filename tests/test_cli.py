@@ -320,8 +320,7 @@ print(json.dumps(seen))
 
 
 def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_file, dodeca_eight):
-    # only the flat-space layer needs numpy; the last command builds a ball
-    # and shows that the probe sees the import
+    # no command imports numpy, the ones that build a ball included
     path, eight = dodeca_eight
     calls = [
         ["check-atomic", pentagon_file],
@@ -334,13 +333,41 @@ def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_
         ["taut", pentagon_file, "--cycle", "a,b,c,d,e"],
         ["taut", path, "--cycle", eight],
         ["diagram", pentagon_file, "--cycle", "a,b,c,d,e"],
+        ["report", pentagon_file],
+        ["flat-ball", pentagon_file, "--radius", "4", "--dot"],
         ["flat-ball", pentagon_file, "--radius", "2"],
     ]
     code, out = fresh_process([json.dumps(calls)], entry=("-c", NUMPY_PROBE))
     assert code == 0
     seen = json.loads(out)
-    assert [s[:2] for s in seen] == [[0, False]] * (len(calls) - 1) + [[0, True]]
+    assert [s[:2] for s in seen] == [[0, False]] * len(calls)
     assert [s[2] for s in seen[7:9]] == ["taut\n", "not taut\n"]
     assert json.loads(seen[9][2])["core_size"] == 1
     code, out = fresh_process([], entry=("-c", "import sys, raagqi.diagrams; print('numpy' in sys.modules)"))
     assert (code, out) == (0, "False\n")
+
+
+NO_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import raagqi
+from raagqi.cli import main
+seen = [raagqi.build_ball is raagqi.flatspace.build_ball]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        seen.append([main(argv), out.getvalue()])
+print(json.dumps(seen))
+"""
+
+
+def test_ball_commands_run_where_numpy_cannot_be_imported(pentagon_file):
+    calls = [["flat-ball", pentagon_file, "--radius", "4", "--dot"], ["report", pentagon_file]]
+    code, out = fresh_process([json.dumps(calls)], entry=("-c", NO_NUMPY))
+    assert code == 0
+    golden = pathlib.Path(__file__).resolve().parent / "golden"
+    assert json.loads(out) == [
+        True,
+        [0, (golden / "flat_ball_pentagon_4.out").read_text(encoding="utf-8")],
+        [0, (golden / "report_pentagon.out").read_text(encoding="utf-8")],
+    ]

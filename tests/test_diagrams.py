@@ -33,8 +33,8 @@ def eight_cycle_fixtures(ball, limit=12):
     by_sing = {}
     by_flat = {}
     sq = ball.squares
-    for r in range(sq.shape[0]):
-        s1, f, s2 = int(sq[r, 1]), int(sq[r, 2]), int(sq[r, 3])
+    for r in range(0, len(sq), 4):
+        s1, f, s2 = sq[r + 1 : r + 4]
         by_sing.setdefault(s1, set()).add(f)
         by_sing.setdefault(s2, set()).add(f)
         by_flat.setdefault(f, set()).update((s1, s2))
@@ -432,8 +432,8 @@ def ball_crossings(ball):
     """Root id pairs of the two cone edges of each square."""
     root = ball.hyperplanes()
     sq = ball.squares
-    a = root[ball._edge_ids(sq[:, 0], sq[:, 1])].tolist()
-    b = root[ball._edge_ids(sq[:, 0], sq[:, 3])].tolist()
+    a = [root[ball.edge_id(sq[r], sq[r + 1])] for r in range(0, len(sq), 4)]
+    b = [root[ball.edge_id(sq[r], sq[r + 3])] for r in range(0, len(sq), 4)]
     return {(min(x, y), max(x, y)) for x, y in zip(a, b)}
 
 

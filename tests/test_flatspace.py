@@ -1,7 +1,7 @@
 import copy
 import random
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,8 +35,8 @@ def test_ball_determinism(pentagon):
     b1 = FS.build_ball(pentagon, 5)
     b2 = FS.build_ball(pentagon, 5)
     assert b1.vkeys == b2.vkeys
-    assert (b1.edge_lo == b2.edge_lo).all() and (b1.edge_hi == b2.edge_hi).all()
-    assert (b1.squares == b2.squares).all()
+    assert b1.edge_lo == b2.edge_lo and b1.edge_hi == b2.edge_hi
+    assert b1.squares == b2.squares
 
 
 def test_ball_structure_pentagon(pentagon_ball6):
@@ -99,7 +99,7 @@ def test_cell_key_roundtrip(graph, radius):
 
 # ---------------------------------------------------------------------------
 # reference ball: one coset strip per cell, cells keyed by (gens, codes) in a
-# dict, edges deduplicated by np.unique; and the per-row structure check
+# dict, edges deduplicated by a set; and the per-row structure check
 # ---------------------------------------------------------------------------
 
 def _syllables(codes):
@@ -120,7 +120,7 @@ def reference_ball(graph, radius):
             vkeys.append(key)
         return index[key]
 
-    edge_rows, square_rows, cone_start = [], [], {}
+    edge_rows, square_rows, cone_start, singular_of = [], [], {}, {}
     for g in W.syllable_ball(graph, budget, budget):
         codes = g.codes
         support = 0
@@ -134,14 +134,14 @@ def reference_ball(graph, radius):
             si = add(((gens[u],), codes if not support & mask else ctx.strip(codes, mask)))
             srefs.append(si)
             edge_rows.append((ci, si))
+        singular_of[ci] = dict(zip(gens, srefs))
         for u, w in edge_pairs:
             mask = (1 << u) | (1 << w)
             fi = add(((gens[u], gens[w]), codes if not support & mask else ctx.strip(codes, mask)))
             edge_rows += [(srefs[u], fi), (srefs[w], fi)]
             square_rows.append((ci, srefs[u], fi, srefs[w]))
     nv = len(vkeys)
-    edges = np.asarray(edge_rows, dtype=np.int64)
-    enc = np.unique(edges.min(axis=1) * nv + edges.max(axis=1))
+    enc = sorted({min(a, b) * nv + max(a, b) for a, b in edge_rows})
     counts = {"cone": 0, "singular": 0, "flat": 0}
     for key_gens, _ in vkeys:
         counts[("cone", "singular", "flat")[len(key_gens)]] += 1
@@ -151,17 +151,18 @@ def reference_ball(graph, radius):
         "budget": budget,
         "vertices": nv,
         "vertices_by_type": counts,
-        "edges": int(enc.shape[0]),
+        "edges": len(enc),
         "squares": len(square_rows),
     }
     return {
         "graph": graph,
         "budget": budget,
         "vkeys": vkeys,
-        "edge_lo": enc // nv,
-        "edge_hi": enc % nv,
-        "squares": np.asarray(square_rows, dtype=np.int64),
+        "edge_lo": [e // nv for e in enc],
+        "edge_hi": [e % nv for e in enc],
+        "squares": square_rows,
         "cone_start": cone_start,
+        "singular_of": singular_of,
         "stats": stats,
     }
 
@@ -169,8 +170,8 @@ def reference_ball(graph, radius):
 def reference_structure(ref):
     vkeys, sq = ref["vkeys"], ref["squares"]
     nV, nE = len(ref["graph"].vertices), len(ref["graph"].edges)
-    kinds = np.array([len(key_gens) for key_gens, _ in vkeys])
-    squares_typed = all(bool((kinds[sq[:, j]] == want).all()) for j, want in enumerate((0, 1, 2, 1)))
+    kinds = [len(key_gens) for key_gens, _ in vkeys]
+    squares_typed = all(kinds[row[j]] == want for row in sq for j, want in enumerate((0, 1, 2, 1)))
 
     def girth(edges):
         adj = {}
@@ -180,7 +181,7 @@ def reference_structure(ref):
         return G._girth(adj, edges)
 
     def cone_rows(ci):
-        return sq[ref["cone_start"][ci] : ref["cone_start"][ci] + nE].tolist()
+        return sq[ref["cone_start"][ci] : ref["cone_start"][ci] + nE]
 
     cones = [i for i, (key_gens, _) in enumerate(vkeys) if not key_gens]
     bad_cones = 0
@@ -188,9 +189,14 @@ def reference_structure(ref):
     for ci in cones:
         sing_kind, flat_kind, ok = {}, {}, True
         for _, s1, f, s2 in cone_rows(ci):
+            if (kinds[s1], kinds[f], kinds[s2]) != (1, 2, 1):
+                ok = False
+                break
             u1, u2, fe = vkeys[s1][0][0], vkeys[s2][0][0], vkeys[f][0]
+            own = ref["singular_of"][ci]
             if (
                 {u1, u2} != set(fe)
+                or (own[u1], own[u2]) != (s1, s2)
                 or sing_kind.setdefault(u1, s1) != s1
                 or sing_kind.setdefault(u2, s2) != s2
                 or flat_kind.setdefault(fe, f) != f
@@ -203,11 +209,15 @@ def reference_structure(ref):
             bad_cones += 1
     lim = max(0, ref["budget"] - 2)
     interior = [i for i, (key_gens, codes) in enumerate(vkeys) if key_gens and _syllables(codes) <= lim]
+    rows_with = {}  # (cell, column) -> the square rows with the cell there
+    for row in sq:
+        for col, x in enumerate(row):
+            rows_with.setdefault((x, col), []).append(row)
     bad_links = 0
     for vi in interior:
         edges = set()
         for col in range(4):
-            for row in sq[sq[:, col] == vi].tolist():
+            for row in rows_with.get((vi, col), ()):
                 a, b = row[col - 1], row[(col + 1) % 4]
                 edges.add((min(a, b), max(a, b)))
         bad_links += girth(edges) < 4
@@ -238,9 +248,9 @@ def assert_matches_reference(graph, radius):
     ball = FS.build_ball(graph, radius)
     ref = reference_ball(graph, radius)
     assert list(ball.vkeys) == ref["vkeys"]
-    assert np.array_equal(ball.edge_lo, ref["edge_lo"])
-    assert np.array_equal(ball.edge_hi, ref["edge_hi"])
-    assert np.array_equal(ball.squares, ref["squares"])
+    assert list(ball.edge_lo) == ref["edge_lo"]
+    assert list(ball.edge_hi) == ref["edge_hi"]
+    assert list(ball.squares) == [x for row in ref["squares"] for x in row]
     assert ball.stats() == ref["stats"]
     assert FS.verify_ball_structure(ball) == reference_structure(ref)
 
@@ -308,20 +318,25 @@ def test_ball_build_makes_no_strip_calls(monkeypatch, pentagon, dodeca):
 # the structure check must be able to fail
 # ---------------------------------------------------------------------------
 
+def _square(ball, row, col):
+    """Entry (row, col) of the stored square rows."""
+    return ball.squares[4 * row + col]
+
+
 def _quiet_rows(ball):
     """Square rows past the first 50 cones whose cells are all outside the
     interior: corrupting one changes no link that the check reads from
     other rows."""
     per_cone = len(ball.graph.edges)
-    for r in range(50 * per_cone, ball.squares.shape[0]):
-        if not any(ball.is_interior(int(x)) for x in ball.squares[r, 1:]):
+    for r in range(50 * per_cone, len(ball.squares) // 4):
+        if not any(ball.is_interior(_square(ball, r, col)) for col in (1, 2, 3)):
             yield r
 
 
 def _corrupted(ball, row, col, cell):
     bad = copy.copy(ball)
-    bad.squares = ball.squares.copy()
-    bad.squares[row, col] = cell
+    bad.squares = array("i", ball.squares)
+    bad.squares[4 * row + col] = cell
     return bad
 
 
@@ -329,7 +344,7 @@ def _donor(ball, row, col, want):
     """A cell in column col of a quiet row at another cone, chosen by want."""
     per_cone = len(ball.graph.edges)
     for r in _quiet_rows(ball):
-        x = int(ball.squares[r, col])
+        x = _square(ball, r, col)
         if r // per_cone != row // per_cone and want(x):
             return x
     raise AssertionError("no donor cell")
@@ -338,7 +353,7 @@ def _donor(ball, row, col, want):
 def test_structure_check_rejects_another_cones_flat(pentagon_ball6):
     ball = pentagon_ball6
     row = next(_quiet_rows(ball))
-    edge = ball.gens_of(int(ball.squares[row, 2]))
+    edge = ball.gens_of(_square(ball, row, 2))
     flat = _donor(ball, row, 2, lambda x: ball.gens_of(x) != edge)
     rep = FS.verify_ball_structure(_corrupted(ball, row, 2, flat))
     assert rep["squares_typed"] is True
@@ -350,7 +365,7 @@ def test_structure_check_rejects_another_cones_flat(pentagon_ball6):
 def test_structure_check_rejects_a_cone_in_the_flat_column(pentagon_ball6):
     ball = pentagon_ball6
     row = next(_quiet_rows(ball))
-    rep = FS.verify_ball_structure(_corrupted(ball, row, 2, int(ball.squares[row, 0])))
+    rep = FS.verify_ball_structure(_corrupted(ball, row, 2, _square(ball, row, 0)))
     assert rep["squares_typed"] is False
     assert rep["passed"] is False
 
@@ -358,13 +373,57 @@ def test_structure_check_rejects_a_cone_in_the_flat_column(pentagon_ball6):
 def test_structure_check_rejects_a_broken_singular(pentagon_ball6):
     ball = pentagon_ball6
     row = next(_quiet_rows(ball))
-    s1 = int(ball.squares[row, 1])
+    s1 = _square(ball, row, 1)
     other = _donor(ball, row, 1, lambda x: x != s1 and ball.gens_of(x) == ball.gens_of(s1))
     rep = FS.verify_ball_structure(_corrupted(ball, row, 1, other))
     assert rep["squares_typed"] is True
     assert rep["cone_links_isomorphic"] is False
     assert rep["bad_cones"] == 1
     assert rep["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "graph, radius",
+    [(G.pentagon(), 6), (DefiningGraph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]), 6)],
+    ids=["pentagon-r6", "triangle-pendant-r6"],
+)
+def test_structure_check_matches_reference_on_corrupted_squares(graph, radius):
+    # one entry of the stored squares replaced by a cone or a cell outside
+    # the interior, half the time one of the entry's own kind: the bulk
+    # comparison must flag the row and report what the per-row check does
+    ball = FS.build_ball(graph, radius)
+    ref = reference_ball(graph, radius)
+    assert FS.verify_ball_structure(ball) == reference_structure(ref)
+    donors = {}
+    for i in range(ball.nvertices):
+        if ball.kind_of(i) == "cone" or not ball.is_interior(i):
+            donors.setdefault(ball.kind_of(i), []).append(i)
+    every = [i for cells in donors.values() for i in cells]
+    rng = random.Random(17)
+    failed = 0
+    for _ in range(300):
+        row, col = rng.randrange(len(ref["squares"])), rng.randrange(4)
+        kind = ball.kind_of(_square(ball, row, col))
+        cell = rng.choice(donors[kind] if rng.random() < 0.5 else every)
+        rows = list(ref["squares"])
+        rows[row] = rows[row][:col] + (cell,) + rows[row][col + 1 :]
+        rep = FS.verify_ball_structure(_corrupted(ball, row, col, cell))
+        assert rep == reference_structure(dict(ref, squares=rows))
+        failed += not rep["passed"]
+    assert 100 < failed < 300
+
+
+def test_structure_check_sees_a_loop_in_an_interior_link(pentagon):
+    # a square at an interior flat whose first singular is made equal to its
+    # second gives that flat's link a loop
+    ball = FS.build_ball(pentagon, 6)
+    ref = reference_ball(pentagon, 6)
+    row = next(r for r in range(len(ref["squares"])) if ball.is_interior(_square(ball, r, 2)))
+    rows = list(ref["squares"])
+    rows[row] = rows[row][:1] + rows[row][3:] + rows[row][2:]
+    rep = FS.verify_ball_structure(_corrupted(ball, row, 1, _square(ball, row, 3)))
+    assert rep == reference_structure(dict(ref, squares=rows))
+    assert rep["links_girth_ok"] is False and rep["bad_links"] >= 1
 
 
 def test_structure_check_on_a_one_vertex_graph():
@@ -388,9 +447,7 @@ def test_structure_check_on_a_one_vertex_graph():
 def _uf_core(parent, pairs):
     """Reference union-find: sequential unions by least root, then full
     path compression."""
-    for k in range(pairs.shape[0]):
-        a = pairs[k, 0]
-        b = pairs[k, 1]
+    for a, b in pairs:
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
@@ -402,7 +459,7 @@ def _uf_core(parent, pairs):
                 parent[b] = a
             else:
                 parent[a] = b
-    for i in range(parent.shape[0]):
+    for i in range(len(parent)):
         r = i
         while parent[r] != r:
             r = parent[r]
@@ -418,14 +475,17 @@ def assert_hyperplanes_match_union_find(ball):
     # to (s1, f); which hyperplanes cross is checked by the coset-algebra
     # oracle of test_diagrams
     sq = ball.squares
-    cs1, cs2, s1f, s2f = (ball._edge_ids(sq[:, i], sq[:, j]) for i, j in ((0, 1), (0, 3), (1, 2), (3, 2)))
-    expect = np.arange(ball.nedges, dtype=np.int64)
-    _uf_core(expect, np.concatenate([np.stack([cs1, s2f], axis=1), np.stack([cs2, s1f], axis=1)]))
+    cs1, cs2, s1f, s2f = (
+        [ball.edge_id(sq[r + i], sq[r + j]) for r in range(0, len(sq), 4)]
+        for i, j in ((0, 1), (0, 3), (1, 2), (3, 2))
+    )
+    expect = list(range(ball.nedges))
+    _uf_core(expect, list(zip(cs1, s2f)) + list(zip(cs2, s1f)))
     root = ball.hyperplanes()
-    assert root.dtype == np.int64
-    assert np.array_equal(root, expect)
+    assert root.typecode == "i"
+    assert list(root) == expect
     # each id is the least edge id of its class
-    assert (root <= np.arange(ball.nedges)).all() and (root[root] == root).all()
+    assert all(root[e] <= e and root[root[e]] == root[e] for e in range(ball.nedges))
 
 
 @pytest.mark.parametrize(
@@ -675,6 +735,6 @@ def test_interior_flag(pentagon_ball6):
 
 def test_coset_algebra_keeps_its_flatspace_names():
     # the coset algebra lives in words, where diagrams imports it without
-    # numpy; flatspace uses the same functions under the same names
+    # the ball; flatspace uses the same functions under the same names
     for name in ("_check_key", "singular_contained_in_flat", "stabilizers_equal", "_connections"):
         assert getattr(FS, name) is getattr(W, name)

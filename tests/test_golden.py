@@ -3,7 +3,8 @@
 The files in ``golden/`` hold the stdout of each case below.  They were
 written once and the tests never rewrite them, so a change that moves a cut
 witness (``shared_generators``, ``via_edge``, ``via_path``,
-``interior_flats``), a diagram or a report shows up here.
+``interior_flats``), a diagram, a report or a flat-space ball shows up
+here.
 """
 
 import contextlib
@@ -35,6 +36,8 @@ CASES = {
     "diagram_dodecahedron_face": ("dodecahedron", "diagram", ["--cycle", "o4,i4,i6,o6,o5", "--json"]),
     "report_pentagon": ("pentagon", "report", []),
     "report_pentagon_double": ("pentagon_double", "report", []),
+    "flat_ball_pentagon_4": ("pentagon", "flat-ball", ["--radius", "4", "--dot"]),
+    "flat_ball_dodecahedron_4": ("dodecahedron", "flat-ball", ["--radius", "4", "--json"]),
 }
 
 
