@@ -8,7 +8,7 @@ cycle lengths up to the vertex count makes the computation exact.
 """
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _kernels
 from .graphs import GraphError, cut_vertices, girth, is_connected
@@ -67,6 +67,21 @@ class EmbeddedCycle:
         return min(d, len(self.vertices) - d)
 
 
+def _kernel_cycles(graph, raw):
+    """The kernel's cycles as ``EmbeddedCycle`` objects, built without the
+    constructor's checks: each index tuple is an embedded cycle of the
+    graph in canonical position (least index first, second below last), and
+    ``graph.order`` is sorted, so the names are in canonical position too."""
+    order = graph.order
+    out = []
+    for t in raw:
+        cyc = object.__new__(EmbeddedCycle)
+        cyc.graph = graph
+        cyc.vertices = tuple([order[i] for i in t])
+        out.append(cyc)
+    return out
+
+
 def _canonical(vs):
     """Least rotation or reflection of a cycle of distinct vertices: it
     starts at the least vertex and goes on to the smaller of its two
@@ -80,8 +95,7 @@ def enumerate_cycles(graph, max_len):
     """All embedded cycles of length <= max_len, canonical and sorted."""
     if max_len < 3:
         raise GraphError("max_len must be at least 3")
-    raw = _kernels.enumerate_cycle_lists(graph.masks, max_len, tight_only=False)
-    out = [EmbeddedCycle(graph, tuple(graph.order[i] for i in t)) for t in raw]
+    out = _kernel_cycles(graph, _kernels.enumerate_cycle_lists(graph.masks, max_len, tight_only=False))
     out.sort(key=lambda c: (len(c), c.vertices))
     return out
 
@@ -119,8 +133,7 @@ def tight_cycles(graph, max_len=None):
 @functools.lru_cache(maxsize=256)
 def _tight_cycles(graph, cap):
     """The tight cycles of length <= cap, for the most recent graphs."""
-    raw = _kernels.enumerate_cycle_lists(graph.masks, cap, tight_only=True)
-    out = [EmbeddedCycle(graph, tuple(graph.order[i] for i in t)) for t in raw]
+    out = _kernel_cycles(graph, _kernels.enumerate_cycle_lists(graph.masks, cap, tight_only=True))
     out.sort(key=lambda c: (len(c), c.vertices))
     return out
 
@@ -163,11 +176,11 @@ def is_tight(graph, cycle):
     return _kernels.tight_check_ints([graph.index[v] for v in cycle.vertices], graph.masks)
 
 
-@dataclass(frozen=True)
-class WhiteheadGraph:
-    base: str
-    vertices: tuple
-    edges: frozenset
+class WhiteheadGraph(namedtuple("WhiteheadGraph", "base vertices edges")):
+    """The base vertex, its sorted link (a tuple) and the edges (a
+    frozenset of sorted pairs)."""
+
+    __slots__ = ()
 
     def is_connected(self):
         if not self.vertices:

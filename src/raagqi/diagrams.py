@@ -32,7 +32,7 @@ pass) seed the quasi-cut witness.  A cycle computes its legal turns once,
 and arc coarse lengths are sums over them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, cmp_to_key
 
 from .graphs import GraphError, InvariantError
@@ -140,24 +140,19 @@ def lift_cycle(graph, gamma):
 # diagram construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Region:
-    face_id: int
-    kind: str = "?"
-    vertex: tuple = None  # the (gens, codes) key of its flat-space cell
-    boundary_segment: int = -1
-    sides: tuple = ()
-    in_core: bool = False
+# ``vertex`` is the (gens, codes) key of the region's flat-space cell
+Region = namedtuple(
+    "Region", "face_id kind vertex boundary_segment sides in_core", defaults=("?", None, -1, (), False)
+)
 
 
-@dataclass
-class DiskDiagram:
-    cycle: FullEdgeCycle
-    arcs: list  # (pos_a, pos_b, hyperplane_root), pos_a < pos_b
-    crossings: set  # pairs (arc_i, arc_j)
-    regions: list
-    core: list  # face ids
-    region_adjacency: dict  # face id -> {face id: shared edge count}
+class DiskDiagram(namedtuple("DiskDiagram", "cycle arcs crossings regions core region_adjacency")):
+    """A dual disk diagram: ``arcs`` lists (pos_a, pos_b, hyperplane_root)
+    with pos_a < pos_b, ``crossings`` is a set of arc pairs (i, j), ``core``
+    lists face ids and ``region_adjacency`` maps a face id to {face id:
+    shared edge count}."""
+
+    __slots__ = ()
 
     def core_regions(self):
         return [r for r in self.regions if r.in_core]
@@ -630,22 +625,11 @@ def _check_diagram_observations(diagram, face_nodes):
 # shells
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShellRecord:
-    face_id: int
-    sides: int
-    boundary_corners: int
-    internal_edges: int
-    score: int
-    shell_class: str
+ShellRecord = namedtuple("ShellRecord", "face_id sides boundary_corners internal_edges score shell_class")
 
 
-@dataclass
-class ShellReport:
-    records: list
-    total_score: int
-    case: str
-    ladder: bool
+class ShellReport(namedtuple("ShellReport", "records total_score case ladder")):
+    __slots__ = ()
 
     def to_json_obj(self):
         return {

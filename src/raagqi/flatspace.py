@@ -22,15 +22,19 @@ ball: stripping deletes the right-movable letters over the slot's
 generators, and since a reduced word is a subword of every word for its
 element, what is left is again a product of at most ``budget`` syllables
 u^k with |k| <= budget.  So a ball is a table of cell ids indexed by cone
-and slot, kept in stdlib ``array('i')`` integers and built with one
-right-to-left scan per cone and no coset-stripping call.  A cone keeps
-every slot that its right-movable letters do not move: those cells get the
-next ids in one bulk fill, and only the few moved slots are copied one by
-one from the row of the cone that represents them.  ``find(key)`` is one
-cone lookup plus arithmetic; ``stats()`` counts edges without listing them,
-and the sorted edge list, the ``(gens, codes)`` keys of ``vkeys`` and the
-``CosetKey`` of ``key_of(i)`` are built on demand.  The module needs only
-the standard library.
+and slot, kept in stdlib ``array('i')`` integers.  The cones are grown as
+the syllable tree of ``words.syllable_ball``, whose nodes carry each
+cone's right-movable letters as one block per generator and its syllable
+count: the build makes no scan, no normal-form and no coset-stripping
+call.  A cone keeps every slot that its right-movable letters do not move:
+those cells get the next ids in one bulk fill, and only the few moved
+slots are copied one by one from the row of the cone that represents them,
+found by deleting whole blocks (the last block leaves the tree parent).
+``find(key)`` is one cone lookup plus arithmetic; ``stats()`` counts edges
+without listing them, and the cone elements of ``cones``, the sorted edge
+list, the ``(gens, codes)`` keys of ``vkeys`` and the ``CosetKey`` of
+``key_of(i)`` are built on demand.  The module needs only the standard
+library.
 
 Turn, coarse-distance and parallel-set queries take coset keys and no ball:
 they are answered algebraically, and exactly, from membership in products
@@ -47,19 +51,20 @@ numbers it by its least edge (``FlatBall.hyperplanes``).
 import functools
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import GraphError, InvariantError, orthogonal_complement
 from .words import (
     _KINDS,
     CosetKey,
+    GroupElement,
     _check_key,
     _connections,
     _in_mask,
     context_for,
     singular_contained_in_flat,
+    _syllable_tree,
     stabilizers_equal,
-    syllable_ball,
 )
 
 __all__ = [
@@ -123,112 +128,115 @@ class FlatBall:
             flats_at[u].append((1 + n + k, w))
             flats_at[w].append((1 + n + k, u))
 
-        cones = syllable_ball(self.graph, self.budget, self.budget)
-        self.cones = cones
-        ncones = len(cones)
-        cone_id = {g.codes: c for c, g in enumerate(cones)}
-        self._cone_id = cone_id
+        tree = _syllable_tree(ctx, self.budget, self.budget)
+        self._cone_codes = cone_codes = [node[0] for node in tree]
+        ncones = len(tree)
+        self._cone_id = cone_id = dict(zip(cone_codes, range(ncones)))
 
-        def cone_without(codes, drop):
-            # A reduced word is a subword of every word for its element, so
-            # deleting letters from a cone's normal form leaves a product of
-            # at most `budget` syllables u^k with |k| <= budget: a cone.
-            c = cone_id.get(tuple(x for i, x in enumerate(codes) if i not in drop))
-            if c is None:
-                raise InvariantError("a stripped coset representative is not a cone of the ball")
-            return c
-
-        def layout(tail):
-            # the slots that a tail (the generators of a cone's right-movable
-            # letters) moves to other cones, in increasing order; the slots
-            # the cone keeps; and the singular-flat edges that the moved
-            # singulars take along
-            moved = {1 + x for x in tail} | {slot for x in tail for slot, _ in flats_at[x]}
-            own = array("i", range(nslots))
-            for s in sorted(moved, reverse=True):
-                del own[s]
-            return tuple(sorted(moved)), own, sum(len(flats_at[x]) for x in tail)
+        def layout(mask):
+            # The generators of a cone's right-movable letters (its tail);
+            # the slots the tail moves to other cones, in increasing order,
+            # each with the index of its representative in `reps` below (a
+            # tail block, or a pair of blocks that a flat slot deletes
+            # together); those pairs; the slots the cone keeps; and the
+            # singular-flat edges that the moved singulars take along.
+            tail = tuple(x for x in range(n) if (mask >> x) & 1)
+            at = {x: i for i, x in enumerate(tail)}
+            rep = {1 + x: at[x] for x in tail}
+            pairs = []
+            for k, (u, w) in enumerate(edge_pairs):
+                if u in at and w in at:
+                    rep[1 + n + k] = len(tail) + len(pairs)
+                    pairs.append((at[u], at[w]))
+                elif u in at or w in at:
+                    rep[1 + n + k] = at[u] if u in at else at[w]
+            own = array("i", (s for s in range(nslots) if s not in rep))
+            return tail, tuple(sorted(rep.items())), pairs, own, sum(len(flats_at[x]) for x in tail)
 
         layouts = {}
 
         # The coset of cone c in slot s is represented by the cone without
-        # its right-movable letters over the slot's generators.  They all
-        # commute with those generators, so deleting them unblocks no other
-        # letter (one pass is the fixpoint), and the result is still in
-        # shortlex normal form: no normal form call.  Cones come sorted by
+        # its right-movable letters over the slot's generators: whole blocks
+        # of the tree node, deleted by slicing.  They all commute with those
+        # generators, so deleting them unblocks no other letter (one pass is
+        # the fixpoint), and the result is still in shortlex normal form: no
+        # normal form call.  A reduced word is a subword of every word for
+        # its element, so what is left is a product of at most `budget`
+        # syllables u^k with |k| <= budget: a cone.  Cones come sorted by
         # (length, codes) and a representative is never longer than its
         # cone, so every cell first appears at its own representative: the
         # cells a cone keeps get the next ids in slot order, and a moved
         # slot copies the id from the row of an earlier cone.  A cell is
         # interior if its cone has at most budget - 2 syllables; `interior`
         # maps each interior cell to the cones of its coset.
-        star = ctx.star_masks
         lim = max(0, self.budget - 2)
-        cell, cell_cone, cell_slot = array("i"), array("i"), array("i")
+        cell, cell_slot = array("i"), array("i")
+        bases = [0]  # bases[c]: the first cell id of cone c
         tails = []
         interior = {}
+        inner = bytearray(ncones)  # the cones with at most budget - 2 syllables
         # Each cone has |V| cone-singular edges, and one singular-flat edge
         # per flat at each singular it keeps (an edge is listed at the cone
         # that represents its singular): a moved singular x takes deg(x).
         nsingular = ncones * n
         nedges = ncones * (n + 2 * len(edge_pairs))
-        for c, g in enumerate(cones):
-            codes = g.codes
-            later = 0
-            prev = -1
-            count = 0
-            tail = {}  # generator -> positions of its right-movable letters
-            for i in range(len(codes) - 1, -1, -1):
-                x = (codes[i] - 1) >> 1
-                if x != prev:
-                    count += 1
-                    prev = x
-                if not later & ~star[x]:
-                    tail.setdefault(x, []).append(i)
-                later |= 1 << x
-            key = tuple(sorted(tail))
-            lay = layouts.get(key)
+        for c, (codes, mask, blocks, nsyl, parent, _) in enumerate(tree):
+            lay = layouts.get(mask)
             if lay is None:
-                lay = layouts[key] = layout(key)
-            moved, own, degrees = lay
-            tails.append(key)
-            base = len(cell_cone)
-            nown = len(own)
-            row = list(range(base, base + nown))
-            if tail:
-                reps = {}
-                for x, drop in tail.items():
-                    r = reps[1 + x] = cone_without(codes, drop)
-                    for slot, y in flats_at[x]:
-                        if y in tail:
-                            if y < x:
-                                continue
-                            reps[slot] = cone_without(codes, drop + tail[y])
-                        else:
-                            reps[slot] = r
-                for s in moved:
-                    r = reps[s]
+                lay = layouts[mask] = layout(mask)
+            tail, plan, pairs, own, degrees = lay
+            tails.append(tail)
+            base = bases[c]
+            top = base + len(own)
+            bases.append(top)
+            row = list(range(base, top))
+            if blocks:
+                try:
+                    # the last block is the tree's last step: deleting it
+                    # leaves the parent
+                    reps = []
+                    for _, s, e in blocks[:-1]:
+                        reps.append(cone_id[codes[:s] + codes[e:]])
+                    reps.append(cone_id[parent])
+                    for i, j in pairs:
+                        _, s1, e1 = blocks[i]
+                        _, s2, e2 = blocks[j]
+                        if s2 < s1:
+                            s1, e1, s2, e2 = s2, e2, s1, e1
+                        reps.append(cone_id[codes[:s1] + codes[e1:s2] + codes[e2:]])
+                except KeyError:
+                    raise InvariantError("a stripped coset representative is not a cone of the ball") from None
+                for s, i in plan:
+                    r = reps[i]
                     v = cell[r * nslots + s]
-                    if cell_cone[v] != r:
+                    if not bases[r] <= v < bases[r + 1]:
                         raise InvariantError("a coset representative does not represent itself")
                     row.insert(s, v)
-                    at = interior.get(v)
-                    if at is not None:
-                        at.append(c)
-                nsingular -= len(key)
+                    if inner[r]:
+                        interior[v].append(c)
+                nsingular -= len(tail)
                 nedges -= degrees
-            if count <= lim:
-                for v in range(base + 1, base + nown):
+            if nsyl <= lim:
+                inner[c] = 1
+                for v in range(base + 1, top):
                     interior[v] = [c]
             cell.fromlist(row)
             cell_slot.extend(own)
-            cell_cone.fromlist([c] * nown)
+        cell_cone = array("i")
+        for c in range(ncones):
+            cell_cone += array("i", (c,)) * (bases[c + 1] - bases[c])
         self._cell, self._cell_cone, self._cell_slot = cell, cell_cone, cell_slot
         self._tails = tails
         self._interior = interior
         self.nvertices = len(cell_cone)
         self._nsingular = nsingular
         self.nedges = nedges
+
+    @functools.cached_property
+    def cones(self):
+        """The cone elements, in cone order; built on first use."""
+        ctx = self.ctx
+        return [GroupElement(ctx, codes, _canonical=True) for codes in self._cone_codes]
 
     def _row(self, c):
         return self._cell[c * self._nslots : (c + 1) * self._nslots]
@@ -241,7 +249,7 @@ class FlatBall:
         all cones, is one column of the cell table."""
         eu, ew = self._edge_gens
         n, nE, nslots = len(self.ctx.generators), len(eu), self._nslots
-        out = array("i", bytes(16 * len(self.cones) * nE))
+        out = array("i", bytes(16 * len(self._cone_codes) * nE))
         for k, corners in enumerate(zip([0] * nE, [1 + u for u in eu], range(1 + n, nslots), [1 + w for w in ew])):
             for j, s in enumerate(corners):
                 out[4 * k + j :: 4 * nE] = self._cell[s::nslots]
@@ -252,8 +260,8 @@ class FlatBall:
     @functools.cached_property
     def vkeys(self):
         """Each cell's ``(gens, codes)`` key, built on first use."""
-        cones, slot_gens = self.cones, self._slot_gens
-        return [(slot_gens[s], cones[c].codes) for c, s in zip(self._cell_cone, self._cell_slot)]
+        cones, slot_gens = self._cone_codes, self._slot_gens
+        return [(slot_gens[s], cones[c]) for c, s in zip(self._cell_cone, self._cell_slot)]
 
     @functools.cached_property
     def _edges(self):
@@ -264,7 +272,7 @@ class FlatBall:
         singular."""
         n = len(self.ctx.generators)
         nv = self.nvertices
-        scale = len(self.cones) * n
+        scale = len(self._cone_codes) * n
         at_kept = {}  # tail -> (singular slot, flat slot, generator crossed)
         packed = []
         for c, (tail, lab) in enumerate(zip(self._tails, self._labels())):
@@ -422,7 +430,7 @@ class FlatBall:
     # -- summary ------------------------------------------------------------
 
     def stats(self):
-        ncones = len(self.cones)
+        ncones = len(self._cone_codes)
         return {
             "radius": self.radius,
             "complete_radius": self.complete_radius,
@@ -498,11 +506,12 @@ def verify_ball_structure(ball):
     lies in its own slot, the rows are typed and each cone link is the
     subdivision; the rows of any other cone are checked one by one.  The
     link of an interior cell is read from the rows at the cones of its
-    coset, at the corner where a cell of its slot lies.
+    coset, at the corner where a cell of its slot lies, when one of those
+    cones is suspect: read from agreeing rows alone, a link is bipartite.
     """
     n = len(ball.graph.vertices)
     eu, ew = ball._edge_gens
-    ncones, nE, nslots = len(ball.cones), len(eu), ball._nslots
+    ncones, nE, nslots = len(ball._cone_codes), len(eu), ball._nslots
     cell, slot = ball._cell, ball._cell_slot
     sq = ball.squares
 
@@ -530,7 +539,13 @@ def verify_ball_structure(ball):
     # interior vertex links, from the square rows at the cones of each
     # interior cell: a square with v in column j joins the cells in columns
     # j - 1 and j + 1.  corners[s] lists (j, j - 1, j + 1) as offsets into a
-    # cone's rows, for each row column where a cell of slot s lies.
+    # cone's rows, for each row column where a cell of slot s lies.  At a
+    # cone that is not suspect, every row entry is the table's cell of the
+    # column's slot, so each link edge that the cone's rows give joins a
+    # slot-0 cell to a flat (v singular), or a cell of one end of v's edge
+    # to a cell of the other (v flat).  A link read from such rows alone is
+    # bipartite, with no loop and no triangle; so only the cells with a
+    # suspect cone in their coset are read.
     corners = [[] for _ in range(nslots)]
     for k in range(nE):
         r = 4 * k
@@ -538,7 +553,9 @@ def verify_ball_structure(ball):
         corners[1 + n + k].append((r + 2, r + 1, r + 3))
         corners[1 + ew[k]].append((r + 3, r + 2, r))
     bad_links = 0
-    for v, at in ball._interior.items():
+    for v, at in ball._interior.items() if suspect else ():
+        if suspect.isdisjoint(at):
+            continue
         edges = set()
         for c in at:
             base = 4 * nE * c
@@ -636,11 +653,8 @@ def same_parallel_set(f1, f2):
     return f1 != f2 and next(_connections(f1, f2, 1), None) is not None
 
 
-@dataclass(frozen=True)
-class CoarseDistance:
-    value: int
-    certified: bool
-    lower_bound: int
+class CoarseDistance(namedtuple("CoarseDistance", "value certified lower_bound")):
+    __slots__ = ()
 
     def __repr__(self):
         if self.certified:

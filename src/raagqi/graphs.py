@@ -10,10 +10,10 @@ short-cycle search of the atomicity check work on the masks, and words,
 cycles and flat-space balls read them instead of building their own.
 """
 
+import functools
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import _kernels
 
@@ -241,10 +241,8 @@ def _short_cycles(g):
     return [tuple(g.order[i] for i in t) for t in cycles]
 
 
-@dataclass(frozen=True)
-class AtomicityReport:
-    is_atomic: bool
-    failures: tuple
+class AtomicityReport(namedtuple("AtomicityReport", "is_atomic failures")):
+    __slots__ = ()
 
     def to_json_obj(self):
         return {"is_atomic": self.is_atomic, "failures": [dict(f) for f in self.failures]}
@@ -252,9 +250,19 @@ class AtomicityReport:
 
 def check_atomic(g):
     """Check connectivity, minimal valence 2, girth >= 5, and that no closed
-    vertex star separates; every failure is witnessed in the report."""
+    vertex star separates; every failure is witnessed in the report.
+
+    The reports of the 256 most recent graphs are kept, keyed by the graph's
+    content, so the commands of one session that check the same graph, or
+    an equal one loaded again, share one check.  A report is shared: treat
+    it as read-only."""
     if not g.vertices:
         raise GraphError("empty graph: atomicity undefined")
+    return _atomicity(g)
+
+
+@functools.lru_cache(maxsize=256)
+def _atomicity(g):
     failures = []
     if not is_connected(g):
         failures.append({"kind": "disconnected"})

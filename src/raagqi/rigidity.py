@@ -16,7 +16,7 @@ automorphisms.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import (
     GraphError,
@@ -38,12 +38,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QiClassification:
-    verdict: str  # quasi_isometric_with_isomorphism | not_quasi_isometric | out_of_scope
-    witness: dict
-    reason: str
-    atomicity: tuple
+class QiClassification(namedtuple("QiClassification", "verdict witness reason atomicity")):
+    """``verdict`` is quasi_isometric_with_isomorphism, not_quasi_isometric
+    or out_of_scope; ``atomicity`` holds the two atomicity reports."""
+
+    __slots__ = ()
 
     def to_json_obj(self):
         return {
@@ -86,12 +85,8 @@ def classify_qi(g1, g2):
     )
 
 
-@dataclass(frozen=True)
-class OutGroupReport:
-    h_order: int
-    aut_order: int
-    out_order: int
-    extension: str
+class OutGroupReport(namedtuple("OutGroupReport", "h_order aut_order out_order extension")):
+    __slots__ = ()
 
     def to_json_obj(self):
         return {

@@ -19,6 +19,7 @@ connections between two flats behind turns, coarse distances and cuts.
 """
 
 import weakref
+from operator import itemgetter
 
 from . import _kernels
 from .graphs import GraphError
@@ -442,22 +443,114 @@ def cayley_ball(graph, radius):
 
 def syllable_ball(graph, depth, exp_cap):
     """Canonical forms reachable from the identity by at most ``depth`` right
-    multiplications by generator powers u^k with 0 < |k| <= exp_cap."""
+    multiplications by generator powers u^k with 0 < |k| <= exp_cap, sorted
+    by (length, codes).
+
+    The elements are grown as a tree, with no normal-form search and no
+    deduplication (see ``_syllable_tree``).  Why the tree holds each element
+    exactly once:
+
+    - A syllable of an element is a maximal power x^k of one generator in
+      its reduced words.  By the normal-form theorem for graph products
+      (Green, 1990; Hermiller-Meier, 1995) the syllables of an element are
+      unique up to shuffling commuting syllables.  So its cost, the sum of
+      ceil(|k| / exp_cap) over its syllables, is an invariant, and it is
+      the least number of moves that reach the element: a move adds at
+      most one syllable or changes one by at most exp_cap.
+    - A syllable is right-movable if it can be shuffled to the end.  The
+      right-movable syllables are over distinct, pairwise commuting
+      generators, and deleting one leaves a reduced word whose other
+      syllables are unchanged.  So the greatest right-movable syllable x^k
+      is a canonical last step: the parent of g is g x^-k, of smaller cost.
+    - Conversely h x^k has h as its parent iff x has no right-movable
+      letter in h (else x^k would join that syllable) and x is greater
+      than every right-movable generator of h that commutes with it (those
+      stay right-movable in h x^k, and the others are blocked by x^k).
+    - The right-movable letters of one generator x are contiguous in a
+      shortlex normal form.  Every letter after the first of them commutes
+      with x; if the letter y just after it were not an x-letter, then
+      either y < x, and swapping the two gives a smaller word, or y > x,
+      and moving the next right-movable x-letter left next to the first
+      gives a smaller word.  The normal form of h x^k inserts x^k as one
+      block before the leftmost letter greater than x in the tail of h
+      that commutes with x (the insertion step of
+      ``_kernels.normal_form_codes``, taken k times), and no right-movable
+      block of h is split.
+    """
     ctx = context_for(graph)
-    moves = []
-    for i in range(len(ctx.generators)):
-        for k in range(1, exp_cap + 1):
-            moves.append((_kernels.letter(i, 1),) * k)
-            moves.append((_kernels.letter(i, -1),) * k)
-    seen = {()}
-    frontier = [()]
-    for _ in range(depth):
-        nxt = []
-        for codes in frontier:
-            for m in moves:
-                w = ctx.nf(codes + m)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return [GroupElement(ctx, codes, _canonical=True) for codes in sorted(seen, key=lambda t: (len(t), t))]
+    return [GroupElement(ctx, node[0], _canonical=True) for node in _syllable_tree(ctx, depth, exp_cap)]
+
+
+def _syllable_tree(ctx, depth, exp_cap):
+    """The elements of ``syllable_ball`` as tree nodes (codes, mask, blocks,
+    syllables, parent, cost), sorted by (length, codes).
+
+    ``codes`` is the normal form, ``syllables`` the number of its syllables
+    (its letter runs) and ``cost`` the number of moves that reach it;
+    ``parent`` is the codes of its parent, None at the root.  ``mask`` has a
+    bit per generator with right-movable letters, and ``blocks`` lists their
+    positions as (generator, start, stop) slices of ``codes``, in increasing
+    generator order.  A child h x^k of h carries down the blocks of h over
+    generators that commute with x, shifted past the inserted x^k, and adds
+    (x, p, p + |k|) last, since x is greater than every generator it
+    carries.  Deleting that last block gives the parent back.
+    """
+    comm = ctx.comm_masks
+    n = len(comm)
+    most = depth * exp_cap
+    # (|k|, cost of a syllable x^k), and the runs x^k, x^-k by |k|
+    steps = [(k, (k + exp_cap - 1) // exp_cap) for k in range(1, most + 1)]
+    runs = [([(2 * x + 1,) * k for k in range(most + 1)], [(2 * x + 2,) * k for k in range(most + 1)]) for x in range(n)]
+    root = ((), 0, (), 0, None, 0)
+    nodes = [root]
+    frontier = [root]
+    while frontier:
+        children = []
+        for codes, mask, blocks, nsyl, _, cost in frontier:
+            room = (depth - cost) * exp_cap
+            if room <= 0:
+                continue
+            L = len(codes)
+            nsyl += 1
+            for x in range(n):
+                cx = comm[x]
+                # x right-movable in h, or a commuting right-movable generator
+                # above x: not a canonical last step
+                if (mask & (cx | 1 << x)) >> x:
+                    continue
+                # insert before the leftmost greater letter of the tail of h
+                # that commutes with x
+                p = i = L
+                while i:
+                    i -= 1
+                    g = (codes[i] - 1) >> 1
+                    if not (cx >> g) & 1:
+                        break
+                    if g > x:
+                        p = i
+                head, rest = codes[:p], codes[p:]
+                keep = mask & cx
+                carried = [b for b in blocks if (keep >> b[0]) & 1] if keep else ()
+                cmask = keep | 1 << x
+                pos, neg = runs[x]
+                for k, dc in steps[:room]:
+                    if carried:
+                        cblocks = tuple((y, s + k, e + k) if s >= p else (y, s, e) for y, s, e in carried)
+                        cblocks += ((x, p, p + k),)
+                    else:
+                        cblocks = ((x, p, p + k),)
+                    dc += cost
+                    children.append((head + pos[k] + rest, cmask, cblocks, nsyl, codes, dc))
+                    children.append((head + neg[k] + rest, cmask, cblocks, nsyl, codes, dc))
+        nodes += children
+        frontier = children
+    by_length = {}
+    for node in nodes:
+        by_length.setdefault(len(node[0]), []).append(node)
+    out = []
+    for L in sorted(by_length):
+        # the codes of distinct nodes differ
+        level = by_length[L]
+        level.sort(key=itemgetter(0))
+        out += level
+    return out

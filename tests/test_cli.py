@@ -310,11 +310,13 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, pentagon_file):
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from raagqi.cli import main
+# dataclasses pulls inspect, ast, dis and tokenize into a process
+HEAVY = {"dataclasses", "inspect"}
 seen = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        seen.append([main(argv), "numpy" in sys.modules, out.getvalue()])
+        seen.append([main(argv), "numpy" in sys.modules, out.getvalue(), sorted(HEAVY & set(sys.modules))])
 print(json.dumps(seen))
 """
 
@@ -341,6 +343,9 @@ def test_commands_that_build_no_ball_do_not_import_numpy(pentagon_file, doubled_
     assert code == 0
     seen = json.loads(out)
     assert [s[:2] for s in seen] == [[0, False]] * len(calls)
+    # neither is loaded by any command, flat-ball, taut, diagram, report and
+    # classify-qi among them
+    assert [s[3] for s in seen] == [[]] * len(calls)
     assert [s[2] for s in seen[7:9]] == ["taut\n", "not taut\n"]
     assert json.loads(seen[9][2])["core_size"] == 1
     code, out = fresh_process([], entry=("-c", "import sys, raagqi.diagrams; print('numpy' in sys.modules)"))

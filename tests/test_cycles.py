@@ -264,3 +264,19 @@ def test_tight_cycles_rejects_caps_below_3(pentagon):
     assert len(C.tight_cycles(pentagon)) == 1
     # a graph too small for any cycle still has an empty default scan
     assert C.tight_cycles(DefiningGraph(["a", "b"], [("a", "b")])) == []
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_kernel_cycles_need_no_check(seed, tight_only):
+    # the kernel's index tuples, wrapped without the constructor's checks,
+    # are the cycles the constructor makes of them
+    rng = random.Random(seed)
+    verts = rng.sample(["v%d" % i for i in range(12)], rng.randint(3, 8))
+    p = rng.choice((0.25, 0.4, 0.6, 0.85))
+    g = DefiningGraph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < p])
+    raw = K.enumerate_cycle_lists(g.masks, len(verts), tight_only=tight_only)
+    got = C._kernel_cycles(g, raw)
+    want = [C.EmbeddedCycle(g, [g.order[i] for i in t]) for t in raw]
+    assert [(c.graph, c.vertices) for c in got] == [(c.graph, c.vertices) for c in want]
+    assert got == want

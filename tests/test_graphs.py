@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raagqi._kernels as K
 import raagqi.graphs as G
 from raagqi.graphs import DefiningGraph, GraphError
 
@@ -549,3 +550,26 @@ def test_isomorphism_engine_matches_reference(seed):
     bigger = DefiningGraph(list(g.vertices) + ["extra"], list(g.edges))
     assert_isomorphism_matches_reference(g, bigger)
     assert_isomorphism_matches_reference(bigger, g)
+
+
+def test_check_atomic_is_kept_per_graph(monkeypatch):
+    # an equal graph loaded separately shares the first report: no cycle
+    # search and no separation check runs again
+    text = G.cycle_graph(9, prefix="kept").to_json()
+    first = G.check_atomic(DefiningGraph.from_json(text))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_atomic searched the graph again")
+
+    monkeypatch.setattr(K, "enumerate_cycle_lists", refuse)
+    monkeypatch.setattr(G, "_connected", refuse)
+    again = DefiningGraph.from_json(text)
+    assert G.check_atomic(again) == first
+    assert G.check_atomic(again).to_json_obj() == first.to_json_obj()
+
+
+def test_check_atomic_cache_is_bounded():
+    for i in range(300):
+        G.check_atomic(G.cycle_graph(5, prefix="atomic_bound%d_" % i))
+    info = G._atomicity.cache_info()
+    assert info.maxsize == 256 and info.currsize <= info.maxsize

@@ -477,6 +477,104 @@ def test_word_parsing_rejects_an_empty_exponent(pentagon, text):
 
 
 # ---------------------------------------------------------------------------
+# the syllable tree against the breadth-first search it replaced
+# ---------------------------------------------------------------------------
+
+def syllable_ball_reference(graph, depth, exp_cap):
+    """Canonical forms reachable from the identity by at most ``depth`` right
+    multiplications by generator powers u^k with 0 < |k| <= exp_cap."""
+    ctx = W.context_for(graph)
+    moves = []
+    for i in range(len(ctx.generators)):
+        for k in range(1, exp_cap + 1):
+            moves.append((K.letter(i, 1),) * k)
+            moves.append((K.letter(i, -1),) * k)
+    seen = {()}
+    frontier = [()]
+    for _ in range(depth):
+        nxt = []
+        for codes in frontier:
+            for m in moves:
+                w = ctx.nf(codes + m)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return [W.GroupElement(ctx, codes, _canonical=True) for codes in sorted(seen, key=lambda t: (len(t), t))]
+
+
+def tail_scan(codes, star):
+    """One right-to-left scan of a normal form: the positions of the
+    right-movable letters of each generator, and the number of letter
+    runs."""
+    later = 0
+    prev = -1
+    count = 0
+    tail = {}
+    for i in range(len(codes) - 1, -1, -1):
+        x = (codes[i] - 1) >> 1
+        if x != prev:
+            count += 1
+            prev = x
+        if not later & ~star[x]:
+            tail.setdefault(x, []).append(i)
+        later |= 1 << x
+    return tail, count
+
+
+@st.composite
+def tree_graphs(draw):
+    # graphs on 1..7 vertices: edgeless, complete (triangles, K4 and up)
+    # or random
+    n = draw(st.integers(1, 7))
+    verts = ["v%d" % i for i in range(n)]
+    pairs = list(itertools.combinations(verts, 2))
+    kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    if kind == "edgeless":
+        edges = []
+    elif kind == "complete":
+        edges = pairs
+    else:
+        edges = [e for e in pairs if draw(st.booleans())]
+    return DefiningGraph(verts, edges)
+
+
+@given(tree_graphs(), st.integers(0, 3), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_syllable_tree_matches_breadth_first_search(graph, depth, exp_cap):
+    ref = syllable_ball_reference(graph, depth, exp_cap)
+    assert W.syllable_ball(graph, depth, exp_cap) == ref
+    assert W.cayley_ball(graph, depth) == syllable_ball_reference(graph, depth, 1)
+    ctx = W.context_for(graph)
+    nodes = W._syllable_tree(ctx, depth, exp_cap)
+    assert [node[0] for node in nodes] == [g.codes for g in ref]
+    cost_of = {node[0]: node[5] for node in nodes}
+    for codes, mask, blocks, syllables, parent, cost in nodes:
+        tail, runs = tail_scan(codes, ctx.star_masks)
+        assert syllables == runs
+        assert mask == sum(1 << x for x in tail)
+        # one contiguous block per generator, in increasing generator order
+        assert blocks == tuple((x, min(tail[x]), max(tail[x]) + 1) for x in sorted(tail))
+        assert all(len(tail[x]) == stop - start for x, start, stop in blocks)
+        if blocks:
+            x, start, stop = blocks[-1]
+            assert parent == codes[:start] + codes[stop:]
+            assert cost == cost_of[parent] + (stop - start + exp_cap - 1) // exp_cap
+        else:
+            assert (codes, parent, cost) == ((), None, 0)
+
+
+def test_syllable_tree_grows_without_normal_form_calls(monkeypatch, pentagon):
+    def refuse(*args):
+        raise AssertionError("the syllable tree called the normal form kernel")
+
+    ref = [g.codes for g in syllable_ball_reference(pentagon, 3, 3)]
+    monkeypatch.setattr(W.WordContext, "nf", refuse)
+    monkeypatch.setattr(K, "normal_form_codes", refuse)
+    assert [g.codes for g in W.syllable_ball(pentagon, 3, 3)] == ref
+
+
+# ---------------------------------------------------------------------------
 # context lifetime
 # ---------------------------------------------------------------------------
 
