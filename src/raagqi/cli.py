@@ -167,16 +167,13 @@ def _diagram_dot(d):
 
 def cmd_taut(args):
     from .cycles import is_tight
-    from .diagrams import build_diagram, find_icut, find_quasicut
+    from .diagrams import build_diagram, find_cuts
 
     g, gamma, cyc = _lifted_cycle(args)
-    # the cut searches are algebraic and need no ball; each runs once, and
-    # tautness (no 1-cut, 2-cut or quasi-cut) is read off their results
-    cuts = {
-        "cut_1": find_icut(cyc, 1),
-        "cut_2": find_icut(cyc, 2),
-        "quasi_cut": find_quasicut(cyc),
-    }
+    # the cut searches are algebraic and need no ball; one pass finds the
+    # first cut of each kind, and tautness (no 1-cut, 2-cut or quasi-cut)
+    # is read off the results
+    cuts = find_cuts(cyc)
     taut = all(c is None for c in cuts.values())
     obj = {
         "cycle": list(gamma.vertices),

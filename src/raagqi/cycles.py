@@ -7,8 +7,7 @@ directions are joined by some tight cycle through v; scanning all embedded
 cycle lengths up to the vertex count makes the computation exact.
 """
 
-import functools
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 
 from . import _kernels
 from .graphs import GraphError, cut_vertices, girth, is_connected
@@ -130,12 +129,53 @@ def tight_cycles(graph, max_len=None):
     return _tight_cycles(graph, cap)
 
 
-@functools.lru_cache(maxsize=256)
-def _tight_cycles(graph, cap):
-    """The tight cycles of length <= cap, for the most recent graphs."""
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize cycles")
+
+
+class _CycleListCache:
+    """``functools.lru_cache`` for a function of (graph, cap) that returns
+    a list of cycles, bounded in lists and in the cycles they hold.  The
+    newest list is kept whatever its length, since its caller holds it."""
+
+    def __init__(self, fn, maxsize, max_cycles):
+        self._fn = fn
+        self.maxsize = maxsize
+        self.max_cycles = max_cycles
+        self.cache_clear()
+
+    def __call__(self, graph, cap):
+        key = (graph, cap)
+        lists = self._lists
+        hit = lists.get(key)
+        if hit is not None:
+            # the stored key stays: an equal graph is not kept as well
+            self._hits += 1
+            lists.move_to_end(key)
+            return hit
+        self._misses += 1
+        hit = lists[key] = self._fn(graph, cap)
+        self._cycles += len(hit)
+        while len(lists) > self.maxsize or (self._cycles > self.max_cycles and len(lists) > 1):
+            self._cycles -= len(lists.popitem(last=False)[1])
+        return hit
+
+    def cache_info(self):
+        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._lists), self._cycles)
+
+    def cache_clear(self):
+        self._lists = OrderedDict()
+        self._hits = self._misses = self._cycles = 0
+
+
+def _tight_cycle_list(graph, cap):
+    """The tight cycles of length <= cap."""
     out = _kernel_cycles(graph, _kernels.enumerate_cycle_lists(graph.masks, cap, tight_only=True))
     out.sort(key=lambda c: (len(c), c.vertices))
     return out
+
+
+# the tight cycles of the most recent graphs: GP(50, 2) has 40,758
+_tight_cycles = _CycleListCache(_tight_cycle_list, maxsize=256, max_cycles=1 << 16)
 
 
 def find_shortcut(graph, cycle, i):

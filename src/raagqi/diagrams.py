@@ -25,15 +25,23 @@ v_j, and its reduced diagram is the cone over the cycle (arc j pairs
 boundary positions 2j and 2j-3 mod 2n, n crossings, and one core region,
 the identity cone).
 
-Cuts and quasi-cuts are short coarse connections between flats of a cycle,
-so ``find_icut`` and ``find_quasicut`` are loops over the one connection
-search, ``words._connections``, whose product factors (each found in one
-pass) seed the quasi-cut witness.  A cycle computes its legal turns once,
-and arc coarse lengths are sums over them.
+Cuts and quasi-cuts are short coarse connections between flats of a cycle.
+``_cut_pass`` finds all three kinds in one pass over the flat pairs, around
+the one connection search, ``words._connections``, whose product factors
+seed the quasi-cut witness.  A cycle computes its legal turns once, and
+arc coarse lengths are sums over them.
+
+Two bounded memos serve the report's lifts.  Quasi-cut candidates depend on
+the first flat's representative, the walk and its factors, not on the
+cycle, so they are kept on the word context (CANDIDATES_MAX lists, the
+oldest dropped first) and a cycle only tests its flats against them.  A
+diagram's chord arrangement depends on the chord positions alone, the same
+for every lift of an n-cycle; ``_arrangement`` keeps the ARRANGEMENTS_MAX
+most recent as immutable values.
 """
 
-from collections import namedtuple
-from functools import cached_property, cmp_to_key
+from collections import deque, namedtuple
+from functools import cached_property, cmp_to_key, lru_cache
 
 from .graphs import GraphError, InvariantError
 from . import _kernels
@@ -44,8 +52,7 @@ from .words import (
     _connections,
     _factors_by_masks,
     _in_mask,
-    _inverse_codes,
-    singular_contained_in_flat,
+    _singular_in_flat,
     stabilizers_equal,
 )
 
@@ -58,9 +65,15 @@ __all__ = [
     "shell_report",
     "find_icut",
     "find_quasicut",
+    "find_cuts",
     "is_taut",
     "verify_taut_diagram_lemma",
 ]
+
+# chord arrangements kept by ``_arrangement``, and quasi-cut candidate
+# lists kept per word context
+ARRANGEMENTS_MAX = 256
+CANDIDATES_MAX = 1 << 14
 
 
 class FullEdgeCycle:
@@ -82,10 +95,7 @@ class FullEdgeCycle:
                 raise GraphError("cycle singulars must be singular coset keys")
         n = len(flats)
         for i in range(n):
-            if not (
-                singular_contained_in_flat(singulars[i], flats[i])
-                and singular_contained_in_flat(singulars[i], flats[(i + 1) % n])
-            ):
+            if not (_singular_in_flat(singulars[i], flats[i]) and _singular_in_flat(singulars[i], flats[(i + 1) % n])):
                 raise GraphError("cycle cells not incident at position %d" % i)
         if len(set(flats)) != n or len(set(singulars)) != n:
             raise GraphError("cycle required: repeated vertex")
@@ -116,23 +126,23 @@ class FullEdgeCycle:
         start = p % n + 1
         return self._legal_prefix[start + (q - p - 1) % n] - self._legal_prefix[start] + 1
 
-    def both_arcs(self, p, q):
-        return self.arc_coarse_length(p, q), self.arc_coarse_length(q, p)
-
 
 def lift_cycle(graph, gamma):
     """Lift an embedded cycle of the defining graph to the full-edge cycle
     through the identity fundamental domain."""
     from .cycles import EmbeddedCycle
-    from .words import flat_key, identity, singular_key
+    from .words import identity
 
     if not isinstance(gamma, EmbeddedCycle):
         gamma = EmbeddedCycle(graph, gamma)
+    elif gamma.graph is not graph and gamma.graph != graph:
+        gamma = EmbeddedCycle(graph, gamma.vertices)
+    # the identity is the stripped representative of every coset through it
     e = identity(graph)
     vs = gamma.vertices
     n = len(vs)
-    flats = [flat_key(e, vs[i], vs[(i + 1) % n]) for i in range(n)]
-    sings = [singular_key(e, vs[(i + 1) % n]) for i in range(n)]
+    flats = [CosetKey("flat", tuple(sorted((vs[i], vs[(i + 1) % n]))), e) for i in range(n)]
+    sings = [CosetKey("singular", (vs[(i + 1) % n],), e) for i in range(n)]
     return FullEdgeCycle(flats, sings)
 
 
@@ -188,6 +198,8 @@ def _noncrossing_matchings(positions):
     positions = sorted(positions)
     if not positions:
         return [[]]
+    if len(positions) == 2:
+        return [[tuple(positions)]]
     out = []
     first = positions[0]
     rest = positions[1:]
@@ -251,15 +263,15 @@ def build_diagram(cycle):
         if _crosses(ctx, label_of[h1], label_of[h2])
     }
 
-    def consistent(arcs):
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                if _interleaved(arcs[i][:2], arcs[j][:2]):
-                    if arcs[i][2] == arcs[j][2]:
-                        return False
-                    pair = (min(arcs[i][2], arcs[j][2]), max(arcs[i][2], arcs[j][2]))
-                    if pair not in cross_classes:
-                        return False
+    def fits(acc, new):
+        # interleaved arcs must be distinct crossing hyperplanes.  The arcs
+        # of acc are consistent, and the new arcs, one hyperplane's
+        # noncrossing pairing, do not interleave: only pairs of a new and
+        # an old arc are checked
+        for a, b, h in new:
+            for c, d, g in acc:
+                if (a < c < b) != (a < d < b) and (g == h or (min(g, h), max(g, h)) not in cross_classes):
+                    return False
         return True
 
     def assemble(k, acc):
@@ -267,9 +279,9 @@ def build_diagram(cycle):
             return list(acc)
         h, ms = choices[k]
         for m in ms:
-            trial = acc + [(a, b, h) for a, b in m]
-            if consistent(trial):
-                got = assemble(k + 1, trial)
+            new = [(a, b, h) for a, b in m]
+            if fits(acc, new):
+                got = assemble(k + 1, acc + new)
                 if got is not None:
                     return got
         return None
@@ -278,34 +290,91 @@ def build_diagram(cycle):
     if arcs is None:
         raise InvariantError("no consistent dual diagram pairing")
     arcs.sort()
-    crossings = set()
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if _interleaved(arcs[i][:2], arcs[j][:2]):
-                crossings.add((i, j))
-    for i, j in crossings:
-        for k in range(len(arcs)):
-            if k in (i, j):
-                continue
-            if (min(i, k), max(i, k)) in crossings and (min(j, k), max(j, k)) in crossings:
-                raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
-
-    faces, face_edges, seg_face, edge_faces, face_nodes = _arrangement_faces(
-        2 * n, arcs, crossings
-    )
-    regions, core, adjacency = _type_regions(
-        ctx, cycle, [label_of[h] for _, _, h in arcs], faces, face_edges, seg_face, edge_faces
-    )
+    arr = _arrangement(2 * n, tuple((a, b) for a, b, _ in arcs))
+    regions, core, adjacency = _type_regions(ctx, cycle, [label_of[h] for _, _, h in arcs], arr)
     diagram = DiskDiagram(
         cycle=cycle,
         arcs=arcs,
-        crossings=crossings,
+        crossings=arr.crossings,
         regions=regions,
         core=core,
         region_adjacency=adjacency,
     )
-    _check_diagram_observations(diagram, face_nodes)
+    _check_diagram_observations(diagram, arr)
     return diagram
+
+
+# Indexed by face id (None at the outer face): ``sides`` lists a face's edge
+# labels, ``boundary`` its first boundary segment or -1 (a core face), and
+# ``across`` a (piece number, arc, face) triple per chord piece shared with
+# another face.  ``seg_face`` maps a boundary segment to its face,
+# ``adjacency`` lists (face, ((face, shared pieces), ...)), ``crossing_faces``
+# the four faces at each crossing and ``corner_faces`` the faces with three
+# nodes, one a crossing.
+Arrangement = namedtuple(
+    "Arrangement", "crossings faces sides boundary across seg_face core adjacency crossing_faces corner_faces"
+)
+
+
+@lru_cache(maxsize=ARRANGEMENTS_MAX)
+def _arrangement(nb, chords):
+    """The arrangement of the chords, sorted (a, b) position pairs, on a
+    circle with nb boundary points: crossings, faces and the checks that
+    need nothing else.  Raises ``InvariantError`` when three chords
+    pairwise cross, and what ``_arrangement_faces`` raises."""
+    m = len(chords)
+    crossings = frozenset(
+        (i, j) for i in range(m) for j in range(i + 1, m) if _interleaved(chords[i], chords[j])
+    )
+    crossed = [set() for _ in range(m)]
+    for i, j in crossings:
+        crossed[i].add(j)
+        crossed[j].add(i)
+    if any(crossed[i] & crossed[j] for i, j in crossings):
+        raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
+    faces, face_edges, seg_face, edge_faces, face_nodes = _arrangement_faces(nb, chords, crossings)
+
+    nfaces = max(faces, default=-1) + 2
+    sides, boundary, across = [None] * nfaces, [None] * nfaces, [None] * nfaces
+    piece = {lab: k for k, lab in enumerate(edge_faces)}
+    for fid in faces:
+        labs = sides[fid] = tuple(face_edges[fid])
+        boundary[fid] = next((lab[1] for lab in labs if lab[0] == "seg"), -1)
+        shared = []
+        for lab in labs:
+            both = edge_faces[lab]
+            if lab[0] == "arc" and len(both) == 2:
+                shared.append((piece[lab], lab[1], both[0] if both[1] == fid else both[1]))
+        across[fid] = tuple(shared)
+    adjacency = {}
+    for lab, fs in edge_faces.items():
+        if lab[0] == "arc" and len(fs) == 2:
+            a, b = fs
+            adjacency.setdefault(a, {}).setdefault(b, 0)
+            adjacency.setdefault(b, {}).setdefault(a, 0)
+            adjacency[a][b] += 1
+            adjacency[b][a] += 1
+    node_faces = {}
+    corner_faces = set()
+    for fid, nodes in face_nodes.items():
+        crossing_nodes = [u for u in nodes if u[0] == "x"]
+        for u in crossing_nodes:
+            node_faces.setdefault(u, set()).add(fid)
+        if len(nodes) == 3 and len(crossing_nodes) == 1:
+            corner_faces.add(fid)
+    return Arrangement(
+        crossings=crossings,
+        faces=tuple(faces),
+        sides=tuple(sides),
+        boundary=tuple(boundary),
+        across=tuple(across),
+        seg_face=tuple(seg_face.get(k) for k in range(nb)),
+        core=tuple(fid for fid in faces if boundary[fid] < 0),
+        adjacency=tuple((a, tuple(nbrs.items())) for a, nbrs in adjacency.items()),
+        # a crossing with the outer face around it cannot occur
+        crossing_faces=tuple(tuple(fs) for fs in node_faces.values() if len(fs) == 4),
+        corner_faces=frozenset(corner_faces),
+    )
 
 
 def _arrangement_faces(nb, arcs, crossings):
@@ -438,14 +507,13 @@ def _arrangement_faces(nb, arcs, crossings):
     return inner, face_edges, seg_face, edge_faces, face_nodes
 
 
-def _type_regions(ctx, cycle, arc_labels, faces, face_edges, seg_face, edge_faces):
+def _type_regions(ctx, cycle, arc_labels, arr):
     n = len(cycle)
-    nb = 2 * n
     # boundary faces carry the vertex of their boundary segment: between
     # crossings k and k+1 the boundary runs through s_i (k = 2i) or f_{i+1}
     vertex_of = {}
-    for k in range(nb):
-        fid = seg_face.get(k)
+    for k in range(2 * n):
+        fid = arr.seg_face[k]
         if fid is None:
             raise InvariantError("boundary segment lost its region")
         i, odd = divmod(k, 2)
@@ -455,26 +523,18 @@ def _type_regions(ctx, cycle, arc_labels, faces, face_edges, seg_face, edge_face
             raise GraphError("cycle required: boundary region is not a single block")
         vertex_of[fid] = x
 
-    from collections import deque
-
     # crossing a hyperplane back returns to the same cell, so each piece of
-    # an arc is computed once, from the side reached first
-    across = {}
-    pending = deque(fid for fid in faces if fid in vertex_of)
+    # an arc is crossed once, from the side reached first
+    crossed = set()
+    pending = deque(fid for fid in arr.faces if fid in vertex_of)
     while pending:
         fid = pending.popleft()
         x = vertex_of[fid]
-        for lab in face_edges[fid]:
-            if lab[0] != "arc":
+        for piece, arc, other in arr.across[fid]:
+            if piece in crossed:
                 continue
-            both = edge_faces[lab]
-            if len(both) != 2:
-                continue
-            other = both[0] if both[1] == fid else both[1]
-            y = across.pop((lab, fid), None)
-            if y is None:
-                y = _block_across(ctx, x, arc_labels[lab[1]])
-                across[lab, other] = x
+            crossed.add(piece)
+            y = _block_across(ctx, x, arc_labels[arc])
             if other in vertex_of:
                 if vertex_of[other] != y:
                     raise InvariantError("region propagation conflict: diagram is inconsistent")
@@ -483,37 +543,15 @@ def _type_regions(ctx, cycle, arc_labels, faces, face_edges, seg_face, edge_face
                 pending.append(other)
 
     regions = []
-    adjacency = {}
-    core = []
-    for fid in faces:
+    for fid in arr.faces:
         if fid not in vertex_of:
             raise InvariantError("region not reached by propagation")
         x = vertex_of[fid]
-        segs = [lab[1] for lab in face_edges[fid] if lab[0] == "seg"]
-        in_core = not segs
-        regions.append(
-            Region(
-                face_id=fid,
-                kind=_KINDS[len(x[0])],
-                vertex=x,
-                boundary_segment=segs[0] if segs else -1,
-                sides=tuple(face_edges[fid]),
-                in_core=in_core,
-            )
-        )
-        if in_core:
-            core.append(fid)
-    for lab, fs in edge_faces.items():
-        if lab[0] == "arc" and len(fs) == 2:
-            a, b = fs
-            adjacency.setdefault(a, {}).setdefault(b, 0)
-            adjacency.setdefault(b, {}).setdefault(a, 0)
-            adjacency[a][b] += 1
-            adjacency[b][a] += 1
-
-    if not core:
+        seg = arr.boundary[fid]
+        regions.append(Region(fid, _KINDS[len(x[0])], x, seg, arr.sides[fid], seg < 0))
+    if not arr.core:
         raise GraphError("empty core: the boundary is not an embedded cycle")
-    return regions, core, adjacency
+    return regions, list(arr.core), {a: dict(nbrs) for a, nbrs in arr.adjacency}
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +576,7 @@ def _crosses(ctx, a, b):
     comm = ctx.comm_masks
     if not comm[u] >> w & 1:
         return False
-    if p == q:
-        return True
-    return _factors_by_masks(ctx, ctx.nf(_inverse_codes(p) + q), [comm[u], comm[w]]) is not None
+    return _factors_by_masks(ctx, ctx.quotient(p, q), [comm[u], comm[w]]) is not None
 
 
 def _u_factor(ctx, g, label):
@@ -549,9 +585,7 @@ def _u_factor(ctx, g, label):
     <u><lk u> is the direct product <st u>, so g^-1 P is in it iff its
     letters are in st u, and a is then its u-letters."""
     u, p = label
-    if g == p:
-        return ()
-    w = ctx.nf(_inverse_codes(g) + p)
+    w = ctx.quotient(g, p)
     if not _in_mask(w, ctx.star_masks[u]):
         return None
     return tuple(c for c in w if _kernels.letter_gen(c) == u)
@@ -594,28 +628,18 @@ def _block_across(ctx, x, label):
     raise InvariantError("the hyperplane does not meet the star of the region's vertex")
 
 
-def _check_diagram_observations(diagram, face_nodes):
+def _check_diagram_observations(diagram, arr):
     """Square-complex structure transported to the diagram: around every arc
     crossing sit one cone, one flat and two singular regions; every corner
     region is flat; cone regions are interior."""
-    by_face = {r.face_id: r for r in diagram.regions}
-    node_faces = {}
-    for fid, nodes in face_nodes.items():
-        for u in nodes:
-            if u[0] == "x":
-                node_faces.setdefault(u, set()).add(fid)
-    for u, fs in node_faces.items():
-        if len(fs) != 4:
-            continue  # a crossing with the outer face around it cannot occur
-        kinds = sorted(by_face[f].kind for f in fs)
-        if kinds != ["cone", "flat", "singular", "singular"]:
+    kind = {r.face_id: r.kind for r in diagram.regions}
+    for fs in arr.crossing_faces:
+        if sorted(kind[f] for f in fs) != ["cone", "flat", "singular", "singular"]:
             raise InvariantError("crossing regions are not cone+flat+two singulars")
     for r in diagram.regions:
         if r.in_core:
             continue
-        nodes = face_nodes[r.face_id]
-        ncross = sum(1 for u in nodes if u[0] == "x")
-        if len(nodes) == 3 and ncross == 1 and r.kind != "flat":
+        if r.face_id in arr.corner_faces and r.kind != "flat":
             raise InvariantError("corner region is not a flat region")
         if r.kind == "cone":
             raise InvariantError("cone region touches the boundary")
@@ -730,6 +754,58 @@ def _is_ladder(diagram, core):
 # cuts and tautness
 # ---------------------------------------------------------------------------
 
+def _cut_pass(cycle, kinds):
+    """Yield (kind, cut) for the first cut of each kind in ``kinds`` (1, 2
+    for i-cuts, 3 for the quasi-cut), in one pass over the flat pairs
+    p < q.  A pair's arc lengths and quotient serve all kinds, and each
+    kind's cut is the one that a pass for that kind alone finds first."""
+    if not isinstance(cycle, FullEdgeCycle):
+        raise GraphError("expected a FullEdgeCycle")
+    n = len(cycle)
+    ctx = cycle.flats[0].rep.ctx
+    want = set(kinds)
+    cycle_flats = {(k.gens, k.rep.codes) for k in cycle.flats} if 3 in want else None
+    legal = cycle._legal_prefix
+    for p in range(n):
+        fp = cycle.flats[p]
+        for q in range(p + 1, n):
+            # the shorter of the arcs f_p -> f_q and f_q -> f_p, as in
+            # ``arc_coarse_length``
+            shortest = min(legal[q] - legal[p + 1], legal[n + p] - legal[q + 1]) + 1
+            icuts = [i for i in (1, 2) if i in want and shortest > i]
+            quasi = 3 in want and min(q - p, n - (q - p)) >= 2
+            if not (icuts or quasi):
+                continue
+            fq = cycle.flats[q]
+            w = ctx.quotient(fp.rep.codes, fq.rep.codes)
+            for i in icuts:
+                hit = next(_connections(fp, fq, i, w), None)
+                if hit is not None:
+                    cut = {"kind": "%d-cut" % i, "v": p, "w": q, "coarse_length": i}
+                    if i == 1:
+                        cut["shared_generators"] = sorted(set(fp.gens) & set(fq.gens))
+                    else:
+                        cut["via_edge"] = hit[0]
+                    want.discard(i)
+                    yield i, cut
+            if quasi:
+                for walk, factors in _connections(fp, fq, 3, w):
+                    wit = _quasicut_witness(cycle_flats, fp, walk, factors)
+                    if wit is not None:
+                        want.discard(3)
+                        yield 3, {
+                            "kind": "quasi-cut",
+                            "v": p,
+                            "w": q,
+                            "coarse_length": 3,
+                            "via_path": walk,
+                            "interior_flats": [k.label() for k in wit],
+                        }
+                        break
+            if not want:
+                return
+
+
 def find_icut(cycle, i):
     """An i-cut: flat vertices v, w on the cycle joined by a full-edge path
     of coarse length i while both cycle arcs have coarse length > i.  The
@@ -737,23 +813,7 @@ def find_icut(cycle, i):
     there is no i-cut."""
     if i not in (1, 2):
         raise GraphError("only 1-cuts and 2-cuts are meaningful")
-    if not isinstance(cycle, FullEdgeCycle):
-        raise GraphError("expected a FullEdgeCycle")
-    n = len(cycle)
-    for p in range(n):
-        for q in range(p + 1, n):
-            a1, a2 = cycle.both_arcs(p, q)
-            if not (a1 > i and a2 > i):
-                continue
-            fp, fq = cycle.flats[p], cycle.flats[q]
-            for walk, _ in _connections(fp, fq, i):
-                cut = {"kind": "%d-cut" % i, "v": p, "w": q, "coarse_length": i}
-                if i == 1:
-                    cut["shared_generators"] = sorted(set(fp.gens) & set(fq.gens))
-                else:
-                    cut["via_edge"] = walk
-                return cut
-    return None
+    return next(_cut_pass(cycle, (i,)), (i, None))[1]
 
 
 def find_quasicut(cycle):
@@ -765,91 +825,47 @@ def find_quasicut(cycle):
 
     The search is not exhaustive: for each connection it tries the
     canonical factorization and its one-letter centralizer twists (see
-    ``_quasicut_witness``).  None means that no such candidate avoids the
-    cycle's flats, not that no quasi-cut exists.  A witness depends only on
-    rep(f_p), the walk and its factors, so each distinct connection is
-    tried once per call.
+    ``_quasicut_candidates``).  None means that no such candidate avoids the
+    cycle's flats, not that no quasi-cut exists.
     """
-    if not isinstance(cycle, FullEdgeCycle):
-        raise GraphError("expected a FullEdgeCycle")
-    n = len(cycle)
-    cycle_flats = {(k.gens, k.rep.codes) for k in cycle.flats}
-    tried = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            d = min(q - p, n - (q - p))
-            if d < 2:
-                continue
-            fp, fq = cycle.flats[p], cycle.flats[q]
-            for walk, factors in _connections(fp, fq, 3):
-                key = (fp.rep.codes, walk, tuple(factors))
-                if key not in tried:
-                    tried[key] = _quasicut_witness(cycle_flats, fp, walk, factors)
-                wit = tried[key]
-                if wit is not None:
-                    return {
-                        "kind": "quasi-cut",
-                        "v": p,
-                        "w": q,
-                        "coarse_length": 3,
-                        "via_path": walk,
-                        "interior_flats": [k.label() for k in wit],
-                    }
-    return None
+    return next(_cut_pass(cycle, (3,)), (3, None))[1]
+
+
+def find_cuts(cycle):
+    """The first 1-cut, 2-cut and quasi-cut of the cycle, each None if
+    there is none, from one pass over its flat pairs: {"cut_1": ...,
+    "cut_2": ..., "quasi_cut": ...}."""
+    found = dict(_cut_pass(cycle, (1, 2, 3)))
+    return {"cut_1": found.get(1), "cut_2": found.get(2), "quasi_cut": found.get(3)}
 
 
 def _twist_letters(mask):
     """g^+1, g^-1 for each generator index g in mask, in sorted order."""
-    return [_kernels.letter(g, s) for g in range(mask.bit_length()) if mask >> g & 1 for s in (1, -1)]
+    out = []
+    while mask:
+        low = mask & -mask
+        g = low.bit_length() - 1
+        out += (_kernels.letter(g, 1), _kernels.letter(g, -1))
+        mask ^= low
+    return out
 
 
 def _quasicut_witness(cycle_flats, fp, walk, factors):
-    """Turning flats c1<x,t>, c2<t,z> realizing the connection along the
-    walk (x, t, z) and avoiding the cycle's flats (a set of (gens, codes)),
-    as coset keys, or None.
-
-    With P = rep(fp) and the walk's factors a1 a2 a3 (aj in C(tj)), the
-    candidates are c1 = P alpha and c2 = P alpha beta with alpha in C(x),
-    beta in C(t) and the rest of the product in C(z): first alpha = a1,
-    then the twists a1 g^s for g in st(x) and s = +1, -1; for each alpha,
-    beta is the C(t) factor of alpha^-1 a1 a2 a3, then its twists beta h^s.
-    Twists that repeat a failed candidate or cannot pass are skipped, which
-    leaves the first witness unchanged:
-
-    - c1 depends only on alpha, so a colliding c1 is rejected before
-      factoring.
-    - The rest after beta h^s is h^-s times a C(z) factor, so it lies in
-      C(z) only for h in st(z); and h in {t, z} leaves c2 unchanged.  So h
-      runs over the common neighbours of t and z only.
-    - g in {x, t} leaves c1 unchanged and, since g is in st(t), leaves
-      the rest g^-s alpha^-1 a1 a2 a3 in the same coset of C(t), so its
-      C(z) factor, the minimal representative of that coset, is unchanged
-      too: the candidate repeats the untwisted one.
-    """
+    """The first candidate of ``_quasicut_candidates`` whose turning flats
+    both avoid the cycle's flats (a set of (gens, codes)), as coset keys, or
+    None."""
     ctx = fp.rep.ctx
-    nf, strip = ctx.nf, ctx.strip
-    x, t, z = walk
-    ix, it, iz = (ctx.index[v] for v in walk)
-    xt, tz = tuple(sorted((x, t))), tuple(sorted((t, z)))
-    m_xt, m_tz = (1 << ix) | (1 << it), (1 << it) | (1 << iz)
-    tz_masks = [ctx.star_masks[it], ctx.star_masks[iz]]
-    a1, a2, a3 = factors
-    pa0, rest0 = nf(fp.rep.codes + a1), nf(a2 + a3)
-    beta_twists = _twist_letters(ctx.comm_masks[it] & ctx.comm_masks[iz])
-    for g in [None] + _twist_letters(ctx.star_masks[ix] & ~m_xt):
-        if g is None:
-            pa, rest = pa0, rest0
-        else:
-            pa, rest = nf(pa0 + (g,)), nf((_kernels.letter_inv(g),) + rest0)
-        k1 = (xt, strip(pa, m_xt))
+    memo = ctx.quasicut_candidates
+    key = (fp.rep.codes, walk, tuple(factors))
+    cands = memo.get(key)
+    if cands is None:
+        if len(memo) >= CANDIDATES_MAX:
+            del memo[next(iter(memo))]
+        cands = memo[key] = _quasicut_candidates(ctx, fp.rep.codes, walk, factors)
+    for k1, k2s in cands:
         if k1 in cycle_flats:
             continue
-        fac = _factors_by_masks(ctx, rest, tz_masks)
-        if fac is None:
-            continue
-        pab = nf(pa + fac[0])
-        for h in [None] + beta_twists:
-            k2 = (tz, strip(pab if h is None else nf(pab + (h,)), m_tz))
+        for k2 in k2s:
             if k2 not in cycle_flats:
                 return [
                     CosetKey("flat", gens, GroupElement(ctx, codes, _canonical=True))
@@ -858,13 +874,63 @@ def _quasicut_witness(cycle_flats, fp, walk, factors):
     return None
 
 
+def _quasicut_candidates(ctx, rep, walk, factors):
+    """The turning flats c1<x,t>, c2<t,z> that may realize the connection
+    along the walk (x, t, z), as ((gens, codes) of c1, ((gens, codes) of
+    c2, ...)) pairs in the order they are tried.  They depend on rep(fp),
+    the walk and its factors, not on the cycle, whose flats are tested
+    afterwards.
+
+    With P = rep(fp) and the walk's factors a1 a2 a3 (aj in C(tj)), the
+    candidates are c1 = P alpha and c2 = P alpha beta with alpha in C(x),
+    beta in C(t) and the rest of the product in C(z): first alpha = a1,
+    then the twists a1 g^s for g in st(x) and s = +1, -1; for each alpha,
+    beta is the C(t) factor of alpha^-1 a1 a2 a3, then its twists beta h^s.
+    Twists that cannot pass or that repeat a candidate are left out, which
+    leaves the first witness unchanged:
+
+    - The rest after beta h^s is h^-s times a C(z) factor, so it lies in
+      C(z) only for h in st(z); and h in {t, z} leaves c2 unchanged.  So h
+      runs over the common neighbours of t and z only.
+    - g in {x, t} leaves c1 unchanged and, since g is in st(t), leaves
+      the rest g^-s alpha^-1 a1 a2 a3 in the same coset of C(t), so its
+      C(z) factor, the minimal representative of that coset, is unchanged
+      too: the candidate repeats the untwisted one.
+    - g outside st(t) | st(z) cannot pass: a2 a3 has its support in
+      st(t) | st(z), so no letter cancels g^-s and g is in the support of
+      g^-s a2 a3, an invariant of the element, while every element of
+      C(t) C(z) has its support in st(t) | st(z).  On a graph of girth at
+      least 5, such as an atomic one, no g and no h is left.
+    - An alpha whose rest has no factoring in C(t) C(z) gives no c2.
+    """
+    nf, strip = ctx.nf, ctx.strip
+    x, t, z = walk
+    ix, it, iz = ctx.index[x], ctx.index[t], ctx.index[z]
+    xt, tz = tuple(sorted((x, t))), tuple(sorted((t, z)))
+    m_xt, m_tz = (1 << ix) | (1 << it), (1 << it) | (1 << iz)
+    st_t, st_z = ctx.star_masks[it], ctx.star_masks[iz]
+    tz_masks = (st_t, st_z)
+    a1, a2, a3 = factors
+    pa0, rest0 = nf(rep + a1), nf(a2 + a3)
+    beta_twists = [None] + _twist_letters(ctx.comm_masks[it] & ctx.comm_masks[iz])
+    out = []
+    for g in [None] + _twist_letters(ctx.star_masks[ix] & (st_t | st_z) & ~m_xt):
+        if g is None:
+            pa, rest = pa0, rest0
+        else:
+            pa, rest = nf(pa0 + (g,)), nf((_kernels.letter_inv(g),) + rest0)
+        fac = _factors_by_masks(ctx, rest, tz_masks)
+        if fac is None:
+            continue
+        pab = nf(pa + fac[0])
+        k2s = tuple((tz, strip(pab if h is None else nf(pab + (h,)), m_tz)) for h in beta_twists)
+        out.append(((xt, strip(pa, m_xt)), k2s))
+    return tuple(out)
+
+
 def is_taut(cycle):
     """No 1-cut, no 2-cut, and no quasi-cut."""
-    return (
-        find_icut(cycle, 1) is None
-        and find_icut(cycle, 2) is None
-        and find_quasicut(cycle) is None
-    )
+    return next(_cut_pass(cycle, (1, 2, 3)), None) is None
 
 
 def verify_taut_diagram_lemma(cycle):

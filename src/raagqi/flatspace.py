@@ -52,6 +52,7 @@ import functools
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
+from operator import itemgetter
 
 from .graphs import GraphError, InvariantError, orthogonal_complement
 from .words import (
@@ -515,17 +516,21 @@ def verify_ball_structure(ball):
     cell, slot = ball._cell, ball._cell_slot
     sq = ball.squares
 
-    # cones whose table row or square rows are not the ones the table makes
+    # cones whose table row or square rows are not the ones the table makes;
+    # slots are gathered by itemgetter and columns compared as strided
+    # memoryviews, so neither pass makes a Python loop or copy per entry
     suspect = set()
     chunk = max(1, (1 << 16) // nslots)  # table rows per pass
-    in_order = list(range(nslots)) * chunk
+    in_order = tuple(range(nslots)) * chunk
     for c0 in range(0, ncones, chunk):
-        got = [slot[v] for v in cell[c0 * nslots : (c0 + chunk) * nslots]]
+        rows = cell[c0 * nslots : (c0 + chunk) * nslots]
+        got = itemgetter(*rows)(slot) if len(rows) > 1 else (slot[rows[0]],)
         if got != in_order[: len(got)]:
             suspect.update(c0 + i // nslots for i, s in enumerate(got) if s != i % nslots)
+    sq_view, cell_view = memoryview(sq), memoryview(cell)
     for k in range(nE):
         for j, s in enumerate((0, 1 + eu[k], 1 + n + k, 1 + ew[k])):
-            col, want = sq[4 * k + j :: 4 * nE], cell[s::nslots]
+            col, want = sq_view[4 * k + j :: 4 * nE], cell_view[s::nslots]
             if col != want:
                 suspect.update(c for c in range(ncones) if col[c] != want[c])
     squares_typed = True

@@ -6,16 +6,24 @@ words reachable by swapping adjacent letters whose generators are adjacent in
 the graph.  Two elements are equal in the group iff their stored words agree.
 
 A ``WordContext`` takes the generator order, index and commutation masks
-from its graph and adds only the star masks and the normal-form and
-stripping caches.  ``context_for`` hands out one context per graph (equal
-graphs share it) and holds it weakly: a context lives as long as some
-element, coset key or ball uses it, so a long session keeps only the
-contexts in use.
+from its graph and adds the star masks, the normal-form and stripping
+caches, and two tables for the connection search (below).
+``context_for`` hands out one context per graph (equal graphs share it)
+and holds it weakly: a context lives as long as some element, coset key
+or ball uses it, so a long session keeps only the contexts in use.
 
 The coset algebra of the flat space lives here too, on normal forms and
 bitmasks alone: containment of a singular coset in a flat, equality of
 singular stabilizers, and ``_connections``, the one search for full-edge
 connections between two flats behind turns, coarse distances and cuts.
+
+Both tables are bounded.  ``WordContext.walks`` keeps the walks of length
+<= WALKS_KEPT = 3 from each generator, in sorted order; ``coarse_distance``
+asks for walks up to length 6 (16,807 from each start on the
+Hoffman-Singleton graph), which are built on each call.
+``quasicut_candidates`` holds the quasi-cut candidates of ``diagrams``, at
+most ``diagrams.CANDIDATES_MAX`` lists, keyed by a flat's representative, a
+walk and its factors, which fix them: the lifts of one graph share them.
 """
 
 import weakref
@@ -49,6 +57,10 @@ __all__ = [
 
 _context_cache = weakref.WeakValueDictionary()
 
+# walks up to this length are kept per context: the cut searches need no
+# longer ones
+WALKS_KEPT = 3
+
 
 class WordContext:
     """Generator order, letter codes and commutation masks for one graph."""
@@ -61,6 +73,8 @@ class WordContext:
         self.star_masks = [m | (1 << i) for i, m in enumerate(graph.masks)]
         self._nf_cache = {}
         self._strip_cache = {}
+        self._walks = {}
+        self.quasicut_candidates = {}
 
     def gen_mask(self, names):
         m = 0
@@ -71,6 +85,8 @@ class WordContext:
         return m
 
     def nf(self, codes):
+        if not codes:
+            return ()
         codes = tuple(codes)
         hit = self._nf_cache.get(codes)
         if hit is None:
@@ -80,12 +96,39 @@ class WordContext:
         return hit
 
     def strip(self, codes, mask):
+        if not codes:
+            return ()
         key = (codes, mask)
         hit = self._strip_cache.get(key)
         if hit is None:
             hit = tuple(_kernels.strip_coset_codes(list(codes), self.comm_masks, mask))
             if len(self._strip_cache) < 1 << 20:
                 self._strip_cache[key] = hit
+        return hit
+
+    def quotient(self, p, q):
+        """The normal form of p^-1 q, for normal forms p and q."""
+        return () if p == q else self.nf(_inverse_codes(p) + q)
+
+    def walks(self, t, m):
+        """The walks t_1 .. t_m of the defining graph (consecutive vertices
+        adjacent) with t_1 the generator of index t, in sorted order, each
+        as (names, index of t_m, star masks of t_1 .. t_m).  Kept for
+        m <= WALKS_KEPT."""
+        hit = self._walks.get((t, m))
+        if hit is None:
+            if m == 1:
+                hit = (((self.generators[t],), t, (self.star_masks[t],)),)
+            else:
+                gens, stars, comm = self.generators, self.star_masks, self.comm_masks
+                hit = tuple(
+                    (names + (gens[u],), u, masks + (stars[u],))
+                    for names, end, masks in self.walks(t, m - 1)
+                    for u in range(comm[end].bit_length())
+                    if comm[end] >> u & 1
+                )
+            if m <= WALKS_KEPT:
+                self._walks[t, m] = hit
         return hit
 
 
@@ -234,7 +277,10 @@ def in_special_subgroup(x, gens):
 def _in_mask(codes, mask):
     """Whether every letter of the codes is over a generator in the bitmask:
     for a normal form, membership in that special subgroup."""
-    return all((mask >> _kernels.letter_gen(c)) & 1 for c in codes)
+    for c in codes:
+        if not (mask >> _kernels.letter_gen(c)) & 1:
+            return False
+    return True
 
 
 def subgroup_product_factors(x, gen_sets):
@@ -263,6 +309,8 @@ def _factors_by_masks(ctx, codes, masks):
     given as a bitmask over generator indices (``WordContext.star_masks``
     are the star subgroups).  Returns the factors as normal-form code
     tuples, or None."""
+    if not codes:
+        return [()] * len(masks)
     comm = ctx.comm_masks
     parts = []
     for mask in masks[:-1]:
@@ -386,9 +434,16 @@ def singular_contained_in_flat(s, f):
     """Coset containment g<u> <= h<x,y>."""
     _check_key("singular", s)
     _check_key("flat", f)
+    return _singular_in_flat(s, f)
+
+
+def _singular_in_flat(s, f):
+    """``singular_contained_in_flat`` on codes, for checked keys."""
     if s.gens[0] not in f.gens:
         return False
-    return _in_mask((f.rep.inverse() * s.rep).codes, f.rep.ctx.gen_mask(f.gens))
+    ctx = f.rep.ctx
+    a, b = f.gens
+    return _in_mask(ctx.quotient(f.rep.codes, s.rep.codes), 1 << ctx.index[a] | 1 << ctx.index[b])
 
 
 def stabilizers_equal(s1, s2):
@@ -400,10 +455,10 @@ def stabilizers_equal(s1, s2):
     if s1.gens != s2.gens:
         return False
     ctx = s1.rep.ctx
-    return _in_mask((s2.rep.inverse() * s1.rep).codes, ctx.star_masks[ctx.index[s1.gens[0]]])
+    return _in_mask(ctx.quotient(s2.rep.codes, s1.rep.codes), ctx.star_masks[ctx.index[s1.gens[0]]])
 
 
-def _connections(f1, f2, m):
+def _connections(f1, f2, m, w=None):
     """The full-edge connections of coarse length m between two flats.
 
     Flats f1 and f2 are joined by a full-edge path of coarse length m iff
@@ -415,21 +470,21 @@ def _connections(f1, f2, m):
     Yields each such walk as a tuple, with the factors a_1 .. a_m of
     ``subgroup_product_factors`` (a_j in C(t_j)) as normal-form code
     tuples, in sorted walk order: t_1 runs over f1.gens and each next vertex
-    over the sorted neighbours.
+    over the sorted neighbours.  ``w``, if given, is rep(f1)^-1 rep(f2).
     """
     ctx = f1.rep.ctx
-    walks = [(t,) for t in f1.gens]
-    for _ in range(m - 1):
-        walks = [wk + (t,) for wk in walks for t in sorted(ctx.graph.neighbors(wk[-1]))]
-    w = None
-    for wk in walks:
-        if wk[-1] not in f2.gens:
-            continue
-        if w is None:
-            w = (f1.rep.inverse() * f2.rep).codes
-        factors = _factors_by_masks(ctx, w, [ctx.star_masks[ctx.index[t]] for t in wk])
-        if factors is not None:
-            yield wk, factors
+    index = ctx.index
+    a, b = f2.gens
+    ends = 1 << index[a] | 1 << index[b]
+    for t in f1.gens:
+        for names, end, masks in ctx.walks(index[t], m):
+            if not ends >> end & 1:
+                continue
+            if w is None:
+                w = ctx.quotient(f1.rep.codes, f2.rep.codes)
+            factors = _factors_by_masks(ctx, w, masks)
+            if factors is not None:
+                yield names, factors
 
 
 # ---------------------------------------------------------------------------

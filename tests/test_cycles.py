@@ -254,6 +254,47 @@ def test_tight_cycle_cache_is_bounded():
     assert info.maxsize == 256 and info.currsize <= info.maxsize
 
 
+def test_tight_cycle_cache_is_bounded_in_cycles(monkeypatch):
+    # relabelled dodecahedra, 18 tight cycles each: the cache keeps at most
+    # max_cycles cycles besides the newest list, which it always keeps
+    cache = C._tight_cycles
+    assert cache.max_cycles == 1 << 16
+    monkeypatch.setattr(cache, "max_cycles", 100)
+    cache.cache_clear()
+    base = G.dodecahedron()
+
+    def relabelled(i):
+        return G.DefiningGraph(
+            ["c%d_%s" % (i, v) for v in base.vertices],
+            [("c%d_%s" % (i, a), "c%d_%s" % (i, b)) for a, b in base.edges],
+        )
+
+    graphs = [relabelled(i) for i in range(9)]
+    per = len(C.tight_cycles(base))
+    keep = 100 // per
+    cache.cache_clear()
+    for i, g in enumerate(graphs[:8]):
+        assert len(C.tight_cycles(g)) == per
+        info = cache.cache_info()
+        assert info.currsize == min(i + 1, keep) and info.cycles == per * info.currsize <= 100
+    # a hit makes a list the newest, so the next eviction passes it by
+    oldest = graphs[8 - keep]
+    C.tight_cycles(oldest)
+    C.tight_cycles(graphs[8])
+    misses = cache.cache_info().misses
+    C.tight_cycles(oldest)
+    assert cache.cache_info().misses == misses
+    # a hit by an equal graph keeps the stored graph, not both
+    twin = relabelled(8)
+    assert C.tight_cycles(twin) is C.tight_cycles(graphs[8])
+    assert all(key[0] is not twin for key in cache._lists)
+    # a list longer than the bound is still kept, alone
+    monkeypatch.setattr(cache, "max_cycles", 10)
+    C.tight_cycles(graphs[0])
+    assert cache.cache_info()[3:] == (1, per)
+    cache.cache_clear()
+
+
 def test_tight_cycles_rejects_caps_below_3(pentagon):
     for cap in (2, 0, -3):
         with pytest.raises(GraphError, match="max_len must be at least 3"):

@@ -79,6 +79,12 @@ def test_lift_validation(pentagon):
     gamma = C.enumerate_cycles(pentagon, 5)[0]
     cyc = D.lift_cycle(pentagon, gamma)
     assert len(cyc) == 5
+    # the lift reads its keys from the cycle: a cycle of another graph is
+    # checked against this one, and one of an equal graph is accepted
+    with pytest.raises(GraphError):
+        D.lift_cycle(pentagon, C.enumerate_cycles(rq.dodecahedron(), 5)[0])
+    twin = DefiningGraph(pentagon.vertices, pentagon.edges)
+    assert [k.label() for k in D.lift_cycle(twin, gamma).flats] == [k.label() for k in cyc.flats]
     e = identity(pentagon)
     # a backtracking "cycle" through one square is rejected
     with pytest.raises(GraphError):
@@ -871,3 +877,281 @@ def test_arrangement_faces_match_reference_on_random_chords(seed):
     elif edit < 0.2 and pairs:
         crossings.add(rng.choice(pairs))
     assert_faces_match_reference(len(points), arcs, crossings)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass cut search and the memoized arrangement against the per-pair
+# walk enumeration and the diagram built with nothing kept between calls
+# ---------------------------------------------------------------------------
+
+def reference_icut(cycle, i):
+    """An i-cut from its own pass over the flat pairs, with every walk
+    enumerated per pair."""
+    n = len(cycle)
+    for p in range(n):
+        for q in range(p + 1, n):
+            if not (cycle.arc_coarse_length(p, q) > i and cycle.arc_coarse_length(q, p) > i):
+                continue
+            fp, fq = cycle.flats[p], cycle.flats[q]
+            for walk, _ in reference_connections(fp, fq, i):
+                cut = {"kind": "%d-cut" % i, "v": p, "w": q, "coarse_length": i}
+                if i == 1:
+                    cut["shared_generators"] = sorted(set(fp.gens) & set(fq.gens))
+                else:
+                    cut["via_edge"] = walk
+                return cut
+    return None
+
+
+def reference_build_diagram(cycle):
+    """``build_diagram`` as it was before its arrangement was memoized: every
+    trial pairing checked against all arcs, crossings, faces and region
+    typing computed afresh for each cycle."""
+    n = len(cycle)
+    ctx = cycle.flats[0].rep.ctx
+    labels = []
+    for i in range(n):
+        s = (cycle.singulars[i].gens, cycle.singulars[i].rep.codes)
+        labels.append(D._edge_label(ctx, s, cycle.flats[i].gens))
+        labels.append(D._edge_label(ctx, s, cycle.flats[(i + 1) % n].gens))
+    reps = sorted({p for _, p in labels}, key=lambda p: (len(p), p))
+    rank = {p: k for k, p in enumerate(reps)}
+    number = {lab: lab[0] + len(ctx.generators) * rank[lab[1]] for lab in labels}
+    label_of = {h: lab for lab, h in number.items()}
+    by_class = {}
+    for p, lab in enumerate(labels):
+        by_class.setdefault(number[lab], []).append(p)
+    if any(len(ps) % 2 for ps in by_class.values()):
+        raise InvariantError("a closed cycle crosses a hyperplane an odd number of times")
+    choices = D._matching_choices(by_class)
+    hs = sorted(label_of)
+    cross_classes = {
+        (h1, h2) for k, h1 in enumerate(hs) for h2 in hs[k + 1 :] if D._crosses(ctx, label_of[h1], label_of[h2])
+    }
+
+    def consistent(arcs):
+        for i in range(len(arcs)):
+            for j in range(i + 1, len(arcs)):
+                if D._interleaved(arcs[i][:2], arcs[j][:2]):
+                    if arcs[i][2] == arcs[j][2]:
+                        return False
+                    if (min(arcs[i][2], arcs[j][2]), max(arcs[i][2], arcs[j][2])) not in cross_classes:
+                        return False
+        return True
+
+    def assemble(k, acc):
+        if k == len(choices):
+            return list(acc)
+        h, ms = choices[k]
+        for m in ms:
+            trial = acc + [(a, b, h) for a, b in m]
+            if consistent(trial):
+                got = assemble(k + 1, trial)
+                if got is not None:
+                    return got
+        return None
+
+    arcs = assemble(0, [])
+    if arcs is None:
+        raise InvariantError("no consistent dual diagram pairing")
+    arcs.sort()
+    crossings = {(i, j) for i in range(len(arcs)) for j in range(i + 1, len(arcs)) if D._interleaved(arcs[i][:2], arcs[j][:2])}
+    for i, j in crossings:
+        for k in range(len(arcs)):
+            if k not in (i, j) and (min(i, k), max(i, k)) in crossings and (min(j, k), max(j, k)) in crossings:
+                raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
+    faces, face_edges, seg_face, edge_faces, face_nodes = D._arrangement_faces(2 * n, arcs, crossings)
+
+    vertex_of = {}
+    for k in range(2 * n):
+        fid = seg_face.get(k)
+        if fid is None:
+            raise InvariantError("boundary segment lost its region")
+        i, odd = divmod(k, 2)
+        key = cycle.singulars[i] if not odd else cycle.flats[(i + 1) % n]
+        x = (key.gens, key.rep.codes)
+        if fid in vertex_of and vertex_of[fid] != x:
+            raise GraphError("cycle required: boundary region is not a single block")
+        vertex_of[fid] = x
+    pending = [fid for fid in faces if fid in vertex_of]
+    while pending:
+        fid = pending.pop(0)
+        for lab in face_edges[fid]:
+            both = edge_faces[lab]
+            if lab[0] != "arc" or len(both) != 2:
+                continue
+            other = both[0] if both[1] == fid else both[1]
+            y = D._block_across(ctx, vertex_of[fid], label_of[arcs[lab[1]][2]])
+            if other in vertex_of:
+                if vertex_of[other] != y:
+                    raise InvariantError("region propagation conflict: diagram is inconsistent")
+            else:
+                vertex_of[other] = y
+                pending.append(other)
+    regions, core, adjacency = [], [], {}
+    for fid in faces:
+        if fid not in vertex_of:
+            raise InvariantError("region not reached by propagation")
+        x = vertex_of[fid]
+        segs = [lab[1] for lab in face_edges[fid] if lab[0] == "seg"]
+        regions.append(D.Region(fid, _KINDS[len(x[0])], x, segs[0] if segs else -1, tuple(face_edges[fid]), not segs))
+        if not segs:
+            core.append(fid)
+    for lab, fs in edge_faces.items():
+        if lab[0] == "arc" and len(fs) == 2:
+            a, b = fs
+            adjacency.setdefault(a, {}).setdefault(b, 0)
+            adjacency.setdefault(b, {}).setdefault(a, 0)
+            adjacency[a][b] += 1
+            adjacency[b][a] += 1
+    if not core:
+        raise GraphError("empty core: the boundary is not an embedded cycle")
+
+    by_face = {r.face_id: r for r in regions}
+    node_faces = {}
+    for fid, nodes in face_nodes.items():
+        for u in nodes:
+            if u[0] == "x":
+                node_faces.setdefault(u, set()).add(fid)
+    for fs in node_faces.values():
+        if len(fs) == 4 and sorted(by_face[f].kind for f in fs) != ["cone", "flat", "singular", "singular"]:
+            raise InvariantError("crossing regions are not cone+flat+two singulars")
+    for r in regions:
+        if r.in_core:
+            continue
+        nodes = face_nodes[r.face_id]
+        if len(nodes) == 3 and sum(1 for u in nodes if u[0] == "x") == 1 and r.kind != "flat":
+            raise InvariantError("corner region is not a flat region")
+        if r.kind == "cone":
+            raise InvariantError("cone region touches the boundary")
+    return D.DiskDiagram(cycle, arcs, crossings, regions, core, adjacency)
+
+
+def diagram_view(d):
+    if isinstance(d, tuple) and not isinstance(d, D.DiskDiagram):
+        return d  # an (error type, message) outcome
+    return d.to_json_obj(), region_view(d), d.region_adjacency
+
+
+def assert_cuts_and_diagram_match_reference(cyc):
+    expect = {
+        "cut_1": reference_icut(cyc, 1),
+        "cut_2": reference_icut(cyc, 2),
+        "quasi_cut": reference_quasicut(cyc),
+    }
+    # twice: the second pass reads the walk table and the candidate memo
+    for _ in range(2):
+        assert D.find_icut(cyc, 1) == expect["cut_1"]
+        assert D.find_icut(cyc, 2) == expect["cut_2"]
+        assert D.find_quasicut(cyc) == expect["quasi_cut"]
+        assert D.find_cuts(cyc) == expect
+        assert D.is_taut(cyc) == all(c is None for c in expect.values())
+        assert diagram_view(outcome(D.build_diagram, cyc)) == diagram_view(outcome(reference_build_diagram, cyc))
+    return expect
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cut_pass_and_diagram_match_the_per_pair_reference(pentagon_ball6, seed):
+    # lifts of tight and non-tight cycles of dense random graphs, each also
+    # translated, and the non-lift 8-cycles of the pentagon with their
+    # 1-cuts; connections beyond the kept walk length as well
+    rng = random.Random(seed)
+    verts = ["v%d" % i for i in range(rng.randint(5, 8))]
+    p = rng.choice((0.35, 0.5, 0.65))
+    edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < p]
+    graph = DefiningGraph(verts, edges)
+    cycles = [c for c in C.enumerate_cycles(graph, 8) if len(c) > 3]
+    tested = []
+    for gamma in rng.sample(cycles, min(len(cycles), 5)):
+        lift = D.lift_cycle(graph, gamma)
+        tested += [lift, translated(lift, random_element(rng, graph))]
+    tested.append(rng.choice(eight_cycle_fixtures(pentagon_ball6, limit=4)))
+    for cyc in tested:
+        assert_cuts_and_diagram_match_reference(cyc)
+        fp, fq = rng.sample(cyc.flats, 2)
+        for m in range(1, 6):
+            got = [(walk, list(f)) for walk, f in D._connections(fp, fq, m)]
+            assert got == [(walk, [x.codes for x in f]) for walk, f in reference_connections(fp, fq, m)]
+
+
+def test_cut_pass_matches_the_reference_on_golden_and_report_cycles(pentagon_ball6):
+    # every kind of first cut occurs (the 1-cuts on the pentagon's 8-cycles),
+    # and the report's first 25 tight lifts of the dodecahedron are taut
+    # with single-cell cores
+    found = {"cut_1": 0, "cut_2": 0, "quasi_cut": 0}
+    cycles = [D.lift_cycle(make(), names.split(",")) for make, names in GOLDEN_CYCLES]
+    for cyc in cycles + eight_cycle_fixtures(pentagon_ball6, limit=4):
+        for kind, cut in assert_cuts_and_diagram_match_reference(cyc).items():
+            found[kind] += cut is not None
+    assert all(found.values()), found
+    graph = rq.dodecahedron()
+    for gamma in C.tight_cycles(graph, 10)[:25]:
+        lift = D.lift_cycle(graph, gamma)
+        assert assert_cuts_and_diagram_match_reference(lift) == dict.fromkeys(found)
+        assert len(D.build_diagram(lift).core) == 1
+
+
+def test_diagrams_sharing_an_arrangement_alias_nothing_mutable(pentagon, dodeca):
+    # two pentagon lifts over different graphs read one memoized
+    # arrangement; what they share is immutable, and changing what either
+    # owns leaves the other and a later diagram as they were
+    faces = [c for c in C.enumerate_cycles(dodeca, 5)]
+    d1 = D.build_diagram(D.lift_cycle(pentagon, C.enumerate_cycles(pentagon, 5)[0]))
+    d2 = D.build_diagram(D.lift_cycle(dodeca, faces[0]))
+    before = diagram_view(d2)
+    assert isinstance(d1.crossings, frozenset) and d1.crossings == d2.crossings
+    for field in ("arcs", "regions", "core", "region_adjacency"):
+        assert getattr(d1, field) is not getattr(d2, field)
+    for a in d1.region_adjacency:
+        assert d1.region_adjacency[a] is not d2.region_adjacency[a]
+    assert all(isinstance(r.sides, tuple) for r in d1.regions)
+    d1.arcs.append((0, 1, 99))
+    d1.regions.pop()
+    d1.core.append(99)
+    for nbrs in d1.region_adjacency.values():
+        nbrs.clear()
+    assert diagram_view(d2) == before
+    d3 = D.build_diagram(D.lift_cycle(dodeca, faces[0]))
+    assert diagram_view(d3) == before
+    assert diagram_view(d3) == diagram_view(reference_build_diagram(D.lift_cycle(dodeca, faces[0])))
+
+
+def test_arrangement_and_candidate_memos_are_bounded(monkeypatch):
+    # the arrangements of lifted n-cycles, n = 4 .. 263
+    for n in range(4, 264):
+        D._arrangement(2 * n, tuple(sorted(tuple(sorted((2 * j % (2 * n), (2 * j - 3) % (2 * n)))) for j in range(n))))
+    info = D._arrangement.cache_info()
+    assert info.maxsize == D.ARRANGEMENTS_MAX == 256 and info.currsize <= info.maxsize
+    # the candidate memo of a context keeps at most CANDIDATES_MAX lists,
+    # over relabelled graphs that each have their own context
+    monkeypatch.setattr(D, "CANDIDATES_MAX", 8)
+    for i in range(5):
+        graph = rq.dodecahedron()
+        graph = DefiningGraph(["r%d_%s" % (i, v) for v in graph.vertices], [("r%d_%s" % (i, a), "r%d_%s" % (i, b)) for a, b in graph.edges])
+        ctx = context_for(graph)
+        for gamma in C.tight_cycles(graph, 10)[:10]:
+            D.is_taut(D.lift_cycle(graph, gamma))
+            assert len(ctx.quasicut_candidates) <= 8
+        assert len(ctx.quasicut_candidates) == 8
+
+
+def test_observation_checks_read_the_memoized_arrangement(dodeca):
+    # retyping one region of a lift's diagram breaks each structure check:
+    # the crossing around the core, and, with the crossing checks left
+    # out, a corner and a boundary cone
+    d = D.build_diagram(D.lift_cycle(dodeca, C.enumerate_cycles(dodeca, 5)[0]))
+    arr = D._arrangement(2 * len(d.cycle), tuple((a, b) for a, b, _ in d.arcs))
+    D._check_diagram_observations(d, arr)
+    corner = next(r for r in d.regions if r.face_id in arr.corner_faces)
+    core = d.core_regions()[0]
+    boundary = next(r for r in d.regions if not r.in_core and r.kind == "singular")
+    no_crossings = arr._replace(crossing_faces=())
+    for r, kind, checked, message in (
+        (core, "flat", arr, "crossing regions are not cone"),
+        (corner, "singular", no_crossings, "corner region is not a flat region"),
+        (boundary, "cone", no_crossings, "cone region touches the boundary"),
+    ):
+        regions = [x._replace(kind=kind) if x is r else x for x in d.regions]
+        with pytest.raises(InvariantError, match=message):
+            D._check_diagram_observations(d._replace(regions=regions), checked)

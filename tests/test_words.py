@@ -603,3 +603,40 @@ def test_equal_graphs_share_a_live_context():
     y = W.generator(g2, "b")
     assert (x * y).word_str() == "a b c^-1"
     assert y * x * x.inverse() == y
+
+
+def test_walk_table_keeps_short_walks_in_sorted_order(hoffman_singleton):
+    # walks of every length from every start, in the sorted order of the
+    # per-call enumeration; only lengths <= WALKS_KEPT stay in the table,
+    # while a coarse-distance search asks for walks up to length 6
+    import raagqi.flatspace as FS
+
+    g = hoffman_singleton
+    ctx = W.context_for(g)
+    for t in (0, 17, 49):
+        walks = [(g.order[t],)]
+        for m in range(1, 5):
+            if m > 1:
+                walks = [wk + (v,) for wk in walks for v in sorted(g.neighbors(wk[-1]))]
+            got = ctx.walks(t, m)
+            assert [names for names, _, _ in got] == walks
+            assert all(end == g.index[names[-1]] for names, end, _ in got)
+            assert all(masks == tuple(ctx.star_masks[g.index[v]] for v in names) for names, _, masks in got)
+            assert (ctx.walks(t, m) is got) == (m <= W.WALKS_KEPT)
+    e = W.identity(g)
+    far = W.normal_form(g, "P0_0 Q1_1 P2_0 Q3_3 P4_0 Q0_0 P1_1")
+    a, b = sorted(("P4_0", min(g.neighbors("P4_0"))))
+    assert FS.coarse_distance(W.flat_key(e, "P0_0", "P0_1"), W.flat_key(far, a, b), 6).value == 6
+    assert len(ctx.walks(0, 6)) == 7**5
+    assert max(m for _, m in ctx._walks) == W.WALKS_KEPT == 3
+
+
+def test_empty_words_factor_without_normal_form_calls(pentagon, monkeypatch):
+    ctx = W.context_for(pentagon)
+
+    def no_nf(codes):
+        raise AssertionError("nf called on %r" % (codes,))
+
+    monkeypatch.setattr(ctx, "nf", no_nf)
+    assert W._factors_by_masks(ctx, (), [1, 2, 4]) == [(), (), ()]
+    assert ctx.quotient((1, 3), (1, 3)) == ()
