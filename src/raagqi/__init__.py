@@ -31,14 +31,12 @@ from .words import (
     coset_key,
 )
 
-from .flatspace import (
-    FlatBall,
-    build_ball,
+from .coarse import (
     classify_turn,
     coarse_length,
     coarse_distance,
     same_parallel_set,
-    parallel_set_slice,
     classify_parallel_intersection,
     quarter_plane_case,
 )
+from .flatspace import FlatBall, build_ball, parallel_set_slice

@@ -28,8 +28,8 @@ the identity cone).
 Cuts and quasi-cuts are short coarse connections between flats of a cycle.
 ``_cut_pass`` finds all three kinds in one pass over the flat pairs, around
 the one connection search, ``words._connections``, whose product factors
-seed the quasi-cut witness.  A cycle computes its legal turns once, and
-arc coarse lengths are sums over them.
+seed the quasi-cut witness.  Arc coarse lengths are read off the cycle's
+legal-turn flags (``coarse.FullEdgeCycle``).
 
 Two bounded memos serve the report's lifts.  Quasi-cut candidates depend on
 the first flat's representative, the walk and its factors, not on the
@@ -41,23 +41,14 @@ most recent as immutable values.
 """
 
 from collections import deque, namedtuple
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache
 
+from .coarse import FullEdgeCycle
 from .graphs import GraphError, InvariantError
 from . import _kernels
-from .words import (
-    _KINDS,
-    CosetKey,
-    GroupElement,
-    _connections,
-    _factors_by_masks,
-    _in_mask,
-    _singular_in_flat,
-    stabilizers_equal,
-)
+from .words import _KINDS, CosetKey, GroupElement, _connections, _factors_by_masks, _in_mask
 
 __all__ = [
-    "FullEdgeCycle",
     "lift_cycle",
     "DiskDiagram",
     "build_diagram",
@@ -74,57 +65,6 @@ __all__ = [
 # lists kept per word context
 ARRANGEMENTS_MAX = 256
 CANDIDATES_MAX = 1 << 14
-
-
-class FullEdgeCycle:
-    """Closed alternating sequence f_0, s_0, f_1, s_1, ..., s_{n-1}, (f_0).
-
-    Embedded: all flat vertices distinct and all singular vertices distinct.
-    """
-
-    def __init__(self, flats, singulars):
-        flats = list(flats)
-        singulars = list(singulars)
-        if len(flats) != len(singulars) or len(flats) < 3:
-            raise GraphError("cycle requires equal flat/singular counts, at least 3")
-        for k in flats:
-            if not isinstance(k, CosetKey) or k.kind != "flat":
-                raise GraphError("cycle flats must be flat coset keys")
-        for k in singulars:
-            if not isinstance(k, CosetKey) or k.kind != "singular":
-                raise GraphError("cycle singulars must be singular coset keys")
-        n = len(flats)
-        for i in range(n):
-            if not (_singular_in_flat(singulars[i], flats[i]) and _singular_in_flat(singulars[i], flats[(i + 1) % n])):
-                raise GraphError("cycle cells not incident at position %d" % i)
-        if len(set(flats)) != n or len(set(singulars)) != n:
-            raise GraphError("cycle required: repeated vertex")
-        self.flats = flats
-        self.singulars = singulars
-
-    def __len__(self):
-        return len(self.flats)
-
-    @cached_property
-    def _legal(self):
-        sings = self.singulars
-        return [not stabilizers_equal(sings[i - 1], sings[i]) for i in range(len(sings))]
-
-    @cached_property
-    def _legal_prefix(self):
-        """Running counts of legal turns over two laps of the cycle, so any
-        forward run of turns is one difference."""
-        out = [0]
-        for legal in self._legal * 2:
-            out.append(out[-1] + legal)
-        return out
-
-    def arc_coarse_length(self, p, q):
-        """Coarse length of the forward cycle arc f_p -> f_q: one plus the
-        legal turns at f_{p+1}, ..., f_{q-1}."""
-        n = len(self.flats)
-        start = p % n + 1
-        return self._legal_prefix[start + (q - p - 1) % n] - self._legal_prefix[start] + 1
 
 
 def lift_cycle(graph, gamma):
@@ -274,21 +214,30 @@ def build_diagram(cycle):
                     return False
         return True
 
-    def assemble(k, acc):
-        if k == len(choices):
-            return list(acc)
+    # depth first over the hyperplanes, each trying its pairings in order,
+    # as a recursive search would but with no stack frame per hyperplane:
+    # untried[k] holds the pairings of hyperplane k not yet tried, and its
+    # arcs begin at arcs[start[k]]
+    arcs, untried, start = [], [], []
+    k = 0
+    while k < len(choices):
         h, ms = choices[k]
-        for m in ms:
+        if k == len(untried):
+            untried.append(iter(ms))
+            start.append(len(arcs))
+        del arcs[start[k] :]
+        for m in untried[k]:
             new = [(a, b, h) for a, b in m]
-            if fits(acc, new):
-                got = assemble(k + 1, acc + new)
-                if got is not None:
-                    return got
-        return None
-
-    arcs = assemble(0, [])
-    if arcs is None:
-        raise InvariantError("no consistent dual diagram pairing")
+            if fits(arcs, new):
+                arcs += new
+                k += 1
+                break
+        else:
+            untried.pop()
+            start.pop()
+            if not untried:
+                raise InvariantError("no consistent dual diagram pairing")
+            k -= 1
     arcs.sort()
     arr = _arrangement(2 * n, tuple((a, b) for a, b, _ in arcs))
     regions, core, adjacency = _type_regions(ctx, cycle, [label_of[h] for _, _, h in arcs], arr)

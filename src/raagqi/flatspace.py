@@ -1,4 +1,4 @@
-"""Finite pieces of the flat space of a RAAG and its coarse geometry.
+"""Finite balls of the flat space of a RAAG.
 
 Vertices of the flat space are cosets: group elements (cone vertices),
 cosets of one-generator subgroups (singular vertices), and cosets of
@@ -30,57 +30,26 @@ call.  A cone keeps every slot that its right-movable letters do not move:
 those cells get the next ids in one bulk fill, and only the few moved
 slots are copied one by one from the row of the cone that represents them,
 found by deleting whole blocks (the last block leaves the tree parent).
-``find(key)`` is one cone lookup plus arithmetic; ``stats()`` counts edges
-without listing them, and the cone elements of ``cones``, the sorted edge
-list, the ``(gens, codes)`` keys of ``vkeys`` and the ``CosetKey`` of
-``key_of(i)`` are built on demand.  The module needs only the standard
-library.
+``stats()`` counts edges without listing them, and the cone elements of
+``cones``, the sorted edge list and the ``CosetKey`` of ``key_of(i)`` are
+built on demand.  The module needs only the standard library.
 
-Turn, coarse-distance and parallel-set queries take coset keys and no ball:
-they are answered algebraically, and exactly, from membership in products
-of star subgroups.  One search, ``words._connections``, finds the walks of
-the defining graph that join two flats at a given coarse length;
-``coarse_distance``, ``same_parallel_set`` and the cut searches of
-``diagrams`` are loops over it, and the stripping and factoring of
-``words`` behind it each make one pass over a normal form.  The ball hosts
-cell-level queries (links, squares, hyperplanes).  It names the
-hyperplane dual to the edge (g, g<u>) by algebra, as (u, g<lk u>), and
-numbers it by its least edge (``FlatBall.hyperplanes``).
+The ball hosts cell-level queries (links, squares, hyperplanes).  It names
+the hyperplane dual to the edge (g, g<u>) by algebra, as (u, g<lk u>), and
+numbers it by its least edge (``FlatBall.hyperplanes``).  Turns, coarse
+length and distance and parallel sets need no ball and live in ``coarse``.
 """
 
 import functools
 from array import array
-from bisect import bisect_left
-from collections import namedtuple
 from operator import itemgetter
 
-from .graphs import GraphError, InvariantError, orthogonal_complement
-from .words import (
-    _KINDS,
-    CosetKey,
-    GroupElement,
-    _check_key,
-    _connections,
-    _in_mask,
-    context_for,
-    singular_contained_in_flat,
-    _syllable_tree,
-    stabilizers_equal,
-)
+# bound here too because the benchmark's tracer wraps them by these names
+from .coarse import classify_turn, coarse_distance, coarse_length, same_parallel_set  # noqa: F401
+from .graphs import GraphError, InvariantError
+from .words import _KINDS, CosetKey, GroupElement, _check_key, _in_mask, context_for, _syllable_tree
 
-__all__ = [
-    "FlatBall",
-    "build_ball",
-    "classify_turn",
-    "coarse_length",
-    "coarse_distance",
-    "CoarseDistance",
-    "same_parallel_set",
-    "parallel_set_slice",
-    "classify_parallel_intersection",
-    "quarter_plane_case",
-    "FullEdgePath",
-]
+__all__ = ["FlatBall", "build_ball", "verify_ball_structure", "parallel_set_slice"]
 
 
 class FlatBall:
@@ -121,7 +90,6 @@ class FlatBall:
         self._nslots = nslots = 1 + n + len(edge_pairs)
         self._edge_gens = (tuple(u for u, _ in edge_pairs), tuple(w for _, w in edge_pairs))
         self._slot_gens = [()] + [(v,) for v in gens] + [(gens[u], gens[w]) for u, w in edge_pairs]
-        self._slot_of = {g: s for s, g in enumerate(self._slot_gens)}
         self._slot_kind = bytes(len(g) for g in self._slot_gens)
         # the flat slots at each generator, with the other end of their edge
         self._flats_at = flats_at = [[] for _ in range(n)]
@@ -132,7 +100,7 @@ class FlatBall:
         tree = _syllable_tree(ctx, self.budget, self.budget)
         self._cone_codes = cone_codes = [node[0] for node in tree]
         ncones = len(tree)
-        self._cone_id = cone_id = dict(zip(cone_codes, range(ncones)))
+        cone_id = dict(zip(cone_codes, range(ncones)))
 
         def layout(mask):
             # The generators of a cone's right-movable letters (its tail);
@@ -259,12 +227,6 @@ class FlatBall:
     # -- vertex/edge lookups ------------------------------------------------
 
     @functools.cached_property
-    def vkeys(self):
-        """Each cell's ``(gens, codes)`` key, built on first use."""
-        cones, slot_gens = self._cone_codes, self._slot_gens
-        return [(slot_gens[s], cones[c]) for c, s in zip(self._cell_cone, self._cell_slot)]
-
-    @functools.cached_property
     def _edges(self):
         """The edges sorted by (lo, hi), as codes lo * nvertices + hi in an
         ``array('q')``, and the hyperplane label of each edge (see
@@ -334,37 +296,6 @@ class FlatBall:
         gens = self.gens_of(i)
         return CosetKey(_KINDS[len(gens)], gens, self.rep_of(i))
 
-    def find(self, key):
-        """Index of a CosetKey in the ball, or -1."""
-        slot = self._slot_of.get(key.gens)
-        c = self._cone_id.get(key.rep.codes)
-        if slot is None or c is None:
-            return -1
-        i = self._cell[c * self._nslots + slot]
-        return i if self._cell_cone[i] == c else -1
-
-    def __contains__(self, key):
-        return self.find(key) >= 0
-
-    def edge_id(self, i, j):
-        lo, hi = (i, j) if i < j else (j, i)
-        enc = lo * self.nvertices + hi
-        codes = self._edges[0]
-        p = bisect_left(codes, enc)
-        if p >= len(codes) or codes[p] != enc:
-            raise GraphError("edge not present in ball")
-        return p
-
-    def vertices_by_kind(self, kind):
-        k = _KINDS.index(kind)
-        slot_kind = self._slot_kind
-        return [i for i, s in enumerate(self._cell_slot) if slot_kind[s] == k]
-
-    def is_interior(self, i):
-        """Conservative interior flag: the cells this vertex's link needs are
-        guaranteed present."""
-        return self._cell_slot[i] == 0 or i in self._interior
-
     # -- links --------------------------------------------------------------
 
     def squares_at_cone(self, ci):
@@ -408,25 +339,6 @@ class FlatBall:
             first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
             self._hyperplanes = array("i", map(first.__getitem__, labels))
         return self._hyperplanes
-
-    @functools.cached_property
-    def _by_hi(self):
-        """Edge ids sorted by upper end, stably."""
-        return sorted(range(self.nedges), key=self.edge_hi.__getitem__)
-
-    def incident_edges(self, vi):
-        """(edge_id, other_endpoint) pairs at a vertex: the edges it is the
-        lower end of, then those it is the upper end of, each by edge id."""
-        nv = self.nvertices
-        codes, lo, hi = self._edges[0], self.edge_lo, self.edge_hi
-        start = bisect_left(codes, vi * nv)
-        out = [(e, hi[e]) for e in range(start, bisect_left(codes, (vi + 1) * nv))]
-        by_hi = self._by_hi
-        p = bisect_left(by_hi, vi, key=hi.__getitem__)
-        while p < len(by_hi) and hi[by_hi[p]] == vi:
-            out.append((by_hi[p], lo[by_hi[p]]))
-            p += 1
-        return out
 
     # -- summary ------------------------------------------------------------
 
@@ -594,94 +506,6 @@ def verify_ball_structure(ball):
     }
 
 
-# ---------------------------------------------------------------------------
-# turns, paths, parallel sets
-# ---------------------------------------------------------------------------
-
-class FullEdgePath:
-    """Alternating flat, singular, flat, ... , flat key sequence."""
-
-    def __init__(self, keys):
-        keys = list(keys)
-        if len(keys) < 3 or len(keys) % 2 == 0:
-            raise GraphError("a full-edge path alternates flat/singular and ends on a flat")
-        for i, k in enumerate(keys):
-            _check_key("flat" if i % 2 == 0 else "singular", k)
-        for i in range(1, len(keys), 2):
-            if not (
-                singular_contained_in_flat(keys[i], keys[i - 1])
-                and singular_contained_in_flat(keys[i], keys[i + 1])
-            ):
-                raise GraphError("consecutive cells are not incident at position %d" % i)
-        self.keys = keys
-
-    @property
-    def singulars(self):
-        return self.keys[1::2]
-
-    def turns(self):
-        """legal/illegal classification at each interior flat vertex."""
-        out = []
-        sing = self.singulars
-        for t in range(len(sing) - 1):
-            out.append("illegal" if stabilizers_equal(sing[t], sing[t + 1]) else "legal")
-        return out
-
-
-def classify_turn(e1, e2):
-    """Turn type for two full edges (f, s, f') sharing a flat endpoint."""
-    f1a, s1, f1b = e1
-    f2a, s2, f2b = e2
-    shared = {f1a, f1b} & {f2a, f2b}
-    if not shared:
-        raise GraphError("full edges do not share a flat vertex")
-    if (s1, {f1a, f1b}) == (s2, {f2a, f2b}):
-        raise GraphError("the two full edges coincide")
-    for f, s in ((f1a, s1), (f1b, s1), (f2a, s2), (f2b, s2)):
-        if not singular_contained_in_flat(s, f):
-            raise GraphError("not a full edge: singular not contained in flat")
-    return "illegal" if stabilizers_equal(s1, s2) else "legal"
-
-
-def coarse_length(path):
-    """Number of legal turns along the path, plus one."""
-    if not isinstance(path, FullEdgePath):
-        path = FullEdgePath(path)
-    return sum(1 for t in path.turns() if t == "legal") + 1
-
-
-def same_parallel_set(f1, f2):
-    """Whether two distinct standard flats lie in a common parallel set:
-    a connection of coarse length 1."""
-    _check_key("flat", f1)
-    _check_key("flat", f2)
-    return f1 != f2 and next(_connections(f1, f2, 1), None) is not None
-
-
-class CoarseDistance(namedtuple("CoarseDistance", "value certified lower_bound")):
-    __slots__ = ()
-
-    def __repr__(self):
-        if self.certified:
-            return "D=%d" % self.value
-        return "unknown(>=%d)" % self.lower_bound
-
-
-def coarse_distance(f1, f2, max_search=6):
-    """Minimal coarse length of a full-edge path between two flat vertices:
-    the least m with a connection (see ``words._connections``).  Exact;
-    ``unknown`` is only returned past ``max_search``.
-    """
-    _check_key("flat", f1)
-    _check_key("flat", f2)
-    if f1 == f2:
-        return CoarseDistance(0, True, 0)
-    for m in range(1, max_search + 1):
-        if next(_connections(f1, f2, m), None) is not None:
-            return CoarseDistance(m, True, m)
-    return CoarseDistance(max_search + 1, False, max_search + 1)
-
-
 def parallel_set_slice(ball, s):
     """Flat vertices of the ball lying in the parallel set of the singular
     coset s, i.e. flats whose stabilizer contains the stabilizer of s."""
@@ -700,79 +524,3 @@ def parallel_set_slice(ball, s):
     out.sort()
     return out
 
-
-def stalling_reachable_flats(ball, f):
-    """Ball flats reachable from f by full-edge paths with no legal turn
-    (BFS through the ball's cells).  Dual oracle for same_parallel_set."""
-    _check_key("flat", f)
-    start = ball.find(f)
-    if start < 0:
-        raise GraphError("flat vertex not in ball")
-    # state: (flat index, stabilizer class) where the class is the singular
-    # key of the last full edge; closure over illegal turns only
-    sq = ball.squares
-    by_flat = {}
-    by_sing = {}
-    for r in range(0, len(sq), 4):
-        s1, fi, s2 = sq[r + 1 : r + 4]
-        by_flat.setdefault(fi, set()).update((s1, s2))
-        by_sing.setdefault(s1, set()).add(fi)
-        by_sing.setdefault(s2, set()).add(fi)
-    seen_flats = {start}
-    frontier = [(start, None)]
-    seen_states = set()
-    while frontier:
-        nxt = []
-        for fi, stab in frontier:
-            for si in by_flat.get(fi, ()):
-                skey = ball.key_of(si)
-                if stab is not None and not stabilizers_equal(stab, skey):
-                    continue
-                for fj in by_sing.get(si, ()):
-                    state = (fj, skey)
-                    if state in seen_states:
-                        continue
-                    seen_states.add(state)
-                    seen_flats.add(fj)
-                    nxt.append((fj, skey))
-        frontier = nxt
-    return {ball.key_of(i) for i in seen_flats}
-
-
-# ---------------------------------------------------------------------------
-# parallel-set intersections and quarter-plane labels
-# ---------------------------------------------------------------------------
-
-def classify_parallel_intersection(graph, u, v):
-    """How the parallel sets of two standard geodesics through a common point
-    meet: 'equal', a 'standard_flat', or 'small'."""
-    for x in (u, v):
-        if not graph.has_vertex(x):
-            raise GraphError("unknown vertex %r" % (x,))
-    if u == v:
-        return "equal"
-    if graph.has_edge(u, v):
-        return "standard_flat"
-    return "small"
-
-
-def quarter_plane_case(graph, label_alpha, label_beta):
-    """Trichotomy for a quarter-plane label (a join of two vertex sets),
-    decided by the sizes of the orthogonal complements."""
-    alpha = set(label_alpha)
-    beta = set(label_beta)
-    if not alpha or not beta:
-        raise GraphError("quarter-plane labels must be nonempty")
-    if alpha & beta:
-        raise GraphError("quarter-plane label sides must be disjoint")
-    for a in alpha:
-        for b in beta:
-            if not graph.has_edge(a, b):
-                raise GraphError("label is not a join: {%s,%s} not an edge" % (a, b))
-    na = len(orthogonal_complement(graph, alpha))
-    nb = len(orthogonal_complement(graph, beta))
-    if na == 1 and nb == 1:
-        return "case1"
-    if (na == 1) != (nb == 1):
-        return "case2"
-    return "case3"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import raagqi as rq
+import raagqi.coarse as CO
 import raagqi.cycles as C
 import raagqi.diagrams as D
 import raagqi.flatspace as FS
@@ -24,6 +25,7 @@ from raagqi.words import (
     subgroup_product_factors,
 )
 
+from ball_helpers import edge_id, find, incident_edges, vkeys
 from conftest import small_connected_graphs
 
 
@@ -40,7 +42,7 @@ def eight_cycle_fixtures(ball, limit=12):
         by_flat.setdefault(f, set()).update((s1, s2))
 
     def short(i):
-        return len(ball.vkeys[i][1]) <= 2
+        return len(vkeys(ball)[i][1]) <= 2
 
     def full_edges(fi):
         out = []
@@ -50,7 +52,7 @@ def eight_cycle_fixtures(ball, limit=12):
                     out.append((s, fj))
         return out
 
-    start = ball.find(flat_key(identity(ball.graph), "a", "b"))
+    start = find(ball, flat_key(identity(ball.graph), "a", "b"))
     found = []
 
     def dfs(path_f, path_s):
@@ -70,7 +72,7 @@ def eight_cycle_fixtures(ball, limit=12):
     cycles = []
     for pf, ps in found:
         cycles.append(
-            D.FullEdgeCycle([ball.key_of(i) for i in pf], [ball.key_of(i) for i in ps])
+            CO.FullEdgeCycle([ball.key_of(i) for i in pf], [ball.key_of(i) for i in ps])
         )
     return cycles
 
@@ -88,7 +90,7 @@ def test_lift_validation(pentagon):
     e = identity(pentagon)
     # a backtracking "cycle" through one square is rejected
     with pytest.raises(GraphError):
-        D.FullEdgeCycle(
+        CO.FullEdgeCycle(
             [flat_key(e, "a", "b"), flat_key(e, "b", "c"), flat_key(e, "a", "b")],
             [singular_key(e, "b"), singular_key(e, "b"), singular_key(e, "b")],
         )
@@ -122,7 +124,7 @@ def test_pentagon_lift_fits_in_fundamental_domain_ball(pentagon):
     gamma = C.enumerate_cycles(pentagon, 5)[0]
     d = D.build_diagram(D.lift_cycle(pentagon, gamma))
     assert len(d.core) == 1
-    assert {r.vertex for r in d.regions} <= set(small.vkeys)
+    assert {r.vertex for r in d.regions} <= set(vkeys(small))
 
 
 def test_pentagon_lift_cuts_and_tautness(pentagon):
@@ -170,7 +172,7 @@ def test_lifted_cycle_diagrams_are_cones_in_the_fundamental_domain(pentagon, dod
     checked = 0
     for g, max_len in ((pentagon, 10), (dodeca, 10), (dodeca_double, 9)):
         small = FS.build_ball(g, 2)
-        kinds = {key: small.kind_of(i) for i, key in enumerate(small.vkeys)}
+        kinds = {key: small.kind_of(i) for i, key in enumerate(vkeys(small))}
         for gamma in C.enumerate_cycles(g, max_len):
             cyc = D.lift_cycle(g, gamma)
             n = len(cyc)
@@ -251,7 +253,7 @@ def test_arc_sides_follow_block_structure(pentagon, pentagon_ball6):
             keyed = [key_of(pentagon, by_face[f].vertex) for f in set(flats)]
             for i in range(len(keyed)):
                 for j in range(i + 1, len(keyed)):
-                    assert keyed[i] == keyed[j] or FS.same_parallel_set(keyed[i], keyed[j])
+                    assert keyed[i] == keyed[j] or CO.same_parallel_set(keyed[i], keyed[j])
 
 
 def test_dodeca_double_shortcut_cycle_is_not_taut(dodeca_double):
@@ -357,7 +359,7 @@ def reference_quasicut(cycle):
 
 def translated(cycle, g):
     """The full-edge cycle g * cycle: every flat and singular rep times g."""
-    return D.FullEdgeCycle(
+    return CO.FullEdgeCycle(
         [flat_key(g * k.rep, *k.gens) for k in cycle.flats],
         [singular_key(g * k.rep, k.gens[0]) for k in cycle.singulars],
     )
@@ -414,7 +416,7 @@ def reference_block_across(ball, x, h):
     """The scan over every edge at x, each edge's hyperplane root read from
     the root array: the other end, or None where h misses x's star."""
     root = ball.hyperplanes()
-    hits = {other for eid, other in ball.incident_edges(x) if int(root[eid]) == h}
+    hits = {other for eid, other in incident_edges(ball)[x] if int(root[eid]) == h}
     if len(hits) > 1:
         raise InvariantError("hyperplane crosses a block star more than once")
     return hits.pop() if hits else None
@@ -424,7 +426,7 @@ def ball_labels(ball):
     """{root id: algebraic label} over the ball's edges, each labelled from
     its lower end; the labels and root ids name the same classes."""
     root = ball.hyperplanes().tolist()
-    keys = ball.vkeys
+    keys = vkeys(ball)
     labels = {}
     for e, (a, b) in enumerate(zip(ball.edge_lo.tolist(), ball.edge_hi.tolist())):
         x, y = (keys[a], keys[b]) if len(keys[a][0]) < len(keys[b][0]) else (keys[b], keys[a])
@@ -438,8 +440,8 @@ def ball_crossings(ball):
     """Root id pairs of the two cone edges of each square."""
     root = ball.hyperplanes()
     sq = ball.squares
-    a = [root[ball.edge_id(sq[r], sq[r + 1])] for r in range(0, len(sq), 4)]
-    b = [root[ball.edge_id(sq[r], sq[r + 3])] for r in range(0, len(sq), 4)]
+    a = [root[edge_id(ball, sq[r], sq[r + 1])] for r in range(0, len(sq), 4)]
+    b = [root[edge_id(ball, sq[r], sq[r + 3])] for r in range(0, len(sq), 4)]
     return {(min(x, y), max(x, y)) for x, y in zip(a, b)}
 
 
@@ -447,12 +449,12 @@ def reference_diagram(ball, cycle):
     """``build_diagram`` with its three questions answered by the ball: root
     ids for labels, squares for crossings, the edge scan for blocks across."""
     root = ball.hyperplanes()
-    cell = {key: i for i, key in enumerate(ball.vkeys)}
+    cell = {key: i for i, key in enumerate(vkeys(ball))}
     crossings = ball_crossings(ball)
 
     def label(ctx, x, up):
         y = (up, ctx.strip(x[1], ctx.gen_mask(up)))
-        return int(root[ball.edge_id(cell[x], cell[y])]), ()
+        return int(root[edge_id(ball, cell[x], cell[y])]), ()
 
     def crosses(ctx, a, b):
         return (min(a[0], b[0]), max(a[0], b[0])) in crossings
@@ -461,7 +463,7 @@ def reference_diagram(ball, cycle):
         y = reference_block_across(ball, cell[x], lab[0])
         if y is None:
             raise InvariantError("hyperplane missing at a region vertex")
-        return ball.vkeys[y]
+        return vkeys(ball)[y]
 
     with mock.patch.multiple(D, _edge_label=label, _crosses=crosses, _block_across=across):
         return D.build_diagram(cycle)
@@ -514,7 +516,7 @@ def test_region_typing_matches_reference_on_translated_lifts(pentagon, dodeca, p
     # their diagrams leave the radius-2 ball
     for graph in (pentagon, dodeca):
         ball = FS.build_ball(graph, 4)
-        small = set(FS.build_ball(graph, 2).vkeys)
+        small = set(vkeys(FS.build_ball(graph, 2)))
         for gamma in C.tight_cycles(graph, 10)[:6]:
             lift = D.lift_cycle(graph, gamma)
             for v in graph.order[:3]:
@@ -534,10 +536,10 @@ def test_block_across_matches_reference_at_every_vertex(pentagon):
     # hyperplane that meets the star only outside the ball gives a cell
     # outside it
     ball = FS.build_ball(pentagon, 4)
-    cells = set(ball.vkeys)
+    cells = set(vkeys(ball))
     labels = ball_labels(ball)
     missing = outside = 0
-    for x, key in enumerate(ball.vkeys):
+    for x, key in enumerate(vkeys(ball)):
         for h, lab in labels.items():
             expect = reference_block_across(ball, x, h)
             try:
@@ -550,7 +552,7 @@ def test_block_across_matches_reference_at_every_vertex(pentagon):
                     assert got not in cells
                     outside += 1
                 else:
-                    assert got == ball.vkeys[expect]
+                    assert got == vkeys(ball)[expect]
     assert 0 < missing < ball.nvertices * len(labels)
     assert outside > 0
 
@@ -577,27 +579,63 @@ def test_block_across_rejects_a_hyperplane_away_from_the_cell(pentagon):
 
 
 def test_arc_coarse_length_matches_direct_sum(pentagon, pentagon_ball6):
-    def direct(cycle, p, q):
-        n = len(cycle)
-        return sum(cycle._legal[(p + k) % n] for k in range(1, (q - p - 1) % n + 1)) + 1
+    def direct(flags, p, q):
+        n = len(flags)
+        return sum(flags[(p + k) % n] for k in range(1, (q - p - 1) % n + 1)) + 1
 
     rng = random.Random(7)
-    cycles = eight_cycle_fixtures(pentagon_ball6, limit=3)
+    cases = []
+    for cycle in eight_cycle_fixtures(pentagon_ball6, limit=3):
+        # the turn at f_i, between s_{i-1} and s_i, as classify_turn reads it
+        f, s, n = cycle.flats, cycle.singulars, len(cycle)
+        turns = [CO.classify_turn((f[i - 1], s[i - 1], f[i]), (f[i], s[i], f[(i + 1) % n])) for i in range(n)]
+        cases.append((cycle, [t == "legal" for t in turns]))
     for n in range(3, 13):
         graph = cycle_graph(n)
-        lift = D.lift_cycle(graph, graph.vertices)
         # lifted graph cycles turn legally everywhere; other patterns are
-        # set on fresh lifts before the running counts are first read
-        cycles.append(lift)
+        # set as the shared legal-turn flags of fresh lifts, before the
+        # running counts are first read
+        cases.append((D.lift_cycle(graph, graph.vertices), [True] * n))
         for _ in range(3):
             other = D.lift_cycle(graph, graph.vertices)
-            other.__dict__["_legal"] = [rng.random() < 0.5 for _ in range(n)]
-            cycles.append(other)
+            other._legal = [rng.random() < 0.5 for _ in range(n)]
+            cases.append((other, other._legal))
+    for cycle, flags in cases:
+        assert cycle._legal == flags
+        n = len(cycle)
+        for p in range(n):
+            for q in range(n):
+                assert cycle.arc_coarse_length(p, q) == direct(flags, p, q)
+
+
+def test_open_paths_and_cycle_arcs_agree(pentagon_ball6):
+    # the open path f_p, s_p, ..., f_q has the coarse length of the forward
+    # cycle arc f_p -> f_q, a whole lap when p = q: both are validated and
+    # turn by the same rule
+    cycles = eight_cycle_fixtures(pentagon_ball6, limit=3)
+    assert all(not all(c._legal) for c in cycles)  # each turns illegally somewhere
+    for n in (3, 4, 5, 8, 13):
+        graph = cycle_graph(n)
+        cycles.append(D.lift_cycle(graph, graph.vertices))
     for cycle in cycles:
         n = len(cycle)
         for p in range(n):
             for q in range(n):
-                assert cycle.arc_coarse_length(p, q) == direct(cycle, p, q)
+                keys = [cycle.flats[p]]
+                for k in range(p, p + (q - p - 1) % n + 1):
+                    keys += [cycle.singulars[k % n], cycle.flats[(k + 1) % n]]
+                assert CO.coarse_length(keys) == cycle.arc_coarse_length(p, q)
+
+
+def test_long_lift_diagram_is_the_cone_over_the_cycle():
+    # the pairing search is a loop: a lift of a 1200-cycle crosses 1200
+    # hyperplanes, more than the default recursion limit of stack frames
+    n = 1200
+    graph = cycle_graph(n)
+    d = D.build_diagram(D.lift_cycle(graph, graph.vertices))
+    assert len(d.core) == 1
+    spans = sorted(tuple(sorted((2 * j, (2 * j - 3) % (2 * n)))) for j in range(n))
+    assert [(a, b) for a, b, _ in d.arcs] == spans
 
 
 def crossing_cone(graph, a, b):
@@ -629,7 +667,7 @@ def assert_coset_algebra_matches_ball(graph, radius):
     ctx = ball.ctx
     labels = ball_labels(ball)
     crossings = ball_crossings(ball)
-    cones = {codes for gens, codes in ball.vkeys if not gens}
+    cones = {codes for gens, codes in vkeys(ball) if not gens}
     by_gen = [[] for _ in graph.order]
     for h in sorted(labels):
         by_gen[labels[h][0]].append(h)
@@ -648,12 +686,12 @@ def assert_coset_algebra_matches_ball(graph, radius):
                 algebraic += got
     assert algebraic >= len(crossings)
 
-    cells = set(ball.vkeys)
+    cells = set(vkeys(ball))
     root = ball.hyperplanes().tolist()
-    near = [{root[e]: y for e, y in ball.incident_edges(x)} for x in range(ball.nvertices)]
-    for x, key in enumerate(ball.vkeys):
+    near = [{root[e]: y for e, y in incident_edges(ball)[x]} for x in range(ball.nvertices)]
+    for x, key in enumerate(vkeys(ball)):
         for h, y in near[x].items():
-            assert D._block_across(ctx, key, labels[h]) == ball.vkeys[y]
+            assert D._block_across(ctx, key, labels[h]) == vkeys(ball)[y]
         for h in {h for y in near[x].values() for h in near[y]} - near[x].keys():
             try:
                 got = D._block_across(ctx, key, labels[h])

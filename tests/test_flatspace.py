@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import raagqi._kernels as K
+import raagqi.coarse as CO
 import raagqi.flatspace as FS
 import raagqi.graphs as G
 import raagqi.words as W
 from raagqi.graphs import DefiningGraph, GraphError, star_graph
 from raagqi.words import flat_key, identity, normal_form, singular_key
 
+from ball_helpers import edge_id, find, incident_edges, is_interior, vertices_by_kind, vkeys
 from conftest import small_connected_graphs
 
 
@@ -34,7 +36,7 @@ def test_fundamental_domain_counts(pentagon):
 def test_ball_determinism(pentagon):
     b1 = FS.build_ball(pentagon, 5)
     b2 = FS.build_ball(pentagon, 5)
-    assert b1.vkeys == b2.vkeys
+    assert vkeys(b1) == vkeys(b2)
     assert b1.edge_lo == b2.edge_lo and b1.edge_hi == b2.edge_hi
     assert b1.squares == b2.squares
 
@@ -55,7 +57,7 @@ def test_ball_structure_pentagon(pentagon_ball6):
 def test_cone_link_is_barycentric_subdivision(pentagon):
     b = FS.build_ball(pentagon, 4)
     assert b.stats()["vertices"] == 91
-    for ci in b.vertices_by_kind("cone"):
+    for ci in vertices_by_kind(b, "cone"):
         nodes, edges = b.cone_link_graph(ci)
         sing = {i for i in nodes if b.kind_of(i) == "singular"}
         flat = {i for i in nodes if b.kind_of(i) == "flat"}
@@ -75,11 +77,12 @@ def test_cone_link_is_barycentric_subdivision(pentagon):
 def test_key_lookup_roundtrip(pentagon_ball6, pentagon):
     e = identity(pentagon)
     k = flat_key(e, "a", "b")
-    i = pentagon_ball6.find(k)
+    i = find(pentagon_ball6, k)
     assert i >= 0
     assert pentagon_ball6.key_of(i) == k
     missing = flat_key(normal_form(pentagon, "a b c a b c"), "d", "e")
-    assert pentagon_ball6.find(missing) == -1 or missing in pentagon_ball6
+    j = find(pentagon_ball6, missing)
+    assert j == -1 or pentagon_ball6.key_of(j) == missing
 
 
 @pytest.mark.parametrize(
@@ -93,7 +96,7 @@ def test_cell_key_roundtrip(graph, radius):
     ball = FS.build_ball(graph, radius)
     for i in range(ball.nvertices):
         key = ball.key_of(i)
-        assert ball.find(key) == i
+        assert find(ball, key) == i
         assert key == W.coset_key(ball.rep_of(i), ball.kind_of(i), ball.gens_of(i))
 
 
@@ -247,7 +250,7 @@ def reference_structure(ref):
 def assert_matches_reference(graph, radius):
     ball = FS.build_ball(graph, radius)
     ref = reference_ball(graph, radius)
-    assert list(ball.vkeys) == ref["vkeys"]
+    assert vkeys(ball) == ref["vkeys"]
     assert list(ball.edge_lo) == ref["edge_lo"]
     assert list(ball.edge_hi) == ref["edge_hi"]
     assert list(ball.squares) == [x for row in ref["squares"] for x in row]
@@ -329,7 +332,7 @@ def _quiet_rows(ball):
     other rows."""
     per_cone = len(ball.graph.edges)
     for r in range(50 * per_cone, len(ball.squares) // 4):
-        if not any(ball.is_interior(_square(ball, r, col)) for col in (1, 2, 3)):
+        if not any(is_interior(ball, _square(ball, r, col)) for col in (1, 2, 3)):
             yield r
 
 
@@ -396,7 +399,7 @@ def test_structure_check_matches_reference_on_corrupted_squares(graph, radius):
     assert FS.verify_ball_structure(ball) == reference_structure(ref)
     donors = {}
     for i in range(ball.nvertices):
-        if ball.kind_of(i) == "cone" or not ball.is_interior(i):
+        if ball.kind_of(i) == "cone" or not is_interior(ball, i):
             donors.setdefault(ball.kind_of(i), []).append(i)
     every = [i for cells in donors.values() for i in cells]
     rng = random.Random(17)
@@ -418,7 +421,7 @@ def test_structure_check_sees_a_loop_in_an_interior_link(pentagon):
     # second gives that flat's link a loop
     ball = FS.build_ball(pentagon, 6)
     ref = reference_ball(pentagon, 6)
-    row = next(r for r in range(len(ref["squares"])) if ball.is_interior(_square(ball, r, 2)))
+    row = next(r for r in range(len(ref["squares"])) if is_interior(ball, _square(ball, r, 2)))
     rows = list(ref["squares"])
     rows[row] = rows[row][:1] + rows[row][3:] + rows[row][2:]
     rep = FS.verify_ball_structure(_corrupted(ball, row, 1, _square(ball, row, 3)))
@@ -476,7 +479,7 @@ def assert_hyperplanes_match_union_find(ball):
     # oracle of test_diagrams
     sq = ball.squares
     cs1, cs2, s1f, s2f = (
-        [ball.edge_id(sq[r + i], sq[r + j]) for r in range(0, len(sq), 4)]
+        [edge_id(ball, sq[r + i], sq[r + j]) for r in range(0, len(sq), 4)]
         for i, j in ((0, 1), (0, 3), (1, 2), (3, 2))
     )
     expect = list(range(ball.nedges))
@@ -542,7 +545,7 @@ def test_classify_turn(pentagon):
     e13 = identity(k13)
     s13 = singular_key(e13, "b")
     assert (
-        FS.classify_turn(
+        CO.classify_turn(
             (flat_key(e13, "a", "b"), s13, flat_key(e13, "b", "c")),
             (flat_key(e13, "b", "c"), s13, flat_key(e13, "b", "d")),
         )
@@ -550,21 +553,21 @@ def test_classify_turn(pentagon):
     )
     # the reversed copy of one full edge is rejected
     with pytest.raises(GraphError):
-        FS.classify_turn((fae, sa, fab), (fab, sa, fae))
+        CO.classify_turn((fae, sa, fab), (fab, sa, fae))
     # different kinds at the shared flat: trivial intersection
-    assert FS.classify_turn((fae, sa, fab), (fab, sb, fbc)) == "legal"
+    assert CO.classify_turn((fae, sa, fab), (fab, sb, fbc)) == "legal"
     # translate along the commuting direction: equal stabilizers, illegal
-    assert FS.classify_turn((fae, sa, fab), (fab, bga, fbae)) == "illegal"
+    assert CO.classify_turn((fae, sa, fab), (fab, bga, fbae)) == "illegal"
     with pytest.raises(GraphError):
-        FS.classify_turn((fae, sa, fab), (fbc, sb, flat_key(e, "c", "d")))
+        CO.classify_turn((fae, sa, fab), (fbc, sb, flat_key(e, "c", "d")))
 
 
 def test_full_edge_path_and_coarse_length(pentagon):
     e = identity(pentagon)
-    path = FS.FullEdgePath([flat_key(e, "a", "b"), singular_key(e, "b"), flat_key(e, "b", "c")])
-    assert FS.coarse_length(path) == 1
+    path = CO.FullEdgePath([flat_key(e, "a", "b"), singular_key(e, "b"), flat_key(e, "b", "c")])
+    assert CO.coarse_length(path) == 1
 
-    stalling = FS.FullEdgePath(
+    stalling = CO.FullEdgePath(
         [
             flat_key(e, "a", "e"),
             singular_key(e, "a"),
@@ -574,9 +577,9 @@ def test_full_edge_path_and_coarse_length(pentagon):
         ]
     )
     assert [t for t in stalling.turns()] == ["illegal"]
-    assert FS.coarse_length(stalling) == 1
+    assert CO.coarse_length(stalling) == 1
 
-    two_turns = FS.FullEdgePath(
+    two_turns = CO.FullEdgePath(
         [
             flat_key(e, "a", "b"),
             singular_key(e, "b"),
@@ -585,9 +588,9 @@ def test_full_edge_path_and_coarse_length(pentagon):
             flat_key(e, "c", "d"),
         ]
     )
-    assert FS.coarse_length(two_turns) == 2
+    assert CO.coarse_length(two_turns) == 2
     with pytest.raises(GraphError):
-        FS.FullEdgePath([flat_key(e, "a", "b"), singular_key(e, "c"), flat_key(e, "c", "d")])
+        CO.FullEdgePath([flat_key(e, "a", "b"), singular_key(e, "c"), flat_key(e, "c", "d")])
 
 
 def test_coarse_distance(pentagon):
@@ -595,10 +598,10 @@ def test_coarse_distance(pentagon):
     fab = flat_key(e, "a", "b")
     fae = flat_key(e, "a", "e")
     fcd = flat_key(e, "c", "d")
-    assert FS.coarse_distance(fab, fab).value == 0
-    d = FS.coarse_distance(fab, fae)
+    assert CO.coarse_distance(fab, fab).value == 0
+    d = CO.coarse_distance(fab, fae)
     assert d.value == 1 and d.certified
-    d = FS.coarse_distance(fab, fcd)
+    d = CO.coarse_distance(fab, fcd)
     assert d.value == 2 and d.certified
 
 
@@ -611,7 +614,7 @@ def test_coarse_distance_metric_properties(pentagon):
     dist = {}
     for f1 in flats:
         for f2 in flats:
-            r = FS.coarse_distance(f1, f2)
+            r = CO.coarse_distance(f1, f2)
             assert r.certified
             dist[(f1, f2)] = r.value
     for f1 in flats:
@@ -626,30 +629,66 @@ def test_same_parallel_set_examples(pentagon):
     fab = flat_key(e, "a", "b")
     fae = flat_key(e, "a", "e")
     fcd = flat_key(e, "c", "d")
-    assert FS.same_parallel_set(fab, fae)
-    assert not FS.same_parallel_set(fab, fcd)
-    assert not FS.same_parallel_set(fab, fab)
+    assert CO.same_parallel_set(fab, fae)
+    assert not CO.same_parallel_set(fab, fcd)
+    assert not CO.same_parallel_set(fab, fab)
     # a^5 <a,e> is the same coset as <a,e>
     assert flat_key(normal_form(pentagon, "a^5"), "a", "e") == fae
+
+
+def stalling_reachable_flats(ball, f):
+    """Ball flats reachable from f by full-edge paths with no legal turn
+    (BFS through the ball's cells).  Dual oracle for same_parallel_set."""
+    start = find(ball, f)
+    assert start >= 0, "flat vertex not in ball"
+    # state: (flat index, stabilizer class) where the class is the singular
+    # key of the last full edge; closure over illegal turns only
+    sq = ball.squares
+    by_flat = {}
+    by_sing = {}
+    for r in range(0, len(sq), 4):
+        s1, fi, s2 = sq[r + 1 : r + 4]
+        by_flat.setdefault(fi, set()).update((s1, s2))
+        by_sing.setdefault(s1, set()).add(fi)
+        by_sing.setdefault(s2, set()).add(fi)
+    seen_flats = {start}
+    frontier = [(start, None)]
+    seen_states = set()
+    while frontier:
+        nxt = []
+        for fi, stab in frontier:
+            for si in by_flat.get(fi, ()):
+                skey = ball.key_of(si)
+                if stab is not None and not W.stabilizers_equal(stab, skey):
+                    continue
+                for fj in by_sing.get(si, ()):
+                    state = (fj, skey)
+                    if state in seen_states:
+                        continue
+                    seen_states.add(state)
+                    seen_flats.add(fj)
+                    nxt.append((fj, skey))
+        frontier = nxt
+    return {ball.key_of(i) for i in seen_flats}
 
 
 def test_same_parallel_set_agrees_with_stalling_bfs(pentagon):
     ball = FS.build_ball(pentagon, 8)
     e = identity(pentagon)
     start = flat_key(e, "a", "b")
-    reach = FS.stalling_reachable_flats(ball, start)
+    reach = stalling_reachable_flats(ball, start)
     # BFS reachability implies the algebraic relation
     for f in reach:
         if f != start:
-            assert FS.same_parallel_set(start, f)
+            assert CO.same_parallel_set(start, f)
     # and conversely for translates of bounded size
     for w in ("", "a", "b", "a b", "b^2", "a^-1 b", "a^3"):
         g = normal_form(pentagon, w)
         for (u, v) in pentagon.edges:
             f = flat_key(g, u, v)
-            if f == start or ball.find(f) < 0:
+            if f == start or find(ball, f) < 0:
                 continue
-            if FS.same_parallel_set(start, f) and len(f.rep) <= 2:
+            if CO.same_parallel_set(start, f) and len(f.rep) <= 2:
                 assert f in reach, f.label()
 
 
@@ -670,7 +709,7 @@ def test_parallel_set_slice_translation_invariance(pentagon):
         t = a ** k
         for f in sl:
             tf = flat_key(t * f.rep, *f.gens)
-            if ball.find(tf) >= 0:
+            if find(ball, tf) >= 0:
                 assert tf in sl
 
 
@@ -681,11 +720,12 @@ def test_parallel_set_separates_ball(pentagon, pentagon_ball6):
     e = identity(pentagon)
     sa = singular_key(e, "a")
     # slice cells: flats of the parallel set plus their whole stars
-    slice_flats = {ball.find(f) for f in FS.parallel_set_slice(ball, sa)}
+    slice_flats = {find(ball, f) for f in FS.parallel_set_slice(ball, sa)}
     slice_flats.discard(-1)
+    near = incident_edges(ball)
     removed = set(slice_flats)
     for fi in list(slice_flats):
-        for eid, other in ball.incident_edges(fi):
+        for eid, other in near[fi]:
             removed.add(other)
     comp = {}
     nxt = 0
@@ -697,44 +737,64 @@ def test_parallel_set_separates_ball(pentagon, pentagon_ball6):
         stack = [start]
         while stack:
             x = stack.pop()
-            for _, y in ball.incident_edges(x):
+            for _, y in near[x]:
                 if y not in removed and y not in comp:
                     comp[y] = nxt
                     stack.append(y)
-    cone_comps = {comp[i] for i in ball.vertices_by_kind("cone") if i in comp}
+    cone_comps = {comp[i] for i in vertices_by_kind(ball, "cone") if i in comp}
     assert len(cone_comps) >= 2
 
 
 def test_classify_parallel_intersection(pentagon):
-    assert FS.classify_parallel_intersection(pentagon, "a", "a") == "equal"
-    assert FS.classify_parallel_intersection(pentagon, "a", "b") == "standard_flat"
-    assert FS.classify_parallel_intersection(pentagon, "a", "c") == "small"
+    assert CO.classify_parallel_intersection(pentagon, "a", "a") == "equal"
+    assert CO.classify_parallel_intersection(pentagon, "a", "b") == "standard_flat"
+    assert CO.classify_parallel_intersection(pentagon, "a", "c") == "small"
     with pytest.raises(GraphError):
-        FS.classify_parallel_intersection(pentagon, "a", "zz")
+        CO.classify_parallel_intersection(pentagon, "a", "zz")
 
 
 def test_quarter_plane_case(pentagon):
     edge = DefiningGraph(["u", "w"], [("u", "w")])
-    assert FS.quarter_plane_case(edge, {"u"}, {"w"}) == "case1"
-    assert FS.quarter_plane_case(pentagon, {"a"}, {"b"}) == "case3"
+    assert CO.quarter_plane_case(edge, {"u"}, {"w"}) == "case1"
+    assert CO.quarter_plane_case(pentagon, {"a"}, {"b"}) == "case3"
     k13 = star_graph("b", ["a", "c", "d"])
-    assert FS.quarter_plane_case(k13, {"a", "c", "d"}, {"b"}) == "case2"
+    assert CO.quarter_plane_case(k13, {"a", "c", "d"}, {"b"}) == "case2"
     with pytest.raises(GraphError):
-        FS.quarter_plane_case(pentagon, {"a"}, {"c"})  # not a join
+        CO.quarter_plane_case(pentagon, {"a"}, {"c"})  # not a join
     with pytest.raises(GraphError):
-        FS.quarter_plane_case(pentagon, set(), {"b"})
+        CO.quarter_plane_case(pentagon, set(), {"b"})
 
 
 def test_interior_flag(pentagon_ball6):
     b = pentagon_ball6
-    ints = [i for i in range(b.nvertices) if b.is_interior(i) and b.kind_of(i) != "cone"]
+    ints = [i for i in range(b.nvertices) if is_interior(b, i) and b.kind_of(i) != "cone"]
     assert ints
     for i in ints:
         assert len(b.rep_of(i)) == 0
 
 
-def test_coset_algebra_keeps_its_flatspace_names():
-    # the coset algebra lives in words, where diagrams imports it without
-    # the ball; flatspace uses the same functions under the same names
-    for name in ("_check_key", "singular_contained_in_flat", "stabilizers_equal", "_connections"):
-        assert getattr(FS, name) is getattr(W, name)
+def test_traced_flatspace_names_are_the_coarse_functions():
+    # the benchmark's tracer wraps these four by name in flatspace, and
+    # every other module's binding of the same object with them
+    for name in ("classify_turn", "coarse_length", "coarse_distance", "same_parallel_set"):
+        assert getattr(FS, name) is getattr(CO, name)
+
+
+# the names the package exported before the coarse geometry left flatspace
+PACKAGE_EXPORTS = (
+    "DefiningGraph GraphError InvariantError AtomicityReport check_atomic girth orthogonal_complement "
+    "cut_vertices isomorphism automorphism_group_order double_along_closed_star glue_k_copies_along_star "
+    "pentagon dodecahedron dodecahedron_double GroupElement CosetKey normal_form identity generator multiply "
+    "invert in_special_subgroup coset_key FlatBall build_ball classify_turn coarse_length coarse_distance "
+    "same_parallel_set parallel_set_slice classify_parallel_intersection quarter_plane_case"
+).split()
+
+
+def test_package_exports_still_resolve():
+    import raagqi
+
+    for name in PACKAGE_EXPORTS:
+        assert hasattr(raagqi, name), name
+    for name in ("classify_turn", "coarse_length", "coarse_distance", "same_parallel_set"):
+        assert getattr(raagqi, name) is getattr(CO, name)
+    assert raagqi.build_ball is FS.build_ball and raagqi.FlatBall is FS.FlatBall

@@ -609,7 +609,7 @@ def test_walk_table_keeps_short_walks_in_sorted_order(hoffman_singleton):
     # walks of every length from every start, in the sorted order of the
     # per-call enumeration; only lengths <= WALKS_KEPT stay in the table,
     # while a coarse-distance search asks for walks up to length 6
-    import raagqi.flatspace as FS
+    import raagqi.coarse as CO
 
     g = hoffman_singleton
     ctx = W.context_for(g)
@@ -626,7 +626,7 @@ def test_walk_table_keeps_short_walks_in_sorted_order(hoffman_singleton):
     e = W.identity(g)
     far = W.normal_form(g, "P0_0 Q1_1 P2_0 Q3_3 P4_0 Q0_0 P1_1")
     a, b = sorted(("P4_0", min(g.neighbors("P4_0"))))
-    assert FS.coarse_distance(W.flat_key(e, "P0_0", "P0_1"), W.flat_key(far, a, b), 6).value == 6
+    assert CO.coarse_distance(W.flat_key(e, "P0_0", "P0_1"), W.flat_key(far, a, b), 6).value == 6
     assert len(ctx.walks(0, 6)) == 7**5
     assert max(m for _, m in ctx._walks) == W.WALKS_KEPT == 3
 
