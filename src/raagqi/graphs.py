@@ -13,7 +13,7 @@ cycles and flat-space balls read them instead of building their own.
 import functools
 import json
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from . import _kernels
 
@@ -186,30 +186,34 @@ def is_connected(g):
     return _connected(g.masks, _full(g))
 
 
-def _girth(adj, edges):
-    """Shortest embedded cycle of the graph with adjacency map adj and edge
-    list edges, by one BFS per edge a-b that does not cross it; math.inf
-    for forests."""
-    best = math.inf
-    for a, b in edges:
-        dist = {a: 0}
-        frontier = [a]
-        while frontier and b not in dist:
-            nxt = []
-            for v in frontier:
-                for u in adj[v]:
-                    if u not in dist and (v, u) != (a, b):
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        if b in dist:
-            best = min(best, dist[b] + 1)
-    return best
-
-
 def girth(g):
-    """Length of the shortest embedded cycle; math.inf for forests."""
-    return _girth(g._adj, g.edges)
+    """Length of the shortest embedded cycle; math.inf for forests.
+
+    One bitmask BFS per root.  A vertex at depth d with two neighbours at
+    depth d - 1 closes a cycle of length at most 2d, and one with a
+    neighbour at depth d a cycle of length at most 2d + 1.  A shortest
+    cycle is isometric, so from a root on it the first such vertex gives
+    exactly its length."""
+    masks = g.masks
+    best = math.inf
+    for r in range(len(masks)):
+        prev, front, seen, d = 1 << r, masks[r], masks[r] | 1 << r, 1
+        while front and 2 * d < best:
+            nxt, x = 0, front
+            while x:
+                low = x & -x
+                x ^= low
+                m = masks[low.bit_length() - 1]
+                up = m & prev
+                if up & (up - 1):
+                    best = 2 * d
+                    break
+                if m & front:
+                    best = 2 * d + 1
+                nxt |= m
+            prev, front, d = front, nxt & ~seen, d + 1
+            seen |= front
+    return best
 
 
 def orthogonal_complement(g, vs):
@@ -283,141 +287,12 @@ def _atomicity(g):
 # isomorphism / automorphisms
 # ---------------------------------------------------------------------------
 
-def _neighbour_lists(g):
-    """The neighbour positions of each position of ``g.order``, read off
-    ``g.masks``."""
-    out = []
-    for m in g.masks:
-        nbrs = []
-        while m:
-            low = m & -m
-            m ^= low
-            nbrs.append(low.bit_length() - 1)
-        out.append(nbrs)
-    return out
-
-
-def _refine(sides):
-    """Joint colour refinement of (neighbour lists, colouring) pairs to the
-    coarsest equitable colouring; a colouring is a list over the positions
-    of the graph's ``order``.  A new colour is the rank of the signature
-    (colour, sorted neighbour colours) among the signatures of all sides, so
-    colours mean the same on every side.  None once two sides' colour
-    classes differ in size, as no colour-preserving isomorphism can then
-    exist."""
-    ncolours = len({x for _, c in sides for x in c})
-    while True:
-        sigs = [[(x, tuple(sorted([c[u] for u in ns]))) for x, ns in zip(c, nbrs)] for nbrs, c in sides]
-        rank = {sig: i for i, sig in enumerate(sorted({sig for s in sigs for sig in s}))}
-        colourings = [[rank[sig] for sig in s] for s in sigs]
-        sizes = Counter(colourings[0])
-        if any(Counter(c) != sizes for c in colourings[1:]):
-            return None
-        if len(rank) == ncolours:
-            return colourings
-        ncolours = len(rank)
-        sides = [(nbrs, c) for (nbrs, _), c in zip(sides, colourings)]
-
-
-def _target_cell(c):
-    """The colour and sorted positions of the smallest non-singleton colour
-    class (least colour on ties), or None for a discrete colouring.
-    Positions sort as the vertex names do, since ``order`` is sorted."""
-    cells = {}
-    for v, x in enumerate(c):
-        cells.setdefault(x, []).append(v)
-    big = [(len(vs), x) for x, vs in cells.items() if len(vs) > 1]
-    if not big:
-        return None
-    x = min(big)[1]
-    return x, cells[x]
-
-
-def _individualize(c, v):
-    """c with v alone in a new colour, the same on every side."""
-    c = list(c)
-    c[v] = -1
-    return c
-
-
-def _match(g1, c1, g2, c2):
-    """One colour-preserving isomorphism from (g1, c1) to (g2, c2) as a
-    list of image positions, or None; g1 and g2 are (neighbour lists,
-    masks) pairs.  Refines jointly, then maps the least vertex of the
-    smallest non-singleton cell to each vertex of that colour in g2 in turn
-    and recurses.  A discrete leaf is accepted only if it maps every
-    neighbour mask of g1 onto the mask of the image vertex."""
-    (nbrs1, _), (nbrs2, masks2) = g1, g2
-    refined = _refine([(nbrs1, c1), (nbrs2, c2)])
-    if refined is None:
-        return None
-    c1, c2 = refined
-    cell = _target_cell(c1)
-    if cell is None:
-        image = [0] * len(c2)
-        for w, x in enumerate(c2):
-            image[x] = w
-        perm = [image[x] for x in c1]
-        for v, ns in enumerate(nbrs1):
-            m = 0
-            for u in ns:
-                m |= 1 << perm[u]
-            if m != masks2[perm[v]]:
-                return None
-        return perm
-    x, (v, *_) = cell
-    c1v = _individualize(c1, v)
-    for w, y in enumerate(c2):
-        if y == x:
-            perm = _match(g1, c1v, g2, _individualize(c2, w))
-            if perm is not None:
-                return perm
-    return None
-
-
-def _orbit(v, gens):
-    """The orbit of v under the group generated by the permutations gens."""
-    orbit, stack = {v}, [v]
-    while stack:
-        x = stack.pop()
-        for m in gens:
-            if m[x] not in orbit:
-                orbit.add(m[x])
-                stack.append(m[x])
-    return orbit
-
-
-def _aut_order(g, c, gens):
-    """Order of the group of automorphisms of g, a (neighbour lists, masks)
-    pair, preserving the equitable colouring c, as |orbit(v)| * |Stab(v)|
-    down a stabilizer chain.  Every automorphism found is appended to gens;
-    the stabilizer's come first and preserve c too, so the orbit is closed
-    under all of gens and a candidate image of v is searched for at most
-    once."""
-    cell = _target_cell(c)
-    if cell is None:
-        return 1
-    _, (v, *rest) = cell
-    cv = _individualize(c, v)
-    stab = _aut_order(g, _refine([(g[0], cv)])[0], gens)
-    orbit = _orbit(v, gens)
-    for w in rest:
-        if w not in orbit:
-            perm = _match(g, cv, g, _individualize(c, w))
-            if perm is not None:
-                gens.append(perm)
-                orbit = _orbit(v, gens)
-    return len(orbit) * stab
-
-
 def isomorphism(g1, g2):
-    """A witness vertex bijection preserving edges both ways, or None."""
-    perm = _match(
-        (_neighbour_lists(g1), g1.masks),
-        [0] * len(g1.order),
-        (_neighbour_lists(g2), g2.masks),
-        [0] * len(g2.order),
-    )
+    """A witness vertex bijection preserving edges both ways, with its keys
+    in ``g1.vertices`` order, or None; see ``raagqi._search``."""
+    from ._search import isomorphism as search
+
+    perm = search(g1.masks, g2.masks)
     if perm is None:
         return None
     return {v: g2.order[perm[g1.index[v]]] for v in g1.vertices}
@@ -429,9 +304,10 @@ def count_isomorphisms(g1, g2):
 
 
 def automorphism_group_order(g):
-    """|Aut(g)|, by colour refinement and orbit-stabilizer."""
-    nbrs = _neighbour_lists(g)
-    return _aut_order((nbrs, g.masks), _refine([(nbrs, [0] * len(g.order))])[0], [])
+    """|Aut(g)|, by orbits up a stabilizer chain; see ``raagqi._search``."""
+    from ._search import automorphism_group_order as order
+
+    return order(g.masks)
 
 
 def is_isomorphism(g1, g2, mapping):

@@ -7,12 +7,12 @@ groups with non-isomorphic graphs).  The outer automorphism group of an
 atomic RAAG is an extension of the graph automorphisms by the generator
 inversions, so its order is 2^|V| * |Aut|.
 
-Both questions go to one engine in ``graphs``: joint colour refinement to
-the coarsest equitable colouring, with individualization of one vertex at
-a time, finds the isomorphism witness (a leaf is accepted only if it maps
-every neighbour mask onto the image vertex's mask), and |Aut| is computed
-as |orbit(v)| * |Stab(v)| down a stabilizer chain, without listing the
-automorphisms.
+Both questions go to one individualization-refinement engine,
+``raagqi._search``: each graph is refined alone on ordered partitions by a
+splitter queue, one first path of individualized vertices serves the
+isomorphism search and every level of the stabilizer chain, and |Aut| is
+the product of the orbits up that chain.  A witness is accepted only if it
+maps every neighbour mask onto the image vertex's mask.
 """
 
 import json

@@ -307,6 +307,51 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, pentagon_file):
             assert (code, out.getvalue()) == expect[tuple(argv)]
 
 
+def test_classify_qi_output_does_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # the witness is read off list positions, never off the iteration order
+    # of a set or dict of names
+    g = rq.dodecahedron()
+    names = {v: "x%s" % v[::-1] for v in g.vertices}
+    copy = rq.DefiningGraph([names[v] for v in reversed(g.order)], [(names[a], names[b]) for a, b in g.edges])
+    paths = [tmp_path / "g.json", tmp_path / "copy.json"]
+    paths[0].write_text(g.to_json())
+    paths[1].write_text(copy.to_json())
+    argv = ["classify-qi", str(paths[0]), str(paths[1]), "--json"]
+    outs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        outs.append(fresh_process(argv))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    assert json.loads(outs[0][1])["verdict"] == "quasi_isometric_with_isomorphism"
+
+
+ENGINE_PROBE = """
+import contextlib, io, json, sys
+from raagqi.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([main(argv), "raagqi._search" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["taut", "{g}", "--cycle", "a,b,c,d,e"], False),
+        (["diagram", "{g}", "--cycle", "a,b,c,d,e"], False),
+        (["flat-ball", "{g}", "--radius", "2"], False),
+        (["out-group", "{g}"], True),
+    ],
+)
+def test_only_isomorphism_commands_import_the_search_engine(pentagon_file, argv, loads):
+    argv = [a.format(g=pentagon_file) for a in argv]
+    code, out = fresh_process([json.dumps([argv])], entry=("-c", ENGINE_PROBE))
+    assert (code, json.loads(out)) == (0, [[0, loads]])
+
+
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 from raagqi.cli import main

@@ -15,6 +15,7 @@ from raagqi.words import flat_key, identity, normal_form, singular_key
 
 from ball_helpers import edge_id, find, incident_edges, is_interior, vertices_by_kind, vkeys
 from conftest import small_connected_graphs
+from test_graphs import girth_reference
 
 
 def test_radius_validation(pentagon):
@@ -181,7 +182,7 @@ def reference_structure(ref):
         for a, b in edges:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
-        return G._girth(adj, edges)
+        return girth_reference(adj, edges)
 
     def cone_rows(ci):
         return sq[ref["cone_start"][ci] : ref["cone_start"][ci] + nE]
@@ -527,7 +528,7 @@ def test_link_short_cycle_check_matches_girth(pairs):
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    assert FS._has_loop_or_triangle(edges) == (G._girth(adj, edges) < 4)
+    assert FS._has_loop_or_triangle(edges) == (girth_reference(adj, edges) < 4)
 
 
 def test_classify_turn(pentagon):

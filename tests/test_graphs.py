@@ -95,6 +95,44 @@ def test_girth():
     assert G.girth(sq) == 4
 
 
+def girth_reference(adj, edges):
+    """Shortest cycle of the graph with adjacency map adj and edge list
+    edges, by one BFS per edge a-b that does not cross it; math.inf for
+    forests.  A loop edge (a, a) counts as a cycle of length 1."""
+    best = math.inf
+    for a, b in edges:
+        dist = {a: 0}
+        frontier = [a]
+        while frontier and b not in dist:
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if u not in dist and (v, u) != (a, b):
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        if b in dist:
+            best = min(best, dist[b] + 1)
+    return best
+
+
+@given(st.integers(1, 14), st.floats(0, 0.6), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_girth_matches_the_per_edge_reference(n, p, forest, seed):
+    # forests, as random trees with some edges dropped, must give math.inf
+    rng = random.Random(seed)
+    verts = ["v%d" % i for i in range(n)]
+    if forest:
+        edges = [(verts[rng.randrange(i)], verts[i]) for i in range(1, n) if rng.random() > p / 2]
+    else:
+        edges = [e for e in itertools.combinations(verts, 2) if rng.random() < p]
+    g = DefiningGraph(verts, edges)
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    assert G.girth(g) == girth_reference(adj, g.edges)
+    if forest:
+        assert G.girth(g) == math.inf
+
+
 def test_girth_matches_cycle_enumeration():
     from raagqi.cycles import enumerate_cycles
 
@@ -394,7 +432,7 @@ def test_json_integer_vertices_become_strings():
     assert g.edges == (("10", "2"), ("2", "a"))
 
 
-# -- the isomorphism engine against its name-keyed form -----------------------
+# -- the isomorphism engine against a joint-refinement reference -------------
 
 def _refine_reference(sides):
     ncolours = len({x for _, c in sides for x in c.values()})
@@ -470,10 +508,12 @@ def _aut_order_reference(g, c, gens):
 def assert_isomorphism_matches_reference(g1, g2):
     ref = _match_reference(g1, dict.fromkeys(g1.vertices, 0), g2, dict.fromkeys(g2.vertices, 0))
     got = G.isomorphism(g1, g2)
-    # the same witness, key order included
+    # the engines search in different orders, so the witnesses may differ;
+    # each must be an isomorphism, keyed in g1.vertices order
     assert (got is None) == (ref is None)
     if got is not None:
-        assert list(got.items()) == list(ref.items())
+        assert G.is_isomorphism(g1, g2, got)
+        assert list(got) == list(g1.vertices)
     order = G.automorphism_group_order(g1)
     assert order == _aut_order_reference(g1, _refine_reference([(g1, dict.fromkeys(g1.vertices, 0))])[0], [])
     assert G.count_isomorphisms(g1, g2) == (0 if ref is None else order)
@@ -550,6 +590,100 @@ def test_isomorphism_engine_matches_reference(seed):
     bigger = DefiningGraph(list(g.vertices) + ["extra"], list(g.edges))
     assert_isomorphism_matches_reference(g, bigger)
     assert_isomorphism_matches_reference(bigger, g)
+
+
+# -- the engine against independent oracles ----------------------------------
+
+def _brute_force_isomorphisms(g1, g2):
+    """The number of vertex bijections g1 -> g2 that map edges onto edges,
+    over all permutations."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return 0
+    edges = set(g2.edges)
+    count = 0
+    for image in itertools.permutations(g2.order):
+        m = dict(zip(g1.order, image))
+        count += all(tuple(sorted((m[a], m[b]))) in edges for a, b in g1.edges)
+    return count
+
+
+@given(st.integers(0, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_engine_matches_brute_force_on_small_graphs(n, seed):
+    rng = random.Random(seed)
+    verts = ["v%d" % i for i in range(n)]
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    g = DefiningGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+    # a random graph with as many edges often has the same degree sequence
+    pairs = list(itertools.combinations(verts, 2))
+    other = DefiningGraph(verts, rng.sample(pairs, len(g.edges)))
+    order = _brute_force_isomorphisms(g, g)
+    assert G.automorphism_group_order(g) == order
+    for h in (_relabelled(g, rng, "u"), _one_edge_moved(g, rng), _relabelled(other, rng, "w")):
+        if h is None:
+            continue
+        count = _brute_force_isomorphisms(g, h)
+        wit = G.isomorphism(g, h)
+        assert (wit is not None) == (count > 0)
+        assert wit is None or G.is_isomorphism(g, h, wit)
+        assert G.count_isomorphisms(g, h) == count
+
+
+@pytest.mark.parametrize("k", [50, 1200])
+def test_star_automorphisms_are_all_leaf_permutations(k):
+    # a stabilizer chain as deep as the star has leaves, searched in a loop
+    star = G.star_graph("c", ["l%d" % i for i in range(k)])
+    assert G.automorphism_group_order(star) == math.factorial(k)
+    h = _relabelled(star, random.Random(k), "s")
+    wit = G.isomorphism(star, h)
+    assert wit is not None and h.degree(wit["c"]) == k and sorted(wit.values()) == sorted(h.vertices)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 70, 300])
+def test_cycle_automorphisms_are_the_dihedral_group(n):
+    assert G.automorphism_group_order(G.cycle_graph(n)) == 2 * n
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_automorphism_order_is_relabelling_invariant(n, seed):
+    # random graphs and unions of equal cycles, whose cells refinement cannot
+    # split
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        verts = ["v%d" % i for i in range(n)]
+        p = rng.choice((0.05, 0.1, 0.3, 0.5))
+        g = DefiningGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+    else:
+        k = max(3, n // 4)
+        verts = ["c%d_%d" % (j, i) for j in range(4) for i in range(k)]
+        g = DefiningGraph(verts, [(verts[j * k + i], verts[j * k + (i + 1) % k]) for j in range(4) for i in range(k)])
+    h = _relabelled(g, rng, "r")
+    order = G.automorphism_group_order(g)
+    assert G.automorphism_group_order(h) == order
+    wit = G.isomorphism(g, h)
+    assert wit is not None and G.is_isomorphism(g, h, wit)
+    assert G.count_isomorphisms(h, g) == order
+
+
+@pytest.mark.parametrize("name", ["petersen", "dodecahedron", "dd", "heawood", "tutte_coxeter", "double"])
+def test_one_edge_moved_is_non_isomorphic_exactly_when_the_reference_says_so(name, request):
+    g = {
+        "petersen": _petersen,
+        "dodecahedron": G.dodecahedron,
+        "dd": G.dodecahedron_double,
+        "heawood": _heawood,
+        "tutte_coxeter": lambda: request.getfixturevalue("tutte_coxeter"),
+        "double": lambda: G.double_along_closed_star(G.pentagon(), "c"),
+    }[name]()
+    rng = random.Random(name)
+    start = dict.fromkeys(g.vertices, 0)
+    for _ in range(8):
+        moved = _one_edge_moved(g, rng)
+        ref = _match_reference(g, start, moved, dict.fromkeys(moved.vertices, 0))
+        assert (G.isomorphism(g, moved) is None) == (ref is None)
+        h = _relabelled(moved, rng, "e")
+        assert (G.isomorphism(h, g) is None) == (ref is None)
 
 
 def test_check_atomic_is_kept_per_graph(monkeypatch):
