@@ -4,10 +4,13 @@ A cycle is tight when it admits no 1-shortcut (a chord) and no 2-shortcut
 (a length-2 path between cycle vertices whose distance along the cycle
 exceeds 2).  The Whitehead graph at a vertex v records which pairs of link
 directions are joined by some tight cycle through v; scanning all embedded
-cycle lengths up to the vertex count makes the computation exact.
+cycle lengths up to the vertex count makes the computation exact.  One pass
+over the tight cycles collects the link pairs of every vertex at once, and
+``whitehead_graph`` and ``check_whitehead_lemma`` both read it.
 """
 
 from collections import OrderedDict, namedtuple
+from functools import lru_cache
 
 from . import _kernels
 from .graphs import GraphError, cut_vertices, girth, is_connected
@@ -254,15 +257,22 @@ def whitehead_graph(graph, v, max_len=None):
     if not graph.has_vertex(v):
         raise GraphError("unknown vertex %r" % (v,))
     link = tuple(sorted(graph.neighbors(v)))
-    edges = set()
+    return WhiteheadGraph(base=v, vertices=link, edges=_link_pairs(graph, max_len)[v])
+
+
+@lru_cache(maxsize=256)
+def _link_pairs(graph, max_len):
+    """The Whitehead edges of every vertex in one pass over the tight
+    cycles: v maps to the frozenset of sorted pairs (a, b) with a, v, b
+    consecutive on a tight cycle of length <= max_len.  Kept for the 256
+    most recent (graph, max_len); treat the result as read-only."""
+    pairs = {v: set() for v in graph.order}
     for cyc in tight_cycles(graph, max_len):
-        vs = cyc.vertices
-        if v not in vs:
-            continue
-        k = vs.index(v)
-        a, b = vs[k - 1], vs[(k + 1) % len(vs)]
-        edges.add(tuple(sorted((a, b))))
-    return WhiteheadGraph(base=v, vertices=link, edges=frozenset(edges))
+        a, v = cyc.vertices[-2:]
+        for b in cyc.vertices:
+            pairs[v].add((a, b) if a < b else (b, a))
+            a, v = v, b
+    return {v: frozenset(p) for v, p in pairs.items()}
 
 
 def check_whitehead_lemma(graph):
@@ -276,8 +286,7 @@ def check_whitehead_lemma(graph):
     table = {}
     passed = True
     for v in graph.sorted_vertices():
-        wh = whitehead_graph(graph, v)
-        connected = wh.is_connected()
+        connected = whitehead_graph(graph, v).is_connected()
         is_cut = v in cuts
         agree = connected == (not is_cut)
         table[v] = {"wh_connected": connected, "is_cut_vertex": is_cut, "agree": agree}

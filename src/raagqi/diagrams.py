@@ -81,8 +81,8 @@ def lift_cycle(graph, gamma):
     e = identity(graph)
     vs = gamma.vertices
     n = len(vs)
-    flats = [CosetKey("flat", tuple(sorted((vs[i], vs[(i + 1) % n]))), e) for i in range(n)]
-    sings = [CosetKey("singular", (vs[(i + 1) % n],), e) for i in range(n)]
+    flats = [CosetKey(tuple(sorted((vs[i], vs[(i + 1) % n]))), e) for i in range(n)]
+    sings = [CosetKey((vs[(i + 1) % n],), e) for i in range(n)]
     return FullEdgeCycle(flats, sings)
 
 
@@ -816,10 +816,7 @@ def _quasicut_witness(cycle_flats, fp, walk, factors):
             continue
         for k2 in k2s:
             if k2 not in cycle_flats:
-                return [
-                    CosetKey("flat", gens, GroupElement(ctx, codes, _canonical=True))
-                    for gens, codes in (k1, k2)
-                ]
+                return [CosetKey(gens, GroupElement(ctx, codes, _canonical=True)) for gens, codes in (k1, k2)]
     return None
 
 

@@ -293,8 +293,7 @@ class FlatBall:
         return self.cones[self._cell_cone[i]]
 
     def key_of(self, i):
-        gens = self.gens_of(i)
-        return CosetKey(_KINDS[len(gens)], gens, self.rep_of(i))
+        return CosetKey(self.gens_of(i), self.rep_of(i))
 
     # -- links --------------------------------------------------------------
 

@@ -5,9 +5,12 @@ strings.  The graph is the one index of its vertices: ``order`` is the
 sorted tuple of identifiers, the generator order used everywhere
 downstream, ``index`` maps an identifier to its position there, and
 ``masks[i]`` is the int bitmask of the neighbours of ``order[i]`` over
-``order``.  All three are built once, with the graph; connectivity and the
-short-cycle search of the atomicity check work on the masks, and words,
-cycles and flat-space balls read them instead of building their own.
+``order``.  All three are built once, with the graph, and the graph keeps
+no other adjacency: ``neighbors``, ``degree``, ``has_edge``,
+``has_vertex`` and ``closed_star`` read ``index`` and ``masks``.
+Connectivity and the short-cycle search of the atomicity check work on the
+masks, and words, cycles and flat-space balls read them instead of
+building their own.
 """
 
 import functools
@@ -54,7 +57,7 @@ class DefiningGraph:
     """Finite simplicial graph: unique vertices, loop-free undirected edges,
     with its vertex order, index and neighbour bitmasks."""
 
-    __slots__ = ("vertices", "edges", "order", "index", "masks", "_adj", "_hash")
+    __slots__ = ("vertices", "edges", "order", "index", "masks", "_hash")
 
     def __init__(self, vertices, edges):
         vertices = tuple(str(v) for v in vertices)
@@ -74,15 +77,12 @@ class DefiningGraph:
         self.edges = tuple(sorted(norm))
         self.order = tuple(sorted(vertices))
         self.index = index = {v: i for i, v in enumerate(self.order)}
-        adj = {v: set() for v in vertices}
         masks = [0] * len(vertices)
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-            masks[index[a]] |= 1 << index[b]
-            masks[index[b]] |= 1 << index[a]
+            i, j = index[a], index[b]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         self.masks = tuple(masks)
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._hash = hash((self.order, self.edges))
 
     def __eq__(self, other):
@@ -95,27 +95,34 @@ class DefiningGraph:
         return "DefiningGraph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 
     def neighbors(self, v):
-        return self._adj[v]
+        """The frozenset of neighbours of v; KeyError for an unknown v."""
+        m = self.masks[self.index[v]]
+        out = []
+        while m:
+            low = m & -m
+            out.append(self.order[low.bit_length() - 1])
+            m ^= low
+        return frozenset(out)
 
     def degree(self, v):
-        return len(self._adj[v])
+        return self.masks[self.index[v]].bit_count()
 
     def has_edge(self, a, b):
-        return b in self._adj.get(a, ())
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and self.masks[i] >> j & 1 == 1
 
     def has_vertex(self, v):
-        return v in self._adj
+        return v in self.index
 
     def sorted_vertices(self):
         return self.order
 
     def closed_star(self, v):
         """v, its neighbors, and the edges incident to v."""
-        if v not in self._adj:
+        if v not in self.index:
             raise GraphError("unknown vertex %r" % (v,))
-        verts = {v} | set(self._adj[v])
-        edges = {tuple(sorted((v, u))) for u in self._adj[v]}
-        return verts, edges
+        nbrs = self.neighbors(v)
+        return {v} | nbrs, {(v, u) if v < u else (u, v) for u in nbrs}
 
     # -- serialization ------------------------------------------------------
 

@@ -187,9 +187,8 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
 
     section("graph", s_graph)
 
-    atomic_report = check_atomic(g)
-    bundle["sections"]["atomicity"] = {"ok": True, "data": atomic_report.to_json_obj()}
-    atomic = atomic_report.is_atomic
+    section("atomicity", lambda: check_atomic(g).to_json_obj())
+    atomicity = bundle["sections"]["atomicity"]
 
     def s_tight():
         cap = len(g.vertices) if max_cycle_len is None else max_cycle_len
@@ -221,7 +220,7 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
 
     section("flat_ball", s_ball)
 
-    if atomic:
+    if atomicity["ok"] and atomicity["data"]["is_atomic"]:
 
         def s_taut():
             cap = len(g.vertices) if max_cycle_len is None else max_cycle_len

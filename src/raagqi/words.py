@@ -12,9 +12,13 @@ caches, and two tables for the connection search (below).
 and holds it weakly: a context lives as long as some element, coset key
 or ball uses it, so a long session keeps only the contexts in use.
 
-The coset algebra of the flat space lives here too, on normal forms and
-bitmasks alone: containment of a singular coset in a flat, equality of
-singular stabilizers, and ``_connections``, the one search for full-edge
+A cell of the flat space has one key, ``CosetKey``: the named pair
+(gens, rep) of its generators (none, one, or a sorted edge) and its
+stripped representative.  Its kind, cone, singular or flat, is read off
+the number of generators, and keys compare as tuples.  The coset algebra
+of the flat space lives here too, on normal forms and bitmasks alone:
+containment of a singular coset in a flat, equality of singular
+stabilizers, and ``_connections``, the one search for full-edge
 connections between two flats behind turns, coarse distances and cuts.
 
 Both tables are bounded.  ``WordContext.walks`` keeps the walks of length
@@ -27,6 +31,7 @@ walk and its factors, which fix them: the lifts of one graph share them.
 """
 
 import weakref
+from collections import namedtuple
 from operator import itemgetter
 
 from . import _kernels
@@ -45,10 +50,8 @@ __all__ = [
     "in_special_subgroup",
     "in_subgroup_product",
     "coset_key",
-    "cone_key",
     "singular_key",
     "flat_key",
-    "singular_contained_in_flat",
     "stabilizers_equal",
     "parse_word",
     "cayley_ball",
@@ -342,40 +345,28 @@ def in_subgroup_product(x, gen_sets):
 
 # a cell's kind, indexed by the number of generators in its key
 _KINDS = ("cone", "singular", "flat")
-_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
+
+_ARITY_ERRORS = (
+    "cone kind takes no generators",
+    "singular kind takes exactly one generator",
+    "flat kind takes exactly two generators",
+)
 
 
-class CosetKey:
-    """Canonical key of a coset g<S> for S one of: nothing (cone vertex), a
-    single generator (singular vertex), an edge pair (flat vertex)."""
+class CosetKey(namedtuple("CosetKey", "gens rep")):
+    """Canonical key of a coset rep<gens> for gens one of: nothing (cone
+    vertex), a single generator (singular vertex), a sorted edge pair (flat
+    vertex).  ``rep`` is the stripped representative; keys of one kind
+    order by generators, then shortlex representative."""
 
-    __slots__ = ("kind", "gens", "rep")
+    __slots__ = ()
 
-    def __init__(self, kind, gens, rep):
-        self.kind = kind
-        self.gens = gens
-        self.rep = rep
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CosetKey)
-            and self.kind == other.kind
-            and self.gens == other.gens
-            and self.rep == other.rep
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.gens, self.rep))
-
-    def sort_key(self):
-        return (_KIND_RANK[self.kind], self.gens, len(self.rep.codes), self.rep.codes)
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+    @property
+    def kind(self):
+        return _KINDS[len(self.gens)]
 
     def __repr__(self):
-        inner = ",".join(self.gens)
-        return "%s[%s]<%s>" % (self.kind, self.rep.word_str(), inner)
+        return "%s[%s]<%s>" % (self.kind, self.rep.word_str(), ",".join(self.gens))
 
     def label(self):
         return repr(self)
@@ -386,31 +377,18 @@ def coset_key(x, kind, gens=()):
     ``kind``: "cone" (trivial), "singular" with one generator, or "flat" with
     an edge pair."""
     ctx = x.ctx
+    if kind not in _KINDS:
+        raise GraphError("unknown coset kind %r" % (kind,))
     gens = tuple(gens)
-    if kind == "cone":
-        if gens:
-            raise GraphError("cone kind takes no generators")
-        return CosetKey("cone", (), x)
-    if kind == "singular":
-        if len(gens) != 1:
-            raise GraphError("singular kind takes exactly one generator")
-        if not ctx.graph.has_vertex(gens[0]):
-            raise GraphError("unknown generator %r" % (gens[0],))
-        rep = ctx.strip(x.codes, ctx.gen_mask(gens))
-        return CosetKey("singular", gens, GroupElement(ctx, rep, _canonical=True))
+    if len(gens) != _KINDS.index(kind):
+        raise GraphError(_ARITY_ERRORS[_KINDS.index(kind)])
     if kind == "flat":
-        if len(gens) != 2:
-            raise GraphError("flat kind takes exactly two generators")
-        u, w = sorted(gens)
-        if not ctx.graph.has_edge(u, w):
-            raise GraphError("{%s,%s} is not an edge of the defining graph" % (u, w))
-        rep = ctx.strip(x.codes, ctx.gen_mask((u, w)))
-        return CosetKey("flat", (u, w), GroupElement(ctx, rep, _canonical=True))
-    raise GraphError("unknown coset kind %r" % (kind,))
-
-
-def cone_key(x):
-    return coset_key(x, "cone")
+        gens = tuple(sorted(gens))
+        if not ctx.graph.has_edge(*gens):
+            raise GraphError("{%s,%s} is not an edge of the defining graph" % gens)
+    # gen_mask rejects an unknown singular generator
+    rep = ctx.strip(x.codes, ctx.gen_mask(gens))
+    return CosetKey(gens, GroupElement(ctx, rep, _canonical=True))
 
 
 def singular_key(x, u):
@@ -426,19 +404,12 @@ def flat_key(x, u, w):
 # ---------------------------------------------------------------------------
 
 def _check_key(kind, key):
-    if not isinstance(key, CosetKey) or key.kind != kind:
+    if not isinstance(key, CosetKey) or _KINDS[len(key.gens)] != kind:
         raise GraphError("expected a %s coset key" % kind)
 
 
-def singular_contained_in_flat(s, f):
-    """Coset containment g<u> <= h<x,y>."""
-    _check_key("singular", s)
-    _check_key("flat", f)
-    return _singular_in_flat(s, f)
-
-
 def _singular_in_flat(s, f):
-    """``singular_contained_in_flat`` on codes, for checked keys."""
+    """Coset containment g<u> <= h<x,y>, for checked keys."""
     if s.gens[0] not in f.gens:
         return False
     ctx = f.rep.ctx

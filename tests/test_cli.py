@@ -142,6 +142,18 @@ def test_cycle_commands_reject_caps_below_3(capsys, pentagon_file, max_len):
     assert sections["whitehead"]["ok"] and sections["out_group"]["ok"]
 
 
+def test_report_on_the_empty_graph_marks_atomicity_failed(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "edges": []}))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 0 and err == ""
+    sections = json.loads(out)["sections"]
+    assert sections["atomicity"] == {"ok": False, "error": "empty graph: atomicity undefined"}
+    skipped = {"ok": True, "data": {"skipped": "requires an atomic graph"}}
+    assert sections["taut_verification"] == sections["out_group"] == skipped
+    assert sections["graph"]["ok"] and sections["graph"]["data"]["vertices"] == 0
+
+
 @pytest.fixture()
 def dodeca_eight(tmp_path):
     """A dodecahedron file and one of its 8-cycles, whose lift is not taut."""

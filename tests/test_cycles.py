@@ -8,7 +8,7 @@ import raagqi.cycles as C
 import raagqi.graphs as G
 from raagqi.graphs import DefiningGraph, GraphError
 
-from conftest import corpus, wedge_of_cycles
+from conftest import corpus, random_corpus_graph, wedge_of_cycles
 
 
 def hexagon_with_diagonal():
@@ -215,6 +215,40 @@ def test_whitehead_lemma(pentagon, dodeca_double):
     assert not rep["vertices"]["p0"]["wh_connected"]
     with pytest.raises(GraphError):
         C.check_whitehead_lemma(G.cycle_graph(4))
+
+
+def whitehead_edges_reference(graph, v, max_len=None):
+    """The per-vertex scan: the link pair of v on each tight cycle through v."""
+    edges = set()
+    for cyc in C.tight_cycles(graph, max_len):
+        vs = cyc.vertices
+        if v in vs:
+            k = vs.index(v)
+            edges.add(tuple(sorted((vs[k - 1], vs[(k + 1) % len(vs)]))))
+    return frozenset(edges)
+
+
+def assert_whitehead_pass_matches_scan(g, max_len):
+    for v in g.order:
+        wh = C.whitehead_graph(g, v, max_len)
+        assert wh.vertices == tuple(sorted(g.neighbors(v)))
+        assert wh.edges == whitehead_edges_reference(g, v, max_len)
+    if max_len is None:
+        table = C.check_whitehead_lemma(g)["vertices"]
+        for v in g.order:
+            ref = C.WhiteheadGraph(v, tuple(sorted(g.neighbors(v))), whitehead_edges_reference(g, v))
+            assert table[v]["wh_connected"] == ref.is_connected()
+
+
+@pytest.mark.parametrize("max_len", [None, 5, 9])
+def test_whitehead_pass_matches_per_vertex_scan_on_dd(dodeca_double, max_len):
+    assert_whitehead_pass_matches_scan(dodeca_double, max_len)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 5, 8]))
+@settings(max_examples=60, deadline=None)
+def test_whitehead_pass_matches_per_vertex_scan_on_random_graphs(seed, max_len):
+    assert_whitehead_pass_matches_scan(random_corpus_graph(random.Random(seed)), max_len)
 
 
 def test_coloring_lemma(pentagon, dodeca_double):

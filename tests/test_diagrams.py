@@ -357,6 +357,36 @@ def reference_quasicut(cycle):
     return None
 
 
+def test_every_source_gives_one_key_per_cell():
+    # coset_key, lift_cycle, FlatBall.key_of and the quasi-cut witness all
+    # name the flats <i0,i2>, <i2,i4> and the singular <i2> at the identity
+    dd = rq.dodecahedron_double()
+    e = identity(dd)
+    lift = D.lift_cycle(dd, ["i0", "i2", "i4", "i6", "i8"])
+    ball = FS.build_ball(dd, 2)
+    witness, witnesses = D._quasicut_witness, []
+
+    def spy(*args):
+        wit = witness(*args)
+        witnesses.extend(wit or ())
+        return wit
+
+    with mock.patch.object(D, "_quasicut_witness", spy):
+        cut = D.find_quasicut(D.lift_cycle(dd, "i0,i8,i6,i4,o4#1,o3#1,o2#1,o1#1,o0#1".split(",")))
+    assert cut["interior_flats"] == [k.label() for k in witnesses] == ["flat[1]<i0,i2>", "flat[1]<i2,i4>"]
+    cells = [("flat", ("i2", "i0")), ("flat", ("i4", "i2")), ("singular", ("i2",))]
+    for kind, gens in cells:
+        key = coset_key(e, kind, gens)
+        sources = [
+            next(k for k in lift.flats + lift.singulars if k.gens == key.gens),
+            ball.key_of(find(ball, key)),
+        ] + [k for k in witnesses if k.gens == key.gens]
+        assert len(sources) == (3 if kind == "flat" else 2)
+        for k in sources:
+            assert k == key and hash(k) == hash(key) and k.label() == key.label()
+            assert k.kind == _KINDS[len(k.gens)] == kind
+
+
 def translated(cycle, g):
     """The full-edge cycle g * cycle: every flat and singular rep times g."""
     return CO.FullEdgeCycle(

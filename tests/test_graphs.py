@@ -399,6 +399,39 @@ def test_graph_layer_matches_set_based_reference(seed):
     assert_graph_layer_matches_reference(g)
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_vertex_queries_match_a_set_reference(seed):
+    # the queries read only index and masks; the reference is built here
+    # from the edge list, and asked about names the graph does not have
+    rng = random.Random(seed)
+    verts = rng.sample(["v%d" % i for i in range(12)], rng.randint(0, 9))
+    p = rng.choice((0.1, 0.3, 0.6, 0.9))
+    g = DefiningGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+    adj = {v: set() for v in verts}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    names = verts + ["v12", "x", ""]
+    for v in names:
+        known = v in adj
+        assert g.has_vertex(v) is known
+        for u in names:
+            assert g.has_edge(v, u) is (known and u in adj[v])
+        if known:
+            nbrs = g.neighbors(v)
+            assert isinstance(nbrs, frozenset) and nbrs == adj[v]
+            assert g.degree(v) == len(adj[v])
+            assert g.closed_star(v) == ({v} | adj[v], {tuple(sorted((v, u))) for u in adj[v]})
+        else:
+            with pytest.raises(KeyError):
+                g.neighbors(v)
+            with pytest.raises(KeyError):
+                g.degree(v)
+            with pytest.raises(GraphError):
+                g.closed_star(v)
+
+
 def _petersen():
     pairs = ["%d%d" % p for p in itertools.combinations(range(5), 2)]
     return DefiningGraph(pairs, [(a, b) for a, b in itertools.combinations(pairs, 2) if not set(a) & set(b)])

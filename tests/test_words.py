@@ -239,6 +239,34 @@ def test_coset_keys(pentagon):
         W.coset_key(W.identity(pentagon), "nope")
 
 
+def test_coset_key_errors_kind_and_order(pentagon):
+    e = W.identity(pentagon)
+    errors = [
+        ("cone", ("a",), "cone kind takes no generators"),
+        ("singular", (), "singular kind takes exactly one generator"),
+        ("singular", ("z",), "unknown generator 'z'"),
+        ("flat", ("a",), "flat kind takes exactly two generators"),
+        ("flat", ("c", "a"), "{a,c} is not an edge of the defining graph"),
+        ("flat", ("z", "a"), "{a,z} is not an edge of the defining graph"),
+        ("nope", (), "unknown coset kind 'nope'"),
+    ]
+    for kind, gens, message in errors:
+        with pytest.raises(GraphError) as err:
+            W.coset_key(e, kind, gens)
+        assert str(err.value) == message
+    x = W.normal_form(pentagon, "d a b")
+    keys = [W.coset_key(x, kind, gens) for kind, gens in (("cone", ()), ("singular", ("b",)), ("flat", ("b", "a")))]
+    assert [k.label() for k in keys] == ["cone[d a b]<>", "singular[d a]<b>", "flat[d]<a,b>"]
+    for k in keys:
+        assert k.kind == W._KINDS[len(k.gens)]
+        assert repr(k) == k.label()
+        copy = W.CosetKey(k.gens, W.GroupElement(x.ctx, k.rep.codes, _canonical=True))
+        assert copy == k and hash(copy) == hash(k)
+    # within a kind: generators first, then the shortlex representative
+    flats = [W.flat_key(y, *e) for y in W.cayley_ball(pentagon, 2) for e in pentagon.edges]
+    assert sorted(flats) == sorted(flats, key=lambda k: (k.gens, len(k.rep), k.rep.codes))
+
+
 def test_coset_key_equality_matches_membership(pentagon):
     ball = W.cayley_ball(pentagon, 2)
     kinds = [("singular", (u,)) for u in pentagon.sorted_vertices()] + [
