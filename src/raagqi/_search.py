@@ -36,15 +36,7 @@ An image is searched for only if it is neither in the orbit nor in the
 orbit of an image whose search failed.
 """
 
-
-def _bits(x):
-    """The set bits of x, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        x ^= low
-        out.append(low.bit_length() - 1)
-    return out
+from .graphs import _bits
 
 
 def _refine(masks, cells, big, queue, trace, ref=None):

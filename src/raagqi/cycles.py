@@ -10,7 +10,6 @@ over the tight cycles collects the link pairs of every vertex at once, and
 """
 
 from collections import OrderedDict, namedtuple
-from functools import lru_cache
 
 from . import _kernels
 from .graphs import GraphError, cut_vertices, girth, is_connected
@@ -256,23 +255,24 @@ def whitehead_graph(graph, v, max_len=None):
     """Graph on the link of v joining directions traversed by a tight cycle."""
     if not graph.has_vertex(v):
         raise GraphError("unknown vertex %r" % (v,))
-    link = tuple(sorted(graph.neighbors(v)))
-    return WhiteheadGraph(base=v, vertices=link, edges=_link_pairs(graph, max_len)[v])
+    return _whitehead(graph, v, _link_pairs(graph, max_len))
 
 
-@lru_cache(maxsize=256)
+def _whitehead(graph, v, pairs):
+    return WhiteheadGraph(base=v, vertices=tuple(sorted(graph.neighbors(v))), edges=frozenset(pairs[v]))
+
+
 def _link_pairs(graph, max_len):
     """The Whitehead edges of every vertex in one pass over the tight
-    cycles: v maps to the frozenset of sorted pairs (a, b) with a, v, b
-    consecutive on a tight cycle of length <= max_len.  Kept for the 256
-    most recent (graph, max_len); treat the result as read-only."""
+    cycles: v maps to the set of sorted pairs (a, b) with a, v, b
+    consecutive on a tight cycle of length <= max_len."""
     pairs = {v: set() for v in graph.order}
     for cyc in tight_cycles(graph, max_len):
         a, v = cyc.vertices[-2:]
         for b in cyc.vertices:
             pairs[v].add((a, b) if a < b else (b, a))
             a, v = v, b
-    return {v: frozenset(p) for v, p in pairs.items()}
+    return pairs
 
 
 def check_whitehead_lemma(graph):
@@ -283,10 +283,11 @@ def check_whitehead_lemma(graph):
     if girth(graph) < 5:
         raise GraphError("whitehead lemma check requires girth >= 5")
     cuts = cut_vertices(graph)
+    pairs = _link_pairs(graph, None)
     table = {}
     passed = True
     for v in graph.sorted_vertices():
-        connected = whitehead_graph(graph, v).is_connected()
+        connected = _whitehead(graph, v, pairs).is_connected()
         is_cut = v in cuts
         agree = connected == (not is_cut)
         table[v] = {"wh_connected": connected, "is_cut_vertex": is_cut, "agree": agree}

@@ -96,13 +96,7 @@ class DefiningGraph:
 
     def neighbors(self, v):
         """The frozenset of neighbours of v; KeyError for an unknown v."""
-        m = self.masks[self.index[v]]
-        out = []
-        while m:
-            low = m & -m
-            out.append(self.order[low.bit_length() - 1])
-            m ^= low
-        return frozenset(out)
+        return frozenset(map(self.order.__getitem__, _bits(self.masks[self.index[v]])))
 
     def degree(self, v):
         return self.masks[self.index[v]].bit_count()
@@ -160,6 +154,16 @@ class DefiningGraph:
             lines.append('  "%s" -- "%s";' % (a, b))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _bits(x):
+    """The set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        x ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 def _is_name(x):

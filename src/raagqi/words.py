@@ -356,8 +356,11 @@ _ARITY_ERRORS = (
 class CosetKey(namedtuple("CosetKey", "gens rep")):
     """Canonical key of a coset rep<gens> for gens one of: nothing (cone
     vertex), a single generator (singular vertex), a sorted edge pair (flat
-    vertex).  ``rep`` is the stripped representative; keys of one kind
-    order by generators, then shortlex representative."""
+    vertex).  ``rep`` is the stripped representative.  Keys are plain
+    (gens, rep) tuples: they equal and hash as such a tuple, and order by
+    generators as tuples of names, then shortlex representative, with no
+    rank of kinds (the cone key comes first, but flat <a,c> precedes
+    singular <b>)."""
 
     __slots__ = ()
 

@@ -265,6 +265,10 @@ def test_coset_key_errors_kind_and_order(pentagon):
     # within a kind: generators first, then the shortlex representative
     flats = [W.flat_key(y, *e) for y in W.cayley_ball(pentagon, 2) for e in pentagon.edges]
     assert sorted(flats) == sorted(flats, key=lambda k: (k.gens, len(k.rep), k.rep.codes))
+    # across kinds: generators as tuples of names, with no rank of kinds
+    mixed = [W.coset_key(x, "flat", ("a", "e")), W.coset_key(x, "singular", ("b",)), W.coset_key(x, "cone")]
+    assert [k.label() for k in sorted(mixed)] == ["cone[d a b]<>", "flat[d b]<a,e>", "singular[d a]<b>"]
+    assert mixed[1] == (("b",), mixed[1].rep) and hash(mixed[1]) == hash((("b",), mixed[1].rep))
 
 
 def test_coset_key_equality_matches_membership(pentagon):
