@@ -14,6 +14,10 @@ letter locally (the step of Crisp-Godelle-Wiest's linear-time word problem),
 so extending a normal form by one letter scans only the letters that commute
 with it.  Coset stripping takes a normal form and does not renormalize.
 
+The cycle search keeps one candidate mask per depth.  Its tight prunes are
+complete, so it enters no subtree without a tight completion and never
+rechecks a found cycle (the proof is in ``enumerate_cycle_lists``).
+
 Each kernel has one plain-Python implementation and needs no third-party
 package.
 """
@@ -136,85 +140,97 @@ def tight_check_ints(cyc, adj):
     return True
 
 
+def _neighbours_of(mask, adj):
+    """The OR of ``adj[v]`` over the vertices v in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj[low.bit_length() - 1]
+    return out
+
+
 def enumerate_cycle_lists(adj, max_len, tight_only=False):
     """Embedded cycles (vertex-index tuples in canonical position: start =
     least vertex, second < last) of length <= max_len; only tight ones when
     ``tight_only`` is set.
 
-    Every prune below is sound (it kills only subtrees with no completion),
-    so the cycles come out in plain depth-first order; the final per-cycle
-    tightness check is exact.
+    A depth-first search from each start s through the vertices above s:
+    ``cand[j]`` holds the untried successors of ``path[j]``, taken highest
+    bit first, and a cycle is emitted when its last vertex is taken.  Every
+    prune kills only subtrees with no completion, so the output is that of
+    the unpruned search (a stack pushing successors lowest first), in order.
 
-    - Distance: a cycle from s returns to s through vertices above s, so a
-      vertex at path index d + 1 must lie within max_len - d - 1 steps of s
-      in the subgraph on s and the vertices above it.  ``near[k]`` holds the
-      vertices above s within k such steps, by BFS frontiers from s.
-    - Tight search: an edge from the new vertex back into the path interior
-      is a chord of every completion; a common neighbour with path[i],
-      2 <= i <= d - 2, is a 2-shortcut of every completion.  ``far[d]``
-      carries the OR of those neighbour masks down the path.
+    - Distance: a vertex at path index j must lie within max_len - j steps
+      of s in the subgraph on s and the vertices above it; ``near[k]``
+      holds the vertices above s within k such steps, by BFS frontiers.
+    - Tight search, w taken at index j >= 2 after p0 = s, ..., p(j-1), and
+      ``two[v]`` the vertices sharing a neighbour with v.  ``ban`` drops w
+      adjacent to one of p1..p(j-2) (a chord), sharing a neighbour with one
+      of p2..p(j-3) (a 2-shortcut), or (j >= 4) sharing a neighbour with p1
+      but not adjacent to s (p1 and w must close to cycle distance <= 2, so
+      w would have to end the cycle).  A w adjacent to s ends a cycle and
+      is not extended (s, w is a chord of any longer one); a w in ``two[s]``
+      with j >= 3 is extended only into N(s), as the cycle must close
+      within two steps.  Why every emitted cycle is tight: cycle distance
+      is at most path distance, so a chord pair (i, j), i < j, has
+      i <= j - 2 and a 2-shortcut pair i <= j - 3; the bans cover i >= 1
+      and i >= 2, the rules for p1 and s cover i = 1 and i = 0.
     """
     out = []
+    n = len(adj)
     # an embedded cycle has at most one vertex per graph vertex
-    max_len = min(max_len, len(adj))
+    max_len = min(max_len, n)
     if max_len < 3:
         return out
-    path = [0] * (max_len + 1)
-    far = [0] * (max_len + 1)
-    for s in range(len(adj)):
+    path, cand, ban = [0] * max_len, [0] * max_len, [0] * max_len
+    two = [_neighbours_of(a, adj) for a in adj] if tight_only else None
+    for s in range(n):
         above = -1 << (s + 1)
         near = [0] * max_len
         reach = frontier = 1 << s
         for k in range(1, max_len):
-            new = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new |= adj[low.bit_length() - 1]
-            frontier = new & above & ~reach
+            frontier = _neighbours_of(frontier, adj) & above & ~reach
             if not frontier:
                 near[k:] = [reach & above] * (max_len - k)
                 break
             reach |= frontier
             near[k] = reach & above
+        # near[k] holds only vertices above s, so every cycle is found from
+        # its least vertex
         if not near[max_len - 1]:
             continue
-        # a stack entry (v, depth) enters v; (v, -1) leaves it once the
-        # subtree below v is done
-        stack = [(s, 0)]
-        visited = 0
-        while stack:
-            v, depth = stack.pop()
-            if depth == -1:
-                visited &= ~(1 << v)
+        ns = adj[s]
+        path[0] = s
+        cand[0] = ns & near[max_len - 1]
+        visited = 1 << s
+        j = 0
+        while j >= 0:
+            c = cand[j]
+            if not c:
+                visited ^= 1 << path[j]
+                j -= 1
                 continue
-            path[depth] = v
-            visited |= 1 << v
-            stack.append((v, -1))
-            av = adj[v]
-            if depth >= 2 and (av >> s) & 1 and path[1] < v:
-                cyc = path[: depth + 1]
-                if not tight_only or tight_check_ints(cyc, adj):
-                    out.append(tuple(cyc))
-            if depth + 1 >= max_len:
-                continue
-            # near[k] holds only vertices above s, so every cycle is found
-            # from its least vertex
-            nbrs = av & near[max_len - depth - 1] & ~visited
-            if tight_only and depth >= 1:
-                inner = visited & ~(1 << v) & ~(1 << s)
-                far[depth] = far[depth - 1] | adj[path[depth - 2]] if depth >= 4 else 0
-                shortcut = far[depth]
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    w = low.bit_length() - 1
-                    aw = adj[w]
-                    if not (aw & inner or aw & shortcut):
-                        stack.append((w, depth + 1))
-            else:
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    stack.append((low.bit_length() - 1, depth + 1))
+            w = c.bit_length() - 1
+            cand[j] = c ^ (1 << w)
+            k = j + 1
+            path[k] = w
+            if k >= 2 and (ns >> w) & 1:
+                if path[1] < w:
+                    out.append(tuple(path[: k + 1]))
+                if tight_only:
+                    continue
+            # near[0] is empty, so nothing extends a path of max_len vertices
+            nbrs = adj[w] & near[max_len - k - 1] & ~visited
+            if tight_only and k >= 2 and nbrs:
+                b = ban[j] | adj[path[j]]
+                b |= two[path[k - 2]] if k >= 4 else two[path[1]] & ~ns if k == 3 else 0
+                ban[k] = b
+                nbrs &= ~b
+                if k >= 3 and (two[s] >> w) & 1:
+                    nbrs &= ns
+            if nbrs:
+                visited |= 1 << w
+                cand[k] = nbrs
+                j = k
     return out

@@ -191,11 +191,11 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
     atomicity = bundle["sections"]["atomicity"]
 
     def s_tight():
-        cap = len(g.vertices) if max_cycle_len is None else max_cycle_len
-        cycles = cy.tight_cycles(g, cap)
+        cycles = cy.tight_cycles(g, max_cycle_len)
         by_len = {}
         for c in cycles:
             by_len[str(len(c))] = by_len.get(str(len(c)), 0) + 1
+        cap = len(g.vertices) if max_cycle_len is None else max_cycle_len
         return {"count": len(cycles), "by_length": by_len, "max_length_scanned": cap}
 
     section("tight_cycles", s_tight)
@@ -223,11 +223,10 @@ def run_report(g, ball_radius=4, max_cycle_len=None, taut_cap=25):
     if atomicity["ok"] and atomicity["data"]["is_atomic"]:
 
         def s_taut():
-            cap = len(g.vertices) if max_cycle_len is None else max_cycle_len
             checked = 0
             all_taut = True
             single_cell = True
-            for gamma in cy.tight_cycles(g, cap)[:taut_cap]:
+            for gamma in cy.tight_cycles(g, max_cycle_len)[:taut_cap]:
                 lift = dg.lift_cycle(g, gamma)
                 taut = dg.is_taut(lift)
                 all_taut = all_taut and taut

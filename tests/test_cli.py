@@ -154,6 +154,20 @@ def test_report_on_the_empty_graph_marks_atomicity_failed(capsys, tmp_path):
     assert sections["graph"]["ok"] and sections["graph"]["data"]["vertices"] == 0
 
 
+@pytest.mark.parametrize(
+    "graph", [{"vertices": [], "edges": []}, {"vertices": ["a", "b"], "edges": [["a", "b"]]}], ids=["empty", "K2"]
+)
+def test_report_without_a_cap_scans_a_tiny_graph(capsys, tmp_path, graph):
+    # no --max-len: the default cap is |V| < 3, which scans nothing rather
+    # than failing the "at least 3" check meant for a user's cap
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 0 and err == ""
+    data = {"count": 0, "by_length": {}, "max_length_scanned": len(graph["vertices"])}
+    assert json.loads(out)["sections"]["tight_cycles"] == {"ok": True, "data": data}
+
+
 @pytest.fixture()
 def dodeca_eight(tmp_path):
     """A dodecahedron file and one of its 8-cycles, whose lift is not taut."""

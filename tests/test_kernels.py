@@ -98,3 +98,72 @@ def test_cycle_lists_match_unpruned_search_on_named_graphs(tutte_coxeter, hoffma
     tc = list(tutte_coxeter.masks)
     assert_cycle_lists_match(tc, (10,))
     assert_cycle_lists_match(tc, (len(tc),), modes=(True,))
+
+
+def _generalized_petersen_2(n):
+    # outer cycle u0..u(n-1), spokes ui-vi, inner vi-v(i+2); u at 0..n-1
+    adj = [0] * (2 * n)
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    for a, b in edges + [(n + i, n + (i + 2) % n) for i in range(n)]:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _hamiltonian_cycle_with_chords(rng, n, chords):
+    """A Hamiltonian n-cycle plus up to ``chords`` random chords, each
+    joining vertices at distance >= 4, so the girth stays >= 5; the vertices
+    are shuffled."""
+    adj = [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)]
+    added = 0
+    for _ in range(100 * chords):
+        if added == chords:
+            break
+        a, b = rng.sample(range(n), 2)
+        reach = 1 << a
+        for _ in range(3):
+            step = 0
+            for v in range(n):
+                if (reach >> v) & 1:
+                    step |= adj[v]
+            reach |= step
+        if not (reach >> b) & 1:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            added += 1
+    perm = rng.sample(range(n), n)
+    out = [0] * n
+    for v in range(n):
+        for u in range(n):
+            if (adj[v] >> u) & 1:
+                out[perm[v]] |= 1 << perm[u]
+    return out
+
+
+def test_tight_cycle_lists_match_unpruned_search_on_deep_subtrees():
+    # the prunes on the path's first two vertices cut whole subtrees here;
+    # the lists must still equal the unpruned search's, order included
+    import random
+
+    from raagqi import graphs as G
+
+    for n in range(5, 13):
+        assert_cycle_lists_match(_generalized_petersen_2(n), (2 * n,), modes=(True,))
+    for g in (G.dodecahedron(), G.dodecahedron_double()):
+        adj = list(g.masks)
+        assert_cycle_lists_match(adj, (len(adj),), modes=(True,))
+    rng = random.Random(20)
+    for n in range(16, 21):
+        for chords in (4, 6, 8, 10):
+            adj = _hamiltonian_cycle_with_chords(rng, n, chords)
+            assert_cycle_lists_match(adj, (n,))
+
+
+def test_tight_search_does_not_recheck_cycles(monkeypatch):
+    def recheck(cyc, adj):
+        raise AssertionError("per-cycle tightness check")
+
+    expected = K.enumerate_cycle_lists(_generalized_petersen_2(8), 16, True)
+    monkeypatch.setattr(K, "tight_check_ints", recheck)
+    assert K.enumerate_cycle_lists(_generalized_petersen_2(8), 16, True) == expected
+    assert len(expected) == len(set(expected)) > 0
