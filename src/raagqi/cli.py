@@ -79,15 +79,16 @@ def cmd_whitehead(args):
     if args.dot:
         print(wh.to_dot(), end="")
         return 0
+    connected = wh.is_connected()
     obj = {
         "vertex": wh.base,
         "link": list(wh.vertices),
         "edges": sorted([list(e) for e in wh.edges]),
-        "connected": wh.is_connected(),
+        "connected": connected,
     }
     _emit(args, obj, "Wh(%s): %d link vertices, %d edges, %s" % (
         wh.base, len(wh.vertices), len(wh.edges),
-        "connected" if wh.is_connected() else "disconnected"))
+        "connected" if connected else "disconnected"))
     return 0
 
 

@@ -105,16 +105,7 @@ def _diameter_at_most_2(graph):
     """Every two vertices are equal, adjacent or have a common neighbour."""
     masks = graph.masks
     full = (1 << len(masks)) - 1
-    for i, m in enumerate(masks):
-        reach = m | 1 << i
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reach |= masks[low.bit_length() - 1]
-        if reach != full:
-            return False
-    return True
+    return all(_kernels._neighbours_of(m, masks) | m | 1 << i == full for i, m in enumerate(masks))
 
 
 def tight_cycles(graph, max_len=None):

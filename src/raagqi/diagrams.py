@@ -6,7 +6,10 @@ boundary circle.  No two chords cross twice, no three pairwise cross, and
 the diagram is unique, so it can be built combinatorially: pair up
 same-hyperplane boundary crossings without same-class interleaving, cross
 two arcs exactly when their positions interleave, and read the regions off
-the chord arrangement.  Regions map to vertices of the flat space (blocks);
+the chord arrangement.  ``_arrangement`` does that in one pass: it numbers
+the boundary points, crossings and half-edges of the arrangement, traces
+its faces and reads each face's sides, neighbours and boundary segments
+off the half-edges.  Regions map to vertices of the flat space (blocks);
 the core is the set of regions not touching the boundary circle.
 
 The diagram needs no ball: its three questions are coset algebra on
@@ -40,11 +43,11 @@ for every lift of an n-cycle; ``_arrangement`` keeps the ARRANGEMENTS_MAX
 most recent as immutable values.
 """
 
-from collections import deque, namedtuple
-from functools import cmp_to_key, lru_cache
+from collections import Counter, deque, namedtuple
+from functools import lru_cache
 
 from .coarse import FullEdgeCycle
-from .graphs import GraphError, InvariantError
+from .graphs import GraphError, InvariantError, _bits
 from . import _kernels
 from .words import _KINDS, CosetKey, GroupElement, _connections, _factors_by_masks, _in_mask
 
@@ -91,9 +94,7 @@ def lift_cycle(graph, gamma):
 # ---------------------------------------------------------------------------
 
 # ``vertex`` is the (gens, codes) key of the region's flat-space cell
-Region = namedtuple(
-    "Region", "face_id kind vertex boundary_segment sides in_core", defaults=("?", None, -1, (), False)
-)
+Region = namedtuple("Region", "face_id kind vertex boundary_segment sides in_core")
 
 
 class DiskDiagram(namedtuple("DiskDiagram", "cycle arcs crossings regions core region_adjacency")):
@@ -254,12 +255,14 @@ def build_diagram(cycle):
 
 
 # Indexed by face id (None at the outer face): ``sides`` lists a face's edge
-# labels, ``boundary`` its first boundary segment or -1 (a core face), and
-# ``across`` a (piece number, arc, face) triple per chord piece shared with
-# another face.  ``seg_face`` maps a boundary segment to its face,
-# ``adjacency`` lists (face, ((face, shared pieces), ...)), ``crossing_faces``
-# the four faces at each crossing and ``corner_faces`` the faces with three
-# nodes, one a crossing.
+# labels, ("seg", k) for boundary segment k and ("arc", i, t) for piece t of
+# chord i, ``boundary`` its first boundary segment or -1 (a core face), and
+# ``across`` a (piece, arc, face) triple per chord piece, the piece named by
+# its edge id and the face on its other side (no chord bounds the outer
+# face).  ``seg_face`` maps a boundary segment to its face, ``adjacency``
+# lists (face, ((face, shared pieces), ...)), ``crossing_faces`` the four
+# faces at each crossing and ``corner_faces`` the faces with three nodes,
+# one a crossing.
 Arrangement = namedtuple(
     "Arrangement", "crossings faces sides boundary across seg_face core adjacency crossing_faces corner_faces"
 )
@@ -267,10 +270,27 @@ Arrangement = namedtuple(
 
 @lru_cache(maxsize=ARRANGEMENTS_MAX)
 def _arrangement(nb, chords):
-    """The arrangement of the chords, sorted (a, b) position pairs, on a
-    circle with nb boundary points: crossings, faces and the checks that
-    need nothing else.  Raises ``InvariantError`` when three chords
-    pairwise cross, and what ``_arrangement_faces`` raises."""
+    """The arrangement of the chords, sorted (a, b) position pairs that pair
+    up the nb points of a circle: crossings, faces and the checks that need
+    nothing else.
+
+    Node k is boundary point k, and a crossing is numbered when first met.
+    Edge k is boundary segment k, from point k to k + 1; then come the
+    pieces of each chord in turn, from its first end.  Half-edge 2e runs
+    along edge e from its first end and 2e + 1 back, and faces are traced
+    from the half-edges leaving each node in turn.
+
+    The chords crossing a chord (a, b) meet it in the order of their ends
+    inside (a, b).  No three chords pairwise cross, so they are pairwise
+    disjoint.  A chord x crossing (a, b) at its inner end p splits the
+    circle into two arcs, and the one through a holds the points of (a, b)
+    below p.  A chord disjoint from x has both ends on one side of x, so
+    walking from a it meets (a, b) before x iff its inner end is below p.
+
+    Raises ``InvariantError`` when three chords pairwise cross or the faces
+    do not close into a sphere, and ``GraphError`` when a region meets the
+    boundary twice.
+    """
     m = len(chords)
     crossings = frozenset(
         (i, j) for i in range(m) for j in range(i + 1, m) if _interleaved(chords[i], chords[j])
@@ -281,179 +301,85 @@ def _arrangement(nb, chords):
         crossed[j].add(i)
     if any(crossed[i] & crossed[j] for i, j in crossings):
         raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
-    faces, face_edges, seg_face, edge_faces, face_nodes = _arrangement_faces(nb, chords, crossings)
 
-    nfaces = max(faces, default=-1) + 2
-    sides, boundary, across = [None] * nfaces, [None] * nfaces, [None] * nfaces
-    piece = {lab: k for k, lab in enumerate(edge_faces)}
-    for fid in faces:
-        labs = sides[fid] = tuple(face_edges[fid])
-        boundary[fid] = next((lab[1] for lab in labs if lab[0] == "seg"), -1)
-        shared = []
-        for lab in labs:
-            both = edge_faces[lab]
-            if lab[0] == "arc" and len(both) == 2:
-                shared.append((piece[lab], lab[1], both[0] if both[1] == fid else both[1]))
-        across[fid] = tuple(shared)
-    adjacency = {}
-    for lab, fs in edge_faces.items():
-        if lab[0] == "arc" and len(fs) == 2:
-            a, b = fs
-            adjacency.setdefault(a, {}).setdefault(b, 0)
-            adjacency.setdefault(b, {}).setdefault(a, 0)
-            adjacency[a][b] += 1
-            adjacency[b][a] += 1
-    node_faces = {}
-    corner_faces = set()
-    for fid, nodes in face_nodes.items():
-        crossing_nodes = [u for u in nodes if u[0] == "x"]
-        for u in crossing_nodes:
-            node_faces.setdefault(u, set()).add(fid)
-        if len(nodes) == 3 and len(crossing_nodes) == 1:
-            corner_faces.add(fid)
+    # ends[h] is the node half-edge h leaves, so ends[h ^ 1] is the node it
+    # enters
+    labels = [("seg", k) for k in range(nb)]
+    ends = [u for k in range(nb) for u in (k, (k + 1) % nb)]
+    node = {}
+    for i, (a, b) in enumerate(chords):
+        path = [a]
+        for j in sorted(crossed[i], key=lambda j: chords[j][0] if a < chords[j][0] < b else chords[j][1]):
+            path.append(node.setdefault((min(i, j), max(i, j)), nb + len(node)))
+        path.append(b)
+        for t in range(len(path) - 1):
+            ends += path[t : t + 2]
+            labels.append(("arc", i, t))
+    out = [[] for _ in range(nb + len(node))]
+    for h, u in enumerate(ends):
+        out[u].append(h)
+
+    # the rotation at a boundary point is the segment on, the chord, the
+    # segment back, and at a crossing the chord pieces in the order of the
+    # ends they run toward; the walk along u -> v turns at v to the
+    # half-edge before v -> u
+    before = [0] * len(ends)
+    for u, hs in enumerate(out):
+        if u < nb:
+            rot = [2 * u, *hs[2:], 2 * ((u - 1) % nb) + 1]
+        else:
+            rot = sorted(hs, key=lambda h: chords[labels[h >> 1][1]][1 - (h & 1)])
+        for t, h in enumerate(rot):
+            before[h] = rot[t - 1]
+    walks = []
+    face_of = [-1] * len(ends)
+    for hs in out:
+        for start in hs:
+            if face_of[start] >= 0:
+                continue
+            walk, h = [], start
+            while face_of[h] < 0:
+                face_of[h] = len(walks)
+                walk.append(h)
+                h = before[h ^ 1]
+            if h != start:
+                raise InvariantError("face tracing failed to close")
+            walks.append(walk)
+    if len(out) - len(labels) + len(walks) != 2:
+        raise InvariantError("arrangement failed the Euler check")
+
+    outer = face_of[1]  # the half-edge from point 1 back to point 0
+    faces = tuple(f for f in range(len(walks)) if f != outer)
+    sides, boundary, across = [None] * len(walks), [None] * len(walks), [None] * len(walks)
+    seg_face = [None] * nb
+    adjacency, corner_faces = [], set()
+    for f in faces:
+        walk = walks[f]
+        sides[f] = tuple(labels[h >> 1] for h in walk)
+        segs = [h >> 1 for h in walk if h < 2 * nb]
+        for k in segs:
+            if seg_face[k] is not None:
+                raise GraphError("cycle required: a region meets the boundary twice")
+            seg_face[k] = f
+        boundary[f] = segs[0] if segs else -1
+        across[f] = tuple((h >> 1, labels[h >> 1][1], face_of[h ^ 1]) for h in walk if h >= 2 * nb)
+        shared = Counter(g for _, _, g in across[f])
+        if shared:
+            adjacency.append((f, tuple(shared.items())))
+        if len(walk) == 3 and sum(ends[h] >= nb for h in walk) == 1:
+            corner_faces.add(f)
     return Arrangement(
         crossings=crossings,
-        faces=tuple(faces),
+        faces=faces,
         sides=tuple(sides),
         boundary=tuple(boundary),
         across=tuple(across),
-        seg_face=tuple(seg_face.get(k) for k in range(nb)),
-        core=tuple(fid for fid in faces if boundary[fid] < 0),
-        adjacency=tuple((a, tuple(nbrs.items())) for a, nbrs in adjacency.items()),
-        # a crossing with the outer face around it cannot occur
-        crossing_faces=tuple(tuple(fs) for fs in node_faces.values() if len(fs) == 4),
+        seg_face=tuple(seg_face),
+        core=tuple(f for f in faces if boundary[f] < 0),
+        adjacency=tuple(adjacency),
+        crossing_faces=tuple(tuple(face_of[h] for h in out[x]) for x in range(nb, len(out))),
         corner_faces=frozenset(corner_faces),
     )
-
-
-def _arrangement_faces(nb, arcs, crossings):
-    """Faces of the chord arrangement on a circle with nb boundary points.
-
-    Edges are ("seg", k) circle segments or ("arc", arc_id, step) chord
-    pieces.  Returns inner face ids, their edge label walks, the segment to
-    face map, the edge label to faces map, and the node walks per face.
-    """
-    per_arc = {i: [] for i in range(len(arcs))}
-    for i, j in crossings:
-        per_arc[i].append(j)
-        per_arc[j].append(i)
-
-    def inside(chord, pos):
-        a, b = arcs[chord][:2]
-        return a < pos < b
-
-    def order_on(i):
-        # chords crossing arc i are pairwise disjoint (no arc triangles), so
-        # "y lies beyond x as seen from the start of i" is a total order
-        a1 = arcs[i][0]
-
-        def cmp(x, y):
-            if x == y:
-                return 0
-            return -1 if inside(x, arcs[y][0]) != inside(x, a1) else 1
-
-        return sorted(per_arc[i], key=cmp_to_key(cmp))
-
-    arc_nodes = {}
-    for i in range(len(arcs)):
-        path = [("b", arcs[i][0])]
-        for j in order_on(i):
-            path.append(("x", min(i, j), max(i, j)))
-        path.append(("b", arcs[i][1]))
-        arc_nodes[i] = path
-
-    # Nodes are numbered as they first appear and edges as they are added.
-    # Half-edge 2e runs along edge e from its first end to its second, 2e + 1
-    # back; out[u] lists the half-edges leaving node u in the order they
-    # were added, which is the order faces are traced in.
-    node_id = {}
-    nodes = []
-    out = []
-    labels = []
-    head = []  # head node of each half-edge
-
-    def add_edge(a, b, label):
-        for x in (a, b):
-            if x not in node_id:
-                node_id[x] = len(nodes)
-                nodes.append(x)
-                out.append([])
-        ia, ib = node_id[a], node_id[b]
-        out[ia].append(len(head))
-        out[ib].append(len(head) + 1)
-        head.extend((ib, ia))
-        labels.append(label)
-
-    for k in range(nb):
-        add_edge(("b", k), ("b", (k + 1) % nb), ("seg", k))
-    for i, path in arc_nodes.items():
-        for t in range(len(path) - 1):
-            add_edge(path[t], path[t + 1], ("arc", i, t))
-
-    def anchor(h):
-        # the boundary position a chord piece points toward; a chord is
-        # added from its first end, so even half-edges run toward its second
-        lab = labels[h >> 1]
-        return arcs[lab[1]][1 - (h & 1)], nodes[head[h]], lab
-
-    # the rotation at each node, and each half-edge's position in the
-    # rotation at its tail
-    pos = [0] * len(head)
-    rotations = []
-    for u, hs in enumerate(out):
-        if nodes[u][0] == "b":
-            # the segment on, the chord, the segment back
-            after = node_id.get(("b", (nodes[u][1] + 1) % nb))
-            rot = sorted(hs, key=lambda h: 1 if labels[h >> 1][0] != "seg" else 0 if head[h] == after else 2)
-        else:
-            # only chords meet at a crossing
-            rot = sorted(hs, key=anchor)
-        for idx, h in enumerate(rot):
-            pos[h] = idx
-        rotations.append(rot)
-    # the half-edge u -> v continues along the half-edge before v -> u in
-    # the rotation at v
-    nxt = [rotations[head[h]][pos[h ^ 1] - 1] for h in range(len(head))]
-
-    faces = []
-    face_of = [-1] * len(nxt)
-    for hs in out:
-        for he in hs:
-            if face_of[he] >= 0:
-                continue
-            fid = len(faces)
-            walk = []
-            cur = he
-            while face_of[cur] < 0:
-                face_of[cur] = fid
-                walk.append(cur)
-                cur = nxt[cur]
-            if cur != he:
-                raise InvariantError("face tracing failed to close")
-            faces.append(walk)
-
-    if len(nodes) - len(labels) + len(faces) != 2:
-        raise InvariantError("arrangement failed the Euler check")
-
-    outer = face_of[1]  # the half-edge b_1 -> b_0 along segment 0
-    seg_face = {}
-    edge_faces = {}
-    face_edges = {}
-    face_nodes = {}
-    for fid, walk in enumerate(faces):
-        if fid == outer:
-            continue
-        labs = [labels[h >> 1] for h in walk]
-        face_edges[fid] = labs
-        face_nodes[fid] = [nodes[head[h ^ 1]] for h in walk]
-        for lab in labs:
-            edge_faces.setdefault(lab, []).append(fid)
-            if lab[0] == "seg":
-                if lab[1] in seg_face:
-                    raise GraphError("cycle required: a region meets the boundary twice")
-                seg_face[lab[1]] = fid
-    inner = [fid for fid in range(len(faces)) if fid != outer]
-    return inner, face_edges, seg_face, edge_faces, face_nodes
 
 
 def _type_regions(ctx, cycle, arc_labels, arr):
@@ -790,13 +716,7 @@ def find_cuts(cycle):
 
 def _twist_letters(mask):
     """g^+1, g^-1 for each generator index g in mask, in sorted order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        g = low.bit_length() - 1
-        out += (_kernels.letter(g, 1), _kernels.letter(g, -1))
-        mask ^= low
-    return out
+    return [_kernels.letter(g, s) for g in _bits(mask) for s in (1, -1)]
 
 
 def _quasicut_witness(cycle_flats, fp, walk, factors):

@@ -156,11 +156,12 @@ def test_eight_cycle_fixtures_have_cuts_and_multicell_cores(pentagon, pentagon_b
         assert len(ones) == 2
 
 
-def test_broken_arrangement_is_an_invariant_error():
-    # two interleaved chords declared not to cross cannot bound a planar
-    # arrangement: a bug in the caller, not a bad input
-    with pytest.raises(InvariantError) as err:
-        D._arrangement_faces(4, [(0, 2, 0), (1, 3, 1)], set())
+def test_broken_arrangement_is_an_invariant_error(monkeypatch):
+    # two interleaved chords taken not to cross cannot bound a planar
+    # arrangement: a bug in the tracer, not a bad input
+    monkeypatch.setattr(D, "_interleaved", lambda a, b: False)
+    with pytest.raises(InvariantError, match="Euler check") as err:
+        D._arrangement.__wrapped__(4, ((0, 2), (1, 3)))
     assert not isinstance(err.value, GraphError)
 
 
@@ -776,7 +777,7 @@ def test_translated_lift_has_the_translated_diagram(make, pick, word):
 
 
 # ---------------------------------------------------------------------------
-# the face tracer against its tuple-keyed form
+# the arrangement against a face tracer on tuple-keyed nodes and labels
 # ---------------------------------------------------------------------------
 
 def reference_arrangement_faces(nb, arcs, crossings):
@@ -839,7 +840,7 @@ def reference_arrangement_faces(nb, arcs, crossings):
             ordered = []
             for v, lab in nbrs:
                 if lab[0] == "seg":
-                    rank = 0 if v == ("b", (k + 1) % nb) else 2
+                    rank = 0 if lab == ("seg", k) else 2
                 else:
                     rank = 1
                 ordered.append((rank, v, lab))
@@ -906,13 +907,86 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_faces_match_reference(nb, arcs, crossings):
-    got = outcome(D._arrangement_faces, nb, arcs, crossings)
-    assert got == outcome(reference_arrangement_faces, nb, arcs, crossings)
-    if isinstance(got[0], list):
-        # the same dict orders too: faces are numbered and typed in them
-        for a, b in zip(got[1:], reference_arrangement_faces(nb, arcs, crossings)[1:]):
-            assert list(a.items()) == list(b.items())
+def reference_arrangement(nb, chords):
+    """``_arrangement`` as a post-pass over ``reference_arrangement_faces``:
+    crossings and the triple-crossing check, then each field read off the
+    label-keyed face dicts."""
+    m = len(chords)
+    crossings = frozenset(
+        (i, j) for i in range(m) for j in range(i + 1, m) if D._interleaved(chords[i], chords[j])
+    )
+    crossed = [set() for _ in range(m)]
+    for i, j in crossings:
+        crossed[i].add(j)
+        crossed[j].add(i)
+    if any(crossed[i] & crossed[j] for i, j in crossings):
+        raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
+    faces, face_edges, seg_face, edge_faces, face_nodes = reference_arrangement_faces(nb, chords, crossings)
+
+    nfaces = len(faces) + 1
+    sides, boundary, across = [None] * nfaces, [None] * nfaces, [None] * nfaces
+    piece = {lab: k for k, lab in enumerate(edge_faces)}
+    for fid in faces:
+        labs = sides[fid] = tuple(face_edges[fid])
+        boundary[fid] = next((lab[1] for lab in labs if lab[0] == "seg"), -1)
+        shared = []
+        for lab in labs:
+            both = edge_faces[lab]
+            if lab[0] == "arc" and len(both) == 2:
+                shared.append((piece[lab], lab[1], both[0] if both[1] == fid else both[1]))
+        across[fid] = tuple(shared)
+    adjacency = {}
+    for lab, fs in edge_faces.items():
+        if lab[0] == "arc" and len(fs) == 2:
+            a, b = fs
+            adjacency.setdefault(a, {}).setdefault(b, 0)
+            adjacency.setdefault(b, {}).setdefault(a, 0)
+            adjacency[a][b] += 1
+            adjacency[b][a] += 1
+    node_faces = {}
+    corner_faces = set()
+    for fid, nodes in face_nodes.items():
+        crossing_nodes = [u for u in nodes if u[0] == "x"]
+        for u in crossing_nodes:
+            node_faces.setdefault(u, set()).add(fid)
+        if len(nodes) == 3 and len(crossing_nodes) == 1:
+            corner_faces.add(fid)
+    return D.Arrangement(
+        crossings=crossings,
+        faces=tuple(faces),
+        sides=tuple(sides),
+        boundary=tuple(boundary),
+        across=tuple(across),
+        seg_face=tuple(seg_face.get(k) for k in range(nb)),
+        core=tuple(fid for fid in faces if boundary[fid] < 0),
+        adjacency=tuple((a, tuple(nbrs.items())) for a, nbrs in adjacency.items()),
+        crossing_faces=tuple(tuple(fs) for fs in node_faces.values() if len(fs) == 4),
+        corner_faces=frozenset(corner_faces),
+    )
+
+
+def arrangement_view(arr):
+    """The fields of an arrangement with piece ids renamed in order of
+    appearance, adjacency as dicts and the crossings' faces as sets: the
+    tracers name pieces and list adjacency and crossings in orders of their
+    own."""
+    if not isinstance(arr, D.Arrangement):
+        return arr  # an (error type, message) outcome
+    names = {}
+    across = tuple(
+        None if shared is None else tuple((names.setdefault(p, len(names)), arc, f) for p, arc, f in shared)
+        for shared in arr.across
+    )
+    return arr._replace(
+        across=across,
+        adjacency={a: dict(nbrs) for a, nbrs in arr.adjacency},
+        crossing_faces={frozenset(fs) for fs in arr.crossing_faces},
+    )
+
+
+def assert_arrangement_matches_reference(nb, chords):
+    got = outcome(D._arrangement.__wrapped__, nb, chords)
+    assert arrangement_view(got) == arrangement_view(outcome(reference_arrangement, nb, chords))
     return got
 
 
@@ -923,28 +997,21 @@ def test_arrangement_faces_match_reference_on_diagrams(pentagon, dodeca, dodeca_
     # multi-cell cores
     diagrams += [D.build_diagram(cyc) for cyc in eight_cycle_fixtures(pentagon_ball6, limit=12)]
     for d in diagrams:
-        assert isinstance(assert_faces_match_reference(2 * len(d.cycle), d.arcs, d.crossings)[0], list)
+        arr = assert_arrangement_matches_reference(2 * len(d.cycle), tuple((a, b) for a, b, _ in d.arcs))
+        assert isinstance(arr, D.Arrangement) and arr.crossings == d.crossings
     assert len(diagrams) == 239
-    assert_faces_match_reference(4, [(0, 2, 0), (1, 3, 1)], set())
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_arrangement_faces_match_reference_on_random_chords(seed):
-    # random perfect matchings of 2..16 boundary points, crossing where the
-    # chords interleave, some with one crossing dropped or a false one added
+    # random perfect matchings of 2..16 boundary points, three pairwise
+    # crossing chords among them
     rng = random.Random(seed)
     points = list(range(2 * rng.randint(1, 8)))
     rng.shuffle(points)
-    arcs = sorted((min(a, b), max(a, b), rng.randrange(4)) for a, b in zip(points[::2], points[1::2]))
-    pairs = [(i, j) for i in range(len(arcs)) for j in range(i + 1, len(arcs))]
-    crossings = {(i, j) for i, j in pairs if D._interleaved(arcs[i][:2], arcs[j][:2])}
-    edit = rng.random()
-    if edit < 0.1 and crossings:
-        crossings.discard(rng.choice(sorted(crossings)))
-    elif edit < 0.2 and pairs:
-        crossings.add(rng.choice(pairs))
-    assert_faces_match_reference(len(points), arcs, crossings)
+    chords = tuple(sorted((min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])))
+    assert_arrangement_matches_reference(len(points), chords)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1095,7 @@ def reference_build_diagram(cycle):
         for k in range(len(arcs)):
             if k not in (i, j) and (min(i, k), max(i, k)) in crossings and (min(j, k), max(j, k)) in crossings:
                 raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
-    faces, face_edges, seg_face, edge_faces, face_nodes = D._arrangement_faces(2 * n, arcs, crossings)
+    faces, face_edges, seg_face, edge_faces, face_nodes = reference_arrangement_faces(2 * n, arcs, crossings)
 
     vertex_of = {}
     for k in range(2 * n):
