@@ -352,7 +352,6 @@ def _arrangement(nb, chords):
     faces = tuple(f for f in range(len(walks)) if f != outer)
     sides, boundary, across = [None] * len(walks), [None] * len(walks), [None] * len(walks)
     seg_face = [None] * nb
-    adjacency, corner_faces = [], set()
     for f in faces:
         walk = walks[f]
         sides[f] = tuple(labels[h >> 1] for h in walk)
@@ -363,11 +362,6 @@ def _arrangement(nb, chords):
             seg_face[k] = f
         boundary[f] = segs[0] if segs else -1
         across[f] = tuple((h >> 1, labels[h >> 1][1], face_of[h ^ 1]) for h in walk if h >= 2 * nb)
-        shared = Counter(g for _, _, g in across[f])
-        if shared:
-            adjacency.append((f, tuple(shared.items())))
-        if len(walk) == 3 and sum(ends[h] >= nb for h in walk) == 1:
-            corner_faces.add(f)
     return Arrangement(
         crossings=crossings,
         faces=faces,
@@ -376,9 +370,11 @@ def _arrangement(nb, chords):
         across=tuple(across),
         seg_face=tuple(seg_face),
         core=tuple(f for f in faces if boundary[f] < 0),
-        adjacency=tuple(adjacency),
+        adjacency=tuple((f, tuple(Counter(g for _, _, g in across[f]).items())) for f in faces),
         crossing_faces=tuple(tuple(face_of[h] for h in out[x]) for x in range(nb, len(out))),
-        corner_faces=frozenset(corner_faces),
+        corner_faces=frozenset(
+            f for f in faces if len(walks[f]) == 3 and sum(ends[h] >= nb for h in walks[f]) == 1
+        ),
     )
 
 
