@@ -12,7 +12,7 @@ over the tight cycles collects the link pairs of every vertex at once, and
 from collections import OrderedDict, namedtuple
 
 from . import _kernels
-from .graphs import GraphError, cut_vertices, girth, is_connected
+from .graphs import GraphError, _connected, _pair_masks, check_atomic, cut_vertices, girth, is_connected
 
 __all__ = [
     "EmbeddedCycle",
@@ -60,12 +60,6 @@ class EmbeddedCycle:
     def edges(self):
         vs = self.vertices
         return [tuple(sorted((vs[i], vs[(i + 1) % len(vs)]))) for i in range(len(vs))]
-
-    def distance_along(self, u, v):
-        """Edges along the shorter arc between two cycle vertices."""
-        i, j = self.vertices.index(u), self.vertices.index(v)
-        d = abs(i - j)
-        return min(d, len(self.vertices) - d)
 
 
 def _kernel_cycles(graph, raw):
@@ -174,31 +168,38 @@ _tight_cycles = _CycleListCache(_tight_cycle_list, maxsize=256, max_cycles=1 << 
 def find_shortcut(graph, cycle, i):
     """An i-shortcut for the cycle: an edge-path of length exactly i whose
     endpoints lie on the cycle at cycle-distance > i.  Returns the path as a
-    vertex list, or None."""
+    vertex list, or None: the first in depth-first order, with start
+    vertices in cycle order and each next vertex ascending.  ``todo[d]``
+    holds the untried neighbours of ``path[d]``; ``far``, the cycle
+    vertices far enough from the start."""
     if i < 1:
         raise GraphError("shortcut length must be >= 1")
     if not isinstance(cycle, EmbeddedCycle):
         cycle = EmbeddedCycle(graph, cycle)
-    on_cycle = set(cycle.vertices)
-
-    def extend(path):
-        if len(path) == i + 1:
-            last = path[-1]
-            if last in on_cycle and cycle.distance_along(path[0], last) > i:
-                return list(path)
-            return None
-        for nxt in sorted(graph.neighbors(path[-1])):
-            if nxt in path:
+    masks, index, order = graph.masks, graph.index, graph.order
+    at = [index[v] for v in cycle.vertices]
+    n = len(at)
+    for k, start in enumerate(at):
+        far = 0
+        for t in range(k + i + 1, k + n - i):
+            far |= 1 << at[t % n]
+        path, todo, used = [start], [masks[start]], 1 << start
+        while path:
+            rest = todo[-1]
+            if len(path) == i:
+                end = rest & far
+                if end:
+                    return [order[v] for v in path] + [order[(end & -end).bit_length() - 1]]
+            elif rest:
+                low = rest & -rest
+                todo[-1] = rest ^ low
+                used |= low
+                x = low.bit_length() - 1
+                path.append(x)
+                todo.append(masks[x] & ~used)
                 continue
-            found = extend(path + [nxt])
-            if found:
-                return found
-        return None
-
-    for start in cycle.vertices:
-        found = extend([start])
-        if found:
-            return found
+            todo.pop()
+            used ^= 1 << path.pop()
     return None
 
 
@@ -216,21 +217,9 @@ class WhiteheadGraph(namedtuple("WhiteheadGraph", "base vertices edges")):
     __slots__ = ()
 
     def is_connected(self):
-        if not self.vertices:
-            return True
-        adj = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            x = stack.pop()
-            for u in adj[x]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertices)
+        index = {v: k for k, v in enumerate(self.vertices)}
+        masks = _pair_masks(len(index), [(index[a], index[b]) for a, b in self.edges])
+        return _connected(masks, (1 << len(masks)) - 1)
 
     def to_dot(self):
         lines = ['graph "Wh(%s)" {' % self.base]
@@ -290,8 +279,6 @@ def check_coloring_lemma(graph, coloring):
     """Three-color edge test: with every two gray edges sharing a vertex and
     every tight cycle black-or-gray or white-or-gray, the whole graph must be
     black-or-gray or white-or-gray."""
-    from .graphs import check_atomic
-
     if not check_atomic(graph).is_atomic:
         raise GraphError("coloring lemma applies to atomic graphs")
     colors = {}

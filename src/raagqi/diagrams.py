@@ -47,9 +47,9 @@ from collections import Counter, deque, namedtuple
 from functools import lru_cache
 
 from .coarse import FullEdgeCycle
-from .graphs import GraphError, InvariantError, _bits
+from .graphs import GraphError, InvariantError, _bits, _connected, _pair_masks
 from . import _kernels
-from .words import _KINDS, CosetKey, GroupElement, _connections, _factors_by_masks, _in_mask
+from .words import _KINDS, CosetKey, GroupElement, _connections, _factors_by_masks, _in_mask, identity
 
 __all__ = [
     "lift_cycle",
@@ -74,7 +74,6 @@ def lift_cycle(graph, gamma):
     """Lift an embedded cycle of the defining graph to the full-edge cycle
     through the identity fundamental domain."""
     from .cycles import EmbeddedCycle
-    from .words import identity
 
     if not isinstance(gamma, EmbeddedCycle):
         gamma = EmbeddedCycle(graph, gamma)
@@ -196,22 +195,19 @@ def build_diagram(cycle):
             raise InvariantError("a closed cycle crosses a hyperplane an odd number of times")
 
     choices = _matching_choices(by_class)
-    hs = sorted(label_of)
-    cross_classes = {
-        (h1, h2)
-        for k, h1 in enumerate(hs)
-        for h2 in hs[k + 1 :]
-        if _crosses(ctx, label_of[h1], label_of[h2])
-    }
+
+    @lru_cache(maxsize=None)
+    def crossing(g, h):
+        return _crosses(ctx, label_of[g], label_of[h])
 
     def fits(acc, new):
-        # interleaved arcs must be distinct crossing hyperplanes.  The arcs
-        # of acc are consistent, and the new arcs, one hyperplane's
-        # noncrossing pairing, do not interleave: only pairs of a new and
-        # an old arc are checked
+        # interleaved arcs must be of crossing hyperplanes, asked once per
+        # pair (none crosses itself).  The arcs of acc are consistent, and
+        # the new arcs, one hyperplane's noncrossing pairing, do not
+        # interleave: only pairs of a new and an old arc are checked
         for a, b, h in new:
             for c, d, g in acc:
-                if (a < c < b) != (a < d < b) and (g == h or (min(g, h), max(g, h)) not in cross_classes):
+                if (a < c < b) != (a < d < b) and not crossing(min(g, h), max(g, h)):
                     return False
         return True
 
@@ -295,10 +291,7 @@ def _arrangement(nb, chords):
     crossings = frozenset(
         (i, j) for i in range(m) for j in range(i + 1, m) if _interleaved(chords[i], chords[j])
     )
-    crossed = [set() for _ in range(m)]
-    for i, j in crossings:
-        crossed[i].add(j)
-        crossed[j].add(i)
+    crossed = _pair_masks(m, crossings)
     if any(crossed[i] & crossed[j] for i, j in crossings):
         raise InvariantError("three pairwise-crossing arcs: not a flat-space diagram")
 
@@ -309,7 +302,7 @@ def _arrangement(nb, chords):
     node = {}
     for i, (a, b) in enumerate(chords):
         path = [a]
-        for j in sorted(crossed[i], key=lambda j: chords[j][0] if a < chords[j][0] < b else chords[j][1]):
+        for j in sorted(_bits(crossed[i]), key=lambda j: chords[j][0] if a < chords[j][0] < b else chords[j][1]):
             path.append(node.setdefault((min(i, j), max(i, j)), nb + len(node)))
         path.append(b)
         for t in range(len(path) - 1):
@@ -599,26 +592,13 @@ def shell_report(diagram):
 
 
 def _is_ladder(diagram, core):
-    adj = {f: set() for f in core}
-    for a, nbrs in diagram.region_adjacency.items():
-        if a not in core:
-            continue
-        for b in nbrs:
-            if b in core:
-                adj[a].add(b)
-    degs = sorted(len(v) for v in adj.values())
-    if degs != [1, 1] + [2] * (len(core) - 2):
+    """Whether the core cells, joined when they share an edge, form a path."""
+    index = {f: k for k, f in enumerate(core)}
+    adjacency = diagram.region_adjacency
+    masks = _pair_masks(len(index), [(index[a], index[b]) for a in core for b in adjacency[a] if b in index])
+    if sorted(m.bit_count() for m in masks) != [1, 1] + [2] * (len(core) - 2):
         return False
-    start = next(f for f in core if len(adj[f]) == 1)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(core)
+    return _connected(masks, (1 << len(masks)) - 1)
 
 
 # ---------------------------------------------------------------------------

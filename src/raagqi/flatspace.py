@@ -46,7 +46,7 @@ from operator import itemgetter
 
 # bound here too because the benchmark's tracer wraps them by these names
 from .coarse import classify_turn, coarse_distance, coarse_length, same_parallel_set  # noqa: F401
-from .graphs import GraphError, InvariantError
+from .graphs import GraphError, InvariantError, _pair_masks, is_connected
 from .words import _KINDS, CosetKey, GroupElement, _check_key, _in_mask, context_for, _syllable_tree
 
 __all__ = ["FlatBall", "build_ball", "verify_ball_structure", "parallel_set_slice"]
@@ -358,22 +358,18 @@ class FlatBall:
 
 def build_ball(graph, radius):
     """Build the finite flat-space ball for the given budget radius."""
-    from .graphs import is_connected
-
     if not is_connected(graph):
         raise GraphError("build_ball requires a connected graph")
     return FlatBall(graph, radius)
 
 
 def _has_loop_or_triangle(edges):
-    """Whether a link, given by its set of edges, has girth < 4."""
-    adj = {}
-    for a, b in edges:
-        if a == b:
-            return True
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return any(adj[a] & adj[b] for a, b in edges)
+    """Whether a link, given by its set of edges, has girth < 4: an edge
+    whose ends share a neighbour, or a loop (a, a), which sets a in masks[a]."""
+    index = {}
+    pairs = [(index.setdefault(a, len(index)), index.setdefault(b, len(index))) for a, b in edges]
+    masks = _pair_masks(len(index), pairs)
+    return any(masks[a] & masks[b] for a, b in pairs)
 
 
 def _square_rows_ok(ball, c, sq):

@@ -10,7 +10,9 @@ no other adjacency: ``neighbors``, ``degree``, ``has_edge``,
 ``has_vertex`` and ``closed_star`` read ``index`` and ``masks``.
 Connectivity and the short-cycle search of the atomicity check work on the
 masks, and words, cycles and flat-space balls read them instead of
-building their own.
+building their own.  ``_pair_masks`` builds the same masks from position
+pairs for the small graphs other checks walk: Whitehead graphs, diagram
+cores, chord crossings and flat-space links.
 """
 
 import functools
@@ -77,12 +79,7 @@ class DefiningGraph:
         self.edges = tuple(sorted(norm))
         self.order = tuple(sorted(vertices))
         self.index = index = {v: i for i, v in enumerate(self.order)}
-        masks = [0] * len(vertices)
-        for a, b in self.edges:
-            i, j = index[a], index[b]
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        self.masks = tuple(masks)
+        self.masks = tuple(_pair_masks(len(vertices), [(index[a], index[b]) for a, b in self.edges]))
         self._hash = hash((self.order, self.edges))
 
     def __eq__(self, other):
@@ -154,6 +151,16 @@ class DefiningGraph:
             lines.append('  "%s" -- "%s";' % (a, b))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _pair_masks(n, pairs):
+    """The neighbour bitmasks of positions 0..n-1 joined by the position
+    pairs: bit j of ``masks[i]`` is set iff (i, j) or (j, i) is a pair."""
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
 
 
 def _bits(x):

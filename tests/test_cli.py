@@ -103,6 +103,21 @@ def test_diagram_and_taut(capsys, pentagon_file):
     assert data["tight_in_graph"] and data["taut_in_flat_space"] and data["core_single_cell"]
 
 
+def test_diagram_dot(capsys, pentagon_file):
+    code, out, _ = run(capsys, "diagram", pentagon_file, "--cycle", "a,b,c,d,e", "--dot")
+    assert code == 0 and out.startswith("graph diagram {")
+    lines = out.splitlines()
+    assert len([t for t in lines if t.startswith("  b") and "[pos=" in t]) == 10
+    assert len([t for t in lines if " -- " in t and '[label="h' in t]) == 5
+
+
+def test_unknown_vertices_are_input_errors(capsys, pentagon_file):
+    code, out, err = run(capsys, "diagram", pentagon_file, "--cycle", "a,b,z")
+    assert code == 1 and out == "" and "unknown cycle vertex 'z'" in err
+    code, out, err = run(capsys, "whitehead", pentagon_file, "--vertex", "z")
+    assert code == 1 and out == "" and "unknown vertex 'z'" in err
+
+
 @pytest.mark.parametrize("command", ["taut", "diagram"])
 @pytest.mark.parametrize("radius", ["0", "1"])
 def test_lifted_cycle_commands_reject_small_radius(capsys, pentagon_file, command, radius):
@@ -239,6 +254,11 @@ def test_construct(capsys, pentagon_file):
     assert len(rq.DefiningGraph.from_json(out).vertices) == 9
     code, out, _ = run(capsys, "construct", "dodeca-double")
     assert len(rq.DefiningGraph.from_json(out).vertices) == 35
+    code, out, _ = run(capsys, "construct", "dodeca-double", "--dot")
+    assert code == 0 and out == rq.dodecahedron_double().to_dot()
+    lines = out.splitlines()
+    assert len([t for t in lines if t.endswith('";') and " -- " not in t]) == 35
+    assert len([t for t in lines if " -- " in t]) == 55
     code, _, err = run(capsys, "construct", "double")
     assert code == 1
 

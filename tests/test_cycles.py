@@ -99,6 +99,62 @@ def test_find_shortcut(pentagon):
     assert C.is_tight(pentagon, pent)
 
 
+def reference_find_shortcut(graph, cycle, i):
+    """The first i-shortcut by a recursive depth-first search over sorted
+    neighbour names, starting from each cycle vertex in cycle order."""
+    vs = cycle.vertices
+
+    def distance_along(u, v):
+        d = abs(vs.index(u) - vs.index(v))
+        return min(d, len(vs) - d)
+
+    def extend(path):
+        if len(path) == i + 1:
+            last = path[-1]
+            if last in vs and distance_along(path[0], last) > i:
+                return list(path)
+            return None
+        for nxt in sorted(graph.neighbors(path[-1])):
+            if nxt in path:
+                continue
+            found = extend(path + [nxt])
+            if found:
+                return found
+        return None
+
+    for start in vs:
+        found = extend([start])
+        if found:
+            return found
+    return None
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_find_shortcut_matches_the_recursive_search(seed):
+    # dense random graphs, so that cycles have chords and shortcuts of
+    # every length, some running through other cycle vertices
+    rng = random.Random(seed)
+    n = rng.randint(4, 10)
+    verts = ["v%d" % k for k in range(n)]
+    p = rng.uniform(0.2, 0.7)
+    g = DefiningGraph(verts, [(a, b) for k, a in enumerate(verts) for b in verts[k + 1 :] if rng.random() < p])
+    cycles = C.enumerate_cycles(g, n)
+    for cyc in rng.sample(cycles, min(3, len(cycles))):
+        for i in range(1, 5):
+            assert C.find_shortcut(g, cyc, i) == reference_find_shortcut(g, cyc, i)
+
+
+def test_find_shortcut_walks_long_paths_without_recursion(pentagon):
+    # a 1,100-vertex path hung from a: every shortcut search from a cycle
+    # vertex runs down it, 1050 vertices deep, and finds no end
+    path = ["p%d" % k for k in range(1100)]
+    edges = list(pentagon.edges) + [("a", path[0])] + list(zip(path, path[1:]))
+    g = DefiningGraph(list(pentagon.vertices) + path, edges)
+    assert C.find_shortcut(g, "abcde", 1050) is None
+    assert C.find_shortcut(g, "abcde", 2) is None
+
+
 def test_is_tight_matches_shortcut_definition():
     for g in corpus(15, seed=31):
         for cyc in C.enumerate_cycles(g, min(8, len(g.vertices))):
@@ -238,6 +294,14 @@ def assert_whitehead_pass_matches_scan(g, max_len):
         for v in g.order:
             ref = C.WhiteheadGraph(v, tuple(sorted(g.neighbors(v))), whitehead_edges_reference(g, v))
             assert table[v]["wh_connected"] == ref.is_connected()
+
+
+def test_whitehead_connectivity_on_small_links():
+    assert C.WhiteheadGraph("v", (), frozenset()).is_connected()
+    assert C.WhiteheadGraph("v", ("a",), frozenset()).is_connected()
+    assert not C.WhiteheadGraph("v", ("a", "b"), frozenset()).is_connected()
+    assert C.WhiteheadGraph("v", ("a", "b", "c"), frozenset({("a", "c"), ("b", "c")})).is_connected()
+    assert not C.WhiteheadGraph("v", ("a", "b", "c", "d"), frozenset({("a", "c"), ("b", "d")})).is_connected()
 
 
 @pytest.mark.parametrize("max_len", [None, 5, 9])

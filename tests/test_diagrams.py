@@ -1,5 +1,6 @@
 import random
 from functools import cache, cmp_to_key
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -220,6 +221,80 @@ def test_diagram_uniqueness_under_matching_order(pentagon, pentagon_ball6):
         base = D.build_diagram(cyc).signature()
         for seed in range(4):
             assert build_shuffled(cyc, seed).signature() == base
+
+
+def brute_force_matchings(positions):
+    """Every perfect matching of the positions with no two arcs interleaved."""
+    if not positions:
+        return [[]]
+    first, rest = positions[0], positions[1:]
+    out = []
+    for k, q in enumerate(rest):
+        for m in brute_force_matchings(rest[:k] + rest[k + 1 :]):
+            out.append([(first, q)] + m)
+    return [m for m in out if not any(D._interleaved(a, b) for a in m for b in m if a < b)]
+
+
+def test_noncrossing_matchings_match_brute_force():
+    rng = random.Random(7)
+    for size, count in zip(range(0, 12, 2), (1, 1, 2, 5, 14, 42)):
+        for positions in (list(range(size)), sorted(rng.sample(range(40), size))):
+            got = D._noncrossing_matchings(positions)
+            assert len(got) == count
+            assert sorted(map(sorted, got)) == sorted(map(sorted, brute_force_matchings(positions)))
+
+
+def test_pairing_search_rejects_a_decoy_pairing(pentagon):
+    # a pairing of the last hyperplane whose arc interleaves an earlier arc
+    # of a hyperplane it does not cross, tried ahead of the true one
+    cyc = D.lift_cycle(pentagon, "abcde")
+    base = D.build_diagram(cyc)
+    hyperplanes = [h for _, _, h in base.arcs]
+    crossing = {frozenset((hyperplanes[i], hyperplanes[j])) for i, j in base.crossings}
+    ordered = D._matching_choices
+    decoys = []
+
+    def with_decoy(by_class):
+        choices = ordered(by_class)
+        h, ms = choices[-1]
+        earlier = [(a, b) for a, b, g in base.arcs if g != h and frozenset((g, h)) not in crossing]
+        decoy = next(
+            (x, y)
+            for x in range(2 * len(cyc))
+            for y in range(x + 1, 2 * len(cyc))
+            if any(D._interleaved((x, y), arc) for arc in earlier)
+        )
+        decoys.append(decoy)
+        return choices[:-1] + [(h, [[decoy]] + ms)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_matching_choices", with_decoy)
+        d = D.build_diagram(cyc)
+    assert len(decoys) == 1 and decoys[0] not in [(a, b) for a, b, _ in d.arcs]
+    assert d.signature() == base.signature()
+
+
+def test_pairing_search_with_no_crossing_hyperplanes_fails(monkeypatch, pentagon):
+    # every pairing conflicts with an earlier hyperplane's, so the search
+    # backtracks through all of them
+    monkeypatch.setattr(D, "_crosses", lambda ctx, a, b: False)
+    with pytest.raises(InvariantError, match="no consistent dual diagram pairing"):
+        D.build_diagram(D.lift_cycle(pentagon, "abcde"))
+
+
+def test_is_ladder_needs_a_connected_path_of_core_cells():
+    def ladder(core, edges, outer=()):
+        adjacency = {f: {} for f in core + [9]}
+        for a, b in list(edges) + [(f, 9) for f in outer]:
+            adjacency[a][b] = adjacency[b][a] = 1
+        return D._is_ladder(SimpleNamespace(region_adjacency=adjacency), core)
+
+    assert ladder([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)], outer=[0, 3])
+    assert ladder([3, 1], [(1, 3)])
+    assert not ladder([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    # the degrees of a five-cell path, but two components
+    assert not ladder([0, 1, 2, 3, 4], [(0, 1), (2, 3), (3, 4), (4, 2)])
+    assert not ladder([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
 
 
 def test_arc_sides_follow_block_structure(pentagon, pentagon_ball6):
