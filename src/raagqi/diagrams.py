@@ -34,13 +34,10 @@ the one connection search, ``words._connections``, whose product factors
 seed the quasi-cut witness.  Arc coarse lengths are read off the cycle's
 legal-turn flags (``coarse.FullEdgeCycle``).
 
-Two bounded memos serve the report's lifts.  Quasi-cut candidates depend on
-the first flat's representative, the walk and its factors, not on the
-cycle, so they are kept on the word context (CANDIDATES_MAX lists, the
-oldest dropped first) and a cycle only tests its flats against them.  A
-diagram's chord arrangement depends on the chord positions alone, the same
-for every lift of an n-cycle; ``_arrangement`` keeps the ARRANGEMENTS_MAX
-most recent as immutable values.
+One bounded memo serves the report's lifts.  A diagram's chord
+arrangement depends on the chord positions alone, the same for every lift
+of an n-cycle; ``_arrangement`` keeps the ARRANGEMENTS_MAX most recent as
+immutable values.
 """
 
 from collections import Counter, deque, namedtuple
@@ -64,10 +61,8 @@ __all__ = [
     "verify_taut_diagram_lemma",
 ]
 
-# chord arrangements kept by ``_arrangement``, and quasi-cut candidate
-# lists kept per word context
+# chord arrangements kept by ``_arrangement``
 ARRANGEMENTS_MAX = 256
-CANDIDATES_MAX = 1 << 14
 
 
 def lift_cycle(graph, gamma):
@@ -196,18 +191,14 @@ def build_diagram(cycle):
 
     choices = _matching_choices(by_class)
 
-    @lru_cache(maxsize=None)
-    def crossing(g, h):
-        return _crosses(ctx, label_of[g], label_of[h])
-
     def fits(acc, new):
-        # interleaved arcs must be of crossing hyperplanes, asked once per
-        # pair (none crosses itself).  The arcs of acc are consistent, and
-        # the new arcs, one hyperplane's noncrossing pairing, do not
-        # interleave: only pairs of a new and an old arc are checked
+        # interleaved arcs must be of crossing hyperplanes (none crosses
+        # itself).  The arcs of acc are consistent, and the new arcs, one
+        # hyperplane's noncrossing pairing, do not interleave: only pairs
+        # of a new and an old arc are checked
         for a, b, h in new:
             for c, d, g in acc:
-                if (a < c < b) != (a < d < b) and not crossing(min(g, h), max(g, h)):
+                if (a < c < b) != (a < d < b) and not _crosses(ctx, label_of[g], label_of[h]):
                     return False
         return True
 
@@ -676,7 +667,7 @@ def find_quasicut(cycle):
 
     The search is not exhaustive: for each connection it tries the
     canonical factorization and its one-letter centralizer twists (see
-    ``_quasicut_candidates``).  None means that no such candidate avoids the
+    ``_quasicut_witness``).  None means that no such candidate avoids the
     cycle's flats, not that no quasi-cut exists.
     """
     return next(_cut_pass(cycle, (3,)), (3, None))[1]
@@ -696,40 +687,17 @@ def _twist_letters(mask):
 
 
 def _quasicut_witness(cycle_flats, fp, walk, factors):
-    """The first candidate of ``_quasicut_candidates`` whose turning flats
-    both avoid the cycle's flats (a set of (gens, codes)), as coset keys, or
-    None."""
-    ctx = fp.rep.ctx
-    memo = ctx.quasicut_candidates
-    key = (fp.rep.codes, walk, tuple(factors))
-    cands = memo.get(key)
-    if cands is None:
-        if len(memo) >= CANDIDATES_MAX:
-            del memo[next(iter(memo))]
-        cands = memo[key] = _quasicut_candidates(ctx, fp.rep.codes, walk, factors)
-    for k1, k2s in cands:
-        if k1 in cycle_flats:
-            continue
-        for k2 in k2s:
-            if k2 not in cycle_flats:
-                return [CosetKey(gens, GroupElement(ctx, codes, _canonical=True)) for gens, codes in (k1, k2)]
-    return None
-
-
-def _quasicut_candidates(ctx, rep, walk, factors):
-    """The turning flats c1<x,t>, c2<t,z> that may realize the connection
-    along the walk (x, t, z), as ((gens, codes) of c1, ((gens, codes) of
-    c2, ...)) pairs in the order they are tried.  They depend on rep(fp),
-    the walk and its factors, not on the cycle, whose flats are tested
-    afterwards.
+    """The first turning flats c1<x,t>, c2<t,z> that realize the connection
+    from fp along the walk (x, t, z) and both avoid the cycle's flats (a
+    set of (gens, codes)), as coset keys, or None.
 
     With P = rep(fp) and the walk's factors a1 a2 a3 (aj in C(tj)), the
     candidates are c1 = P alpha and c2 = P alpha beta with alpha in C(x),
-    beta in C(t) and the rest of the product in C(z): first alpha = a1,
-    then the twists a1 g^s for g in st(x) and s = +1, -1; for each alpha,
-    beta is the C(t) factor of alpha^-1 a1 a2 a3, then its twists beta h^s.
-    Twists that cannot pass or that repeat a candidate are left out, which
-    leaves the first witness unchanged:
+    beta in C(t) and the rest of the product in C(z), tried in this order:
+    first alpha = a1, then the twists a1 g^s for g in st(x) and s = +1, -1;
+    for each alpha, beta is the C(t) factor of alpha^-1 a1 a2 a3, then its
+    twists beta h^s.  Twists that cannot pass or that repeat a candidate
+    are left out, which leaves the first witness unchanged:
 
     - The rest after beta h^s is h^-s times a C(z) factor, so it lies in
       C(z) only for h in st(z); and h in {t, z} leaves c2 unchanged.  So h
@@ -743,31 +711,35 @@ def _quasicut_candidates(ctx, rep, walk, factors):
       g^-s a2 a3, an invariant of the element, while every element of
       C(t) C(z) has its support in st(t) | st(z).  On a graph of girth at
       least 5, such as an atomic one, no g and no h is left.
-    - An alpha whose rest has no factoring in C(t) C(z) gives no c2.
+    - An alpha whose c1 is a cycle flat, or whose rest has no factoring in
+      C(t) C(z), gives no witness.
     """
+    ctx = fp.rep.ctx
     nf, strip = ctx.nf, ctx.strip
     x, t, z = walk
     ix, it, iz = ctx.index[x], ctx.index[t], ctx.index[z]
-    xt, tz = tuple(sorted((x, t))), tuple(sorted((t, z)))
+    xt, tz = (x, t) if x < t else (t, x), (t, z) if t < z else (z, t)
     m_xt, m_tz = (1 << ix) | (1 << it), (1 << it) | (1 << iz)
     st_t, st_z = ctx.star_masks[it], ctx.star_masks[iz]
-    tz_masks = (st_t, st_z)
     a1, a2, a3 = factors
-    pa0, rest0 = nf(rep + a1), nf(a2 + a3)
-    beta_twists = [None] + _twist_letters(ctx.comm_masks[it] & ctx.comm_masks[iz])
-    out = []
+    pa0, rest0 = nf(fp.rep.codes + a1), nf(a2 + a3)
     for g in [None] + _twist_letters(ctx.star_masks[ix] & (st_t | st_z) & ~m_xt):
         if g is None:
             pa, rest = pa0, rest0
         else:
             pa, rest = nf(pa0 + (g,)), nf((_kernels.letter_inv(g),) + rest0)
-        fac = _factors_by_masks(ctx, rest, tz_masks)
+        k1 = (xt, strip(pa, m_xt))
+        if k1 in cycle_flats:
+            continue
+        fac = _factors_by_masks(ctx, rest, (st_t, st_z))
         if fac is None:
             continue
         pab = nf(pa + fac[0])
-        k2s = tuple((tz, strip(pab if h is None else nf(pab + (h,)), m_tz)) for h in beta_twists)
-        out.append(((xt, strip(pa, m_xt)), k2s))
-    return tuple(out)
+        for h in [None] + _twist_letters(ctx.comm_masks[it] & ctx.comm_masks[iz]):
+            k2 = (tz, strip(pab if h is None else nf(pab + (h,)), m_tz))
+            if k2 not in cycle_flats:
+                return [CosetKey(gens, GroupElement(ctx, codes, _canonical=True)) for gens, codes in (k1, k2)]
+    return None
 
 
 def is_taut(cycle):

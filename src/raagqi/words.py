@@ -6,8 +6,11 @@ words reachable by swapping adjacent letters whose generators are adjacent in
 the graph.  Two elements are equal in the group iff their stored words agree.
 
 A ``WordContext`` takes the generator order, index and commutation masks
-from its graph and adds the star masks, the normal-form and stripping
-caches, and two tables for the connection search (below).
+from its graph and adds the star masks and one table for the connection
+search (below).  Normal forms and stripped representatives are computed
+on each call, with no cache: on lifts through the identity fundamental
+domain every flat and singular has the empty representative, and the
+empty word returns at once.
 ``context_for`` hands out one context per graph (equal graphs share it)
 and holds it weakly: a context lives as long as some element, coset key
 or ball uses it, so a long session keeps only the contexts in use.
@@ -21,13 +24,10 @@ containment of a singular coset in a flat, equality of singular
 stabilizers, and ``_connections``, the one search for full-edge
 connections between two flats behind turns, coarse distances and cuts.
 
-Both tables are bounded.  ``WordContext.walks`` keeps the walks of length
-<= WALKS_KEPT = 3 from each generator, in sorted order; ``coarse_distance``
-asks for walks up to length 6 (16,807 from each start on the
-Hoffman-Singleton graph), which are built on each call.
-``quasicut_candidates`` holds the quasi-cut candidates of ``diagrams``, at
-most ``diagrams.CANDIDATES_MAX`` lists, keyed by a flat's representative, a
-walk and its factors, which fix them: the lifts of one graph share them.
+The walk table is bounded: ``WordContext.walks`` keeps the walks of
+length <= WALKS_KEPT = 3 from each generator, in sorted order;
+``coarse_distance`` asks for walks up to length 6 (16,807 from each start
+on the Hoffman-Singleton graph), which are built on each call.
 """
 
 import weakref
@@ -74,10 +74,7 @@ class WordContext:
         self.index = graph.index
         self.comm_masks = graph.masks
         self.star_masks = [m | (1 << i) for i, m in enumerate(graph.masks)]
-        self._nf_cache = {}
-        self._strip_cache = {}
         self._walks = {}
-        self.quasicut_candidates = {}
 
     def gen_mask(self, names):
         m = 0
@@ -90,24 +87,12 @@ class WordContext:
     def nf(self, codes):
         if not codes:
             return ()
-        codes = tuple(codes)
-        hit = self._nf_cache.get(codes)
-        if hit is None:
-            hit = tuple(_kernels.normal_form_codes(list(codes), self.comm_masks))
-            if len(self._nf_cache) < 1 << 20:
-                self._nf_cache[codes] = hit
-        return hit
+        return tuple(_kernels.normal_form_codes(list(codes), self.comm_masks))
 
     def strip(self, codes, mask):
         if not codes:
             return ()
-        key = (codes, mask)
-        hit = self._strip_cache.get(key)
-        if hit is None:
-            hit = tuple(_kernels.strip_coset_codes(list(codes), self.comm_masks, mask))
-            if len(self._strip_cache) < 1 << 20:
-                self._strip_cache[key] = hit
-        return hit
+        return tuple(_kernels.strip_coset_codes(list(codes), self.comm_masks, mask))
 
     def quotient(self, p, q):
         """The normal form of p^-1 q, for normal forms p and q."""
@@ -241,12 +226,17 @@ def normal_form(graph, word):
     if isinstance(word, str):
         codes = parse_word(graph, word)
     else:
-        codes = []
-        for gen, sign in word:
-            if gen not in ctx.index:
-                raise GraphError("unknown generator %r" % (gen,))
-            codes.append(_kernels.letter(ctx.index[gen], sign))
+        codes = [_letter(ctx, gen, sign) for gen, sign in word]
     return GroupElement(ctx, codes)
+
+
+def _letter(ctx, v, sign):
+    """The letter code of v^sign, for a generator v and a sign +1 or -1."""
+    if v not in ctx.index:
+        raise GraphError("unknown generator %r" % (v,))
+    if sign not in (1, -1):
+        raise GraphError("letter sign must be +1 or -1, got %r" % (sign,))
+    return _kernels.letter(ctx.index[v], sign)
 
 
 def identity(graph):
@@ -254,10 +244,9 @@ def identity(graph):
 
 
 def generator(graph, v, sign=1):
+    """The generator v (sign +1) or its inverse (sign -1)."""
     ctx = context_for(graph)
-    if v not in ctx.index:
-        raise GraphError("unknown generator %r" % (v,))
-    return GroupElement(ctx, (_kernels.letter(ctx.index[v], sign),), _canonical=True)
+    return GroupElement(ctx, (_letter(ctx, v, sign),), _canonical=True)
 
 
 def multiply(x, y):

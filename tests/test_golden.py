@@ -23,6 +23,8 @@ GRAPHS = {
     "dodecahedron": rq.dodecahedron,
     "dd": rq.dodecahedron_double,
     "pentagon_double": lambda: rq.double_along_closed_star(rq.pentagon(), "a"),
+    # the pentagon with x joined to a and c: the 2-shortcut a - x - c
+    "pentagon_x": lambda: rq.DefiningGraph("abcdex", ["ab", "bc", "cd", "de", "ea", "xa", "xc"]),
 }
 
 # name -> (graph, command, arguments after the graph file)
@@ -33,6 +35,9 @@ CASES = {
     "taut_dodecahedron_9": ("dodecahedron", "taut", ["--cycle", "o6,o7,i7,i9,o9,o0,i0,i8,i6", "--json"]),
     # one arc in each copy; the 2-shortcut i0 - i2 - i4 surfaces as a quasi-cut
     "taut_dd_9": ("dd", "taut", ["--cycle", "i0,i8,i6,i4,o4#1,o3#1,o2#1,o1#1,o0#1", "--json"]),
+    # girth 4: the quasi-cut's interior flats x<a,b>, x<b,c> come from a
+    # centralizer twist, not from the canonical factorization
+    "taut_pentagon_x": ("pentagon_x", "taut", ["--cycle", "a,b,c,d,e", "--json"]),
     "diagram_dodecahedron_face": ("dodecahedron", "diagram", ["--cycle", "o4,i4,i6,o6,o5", "--json"]),
     "report_pentagon": ("pentagon", "report", []),
     "report_pentagon_double": ("pentagon_double", "report", []),

@@ -167,14 +167,21 @@ def test_multiply(pentagon):
     assert a * c != c * a
 
 
-def test_power_is_one_normalization(pentagon):
+def test_power_is_one_normalization(pentagon, monkeypatch):
     # a^400 is one normalization of 400 letters, not 399 growing products
     a = W.generator(pentagon, "a")
-    cache = W.context_for(pentagon)._nf_cache
-    before = len(cache)
+    lengths = []
+    normal_form_codes = K.normal_form_codes
+
+    def counted(w, comm):
+        lengths.append(len(w))
+        return normal_form_codes(w, comm)
+
+    monkeypatch.setattr(W._kernels, "normal_form_codes", counted)
     x = a ** 400
+    assert lengths == [400]
+    monkeypatch.undo()
     assert x.letters() == [("a", 1)] * 400
-    assert len(cache) - before <= 20
     assert x * a ** -400 == W.identity(pentagon)
 
 
@@ -499,6 +506,22 @@ def test_word_parsing(pentagon):
     assert x.letters() == [("a", 1), ("a", 1), ("b", -1)]
     with pytest.raises(GraphError):
         W.parse_word(pentagon, "a^x")
+
+
+@pytest.mark.parametrize("sign", [0, 2, -5, "1"])
+def test_letters_take_only_signs_plus_and_minus_one(pentagon, sign):
+    # a sign is +1 or -1; 0, 2 or -5 names no letter, and neither does "1"
+    with pytest.raises(GraphError, match="sign"):
+        W.normal_form(pentagon, [("a", sign)])
+    with pytest.raises(GraphError, match="sign"):
+        W.generator(pentagon, "a", sign)
+    with pytest.raises(GraphError, match="unknown generator"):
+        W.normal_form(pentagon, [("z", 1)])
+    for s in (1, -1):
+        x = W.normal_form(pentagon, [("b", 1), ("a", s)])
+        assert x.letters() == [("a", s), ("b", 1)]
+        assert W.generator(pentagon, "a", s).letters() == [("a", s)]
+    assert W.generator(pentagon, "a") == W.normal_form(pentagon, "a")
 
 
 @pytest.mark.parametrize("text", ["a^", "b a^", "a^ b"])
